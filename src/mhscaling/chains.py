@@ -168,12 +168,40 @@ def strategy_from_label(text: str) -> Strategy:
 
 
 @dataclass
+class _Summary:
+    """What a step needs to know of the point ``coords`` under ``potential``."""
+
+    coords: np.ndarray  # the summarised array itself; compared by identity
+    potential: Potential
+    sum_v: float
+    d1: np.ndarray
+    a_hat: float
+    b_hat: float
+    m_hat: float
+    s_hat: float
+    strategy: Strategy | None = None  # the strategy ``ell`` was chosen by
+    ell: float = math.nan
+
+
+@dataclass
 class ChainState:
+    """Position, generator and counters of one chain.
+
+    ``coords`` is replaced by a new array when a proposal is accepted and is
+    never mutated in place.  The step functions rely on this: they cache the
+    current point's moments, ``sum V(coords)``, ``V'(coords)`` and, for
+    non-adaptive strategies, the scale ``ell``, keyed on the identity of the
+    ``coords`` array object (and of the potential and strategy), and reuse
+    them after a rejection.  Assigning a new array to ``coords`` invalidates
+    the cache; writing into the array does not.
+    """
+
     coords: np.ndarray
     rng: np.random.Generator
     k: int = 0
     theta: float | None = None
     accept_count: int = 0
+    _summary: _Summary | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -250,35 +278,85 @@ def _initial_theta(strategy: ConstantAccAdaptive, n: int) -> float:
     return math.log(2.38 / math.sqrt(n))
 
 
+def _summarise(coords: np.ndarray, p: Potential, v: np.ndarray,
+               d1: np.ndarray) -> _Summary:
+    return _Summary(
+        coords=coords,
+        potential=p,
+        sum_v=np.sum(v),
+        d1=d1,
+        a_hat=float(np.mean(d1 * d1)),
+        b_hat=float(np.mean(p.d2(coords))),
+        m_hat=float(np.mean(coords)),
+        s_hat=float(np.mean(coords * coords)),
+    )
+
+
+def _current(state: ChainState, p: Potential) -> _Summary:
+    """The summary of ``state.coords``: cached, or computed on a miss."""
+    here = state._summary
+    if here is None or here.coords is not state.coords or here.potential is not p:
+        coords = state.coords
+        here = state._summary = _summarise(coords, p, p.eval_v(coords), p.d1(coords))
+    return here
+
+
+def _accept(state: ChainState, p: Potential, proposal: np.ndarray,
+            v: np.ndarray, d1: np.ndarray | None = None) -> None:
+    # V(proposal), and V'(proposal) when the step has it, are reused.
+    state.coords = proposal
+    state.accept_count += 1
+    state._summary = _summarise(proposal, p, v, p.d1(proposal) if d1 is None else d1)
+
+
+def _record(state: ChainState, here: _Summary, ell, accepted, acc_prob) -> StepRecord:
+    return StepRecord(
+        k=state.k,
+        ell_used=ell,
+        accepted=bool(accepted),
+        acc_prob=acc_prob,
+        a_hat=here.a_hat,
+        b_hat=here.b_hat,
+        m_hat=here.m_hat,
+        s_hat=here.s_hat,
+    )
+
+
 def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
     """One random walk Metropolis step over all coordinates.
 
-    Proposes coords + (ell / sqrt(n)) * G with a fresh normal block G,
+    Proposes coords + (ell / sqrt(n)) * G with a fresh normal block G and
     accepts with probability exp(sum V(x) - sum V(y)) ^ 1 using a single
-    uniform, and re-estimates the moments from the full coordinate vector.
+    uniform.  The moments in the record, and ell, are those of the current
+    coordinate vector; they are computed when the chain reaches it and reused
+    while the chain rejects (see :class:`ChainState`).  Adaptive strategies
+    choose ell afresh every step, because theta moves every step.
     """
     coords = state.coords
     n = coords.size
-    d1 = p.d1(coords)
-    a_hat = float(np.mean(d1 * d1))
-    b_hat = float(np.mean(p.d2(coords)))
-    m_hat = float(np.mean(coords))
-    s_hat = float(np.mean(coords * coords))
-
+    here = _current(state, p)
     adaptive = isinstance(strategy, ConstantAccAdaptive)
-    if adaptive and state.theta is None:
-        state.theta = _initial_theta(strategy, n)
-    ell = choose_ell(strategy, a_hat, b_hat, m_hat, s_hat, n, theta=state.theta)
+    if adaptive:
+        if state.theta is None:
+            state.theta = _initial_theta(strategy, n)
+        ell = choose_ell(strategy, here.a_hat, here.b_hat, here.m_hat, here.s_hat,
+                         n, theta=state.theta)
+    else:
+        if here.strategy is not strategy:
+            here.ell = choose_ell(strategy, here.a_hat, here.b_hat, here.m_hat,
+                                  here.s_hat, n)
+            here.strategy = strategy
+        ell = here.ell
 
     sigma = ell / math.sqrt(n)
     noise = state.rng.standard_normal(n)
     proposal = coords + sigma * noise
-    log_ratio = float(np.sum(p.eval_v(coords)) - np.sum(p.eval_v(proposal)))
+    v_proposal = p.eval_v(proposal)
+    log_ratio = float(here.sum_v - np.sum(v_proposal))
     acc_prob = math.exp(min(log_ratio, 0.0))
     accepted = state.rng.uniform() <= acc_prob
     if accepted:
-        state.coords = proposal
-        state.accept_count += 1
+        _accept(state, p, proposal, v_proposal)
 
     if adaptive:
         innovation = float(accepted) if strategy.use_indicator else acc_prob
@@ -291,17 +369,7 @@ def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
         )
 
     state.k += 1
-    record = StepRecord(
-        k=state.k,
-        ell_used=ell,
-        accepted=bool(accepted),
-        acc_prob=acc_prob,
-        a_hat=a_hat,
-        b_hat=b_hat,
-        m_hat=m_hat,
-        s_hat=s_hat,
-    )
-    return state, record
+    return state, _record(state, here, ell, accepted, acc_prob)
 
 
 def mala_step(state: ChainState, p: Potential, sigma: float):
@@ -311,44 +379,33 @@ def mala_step(state: ChainState, p: Potential, sigma: float):
     sum_i [ V(x_i) - V(x_i + z_i)
             + ((g_i)^2 - (g_i - (sigma/2)(V'(x_i) + V'(x_i + z_i)))^2) / 2 ]
     with z_i = sigma g_i - (sigma^2 / 2) V'(x_i); its equivalence with the
-    density-ratio form is covered by tests rather than assumed.
+    density-ratio form is covered by tests rather than assumed.  The moments
+    in the record, sum V(x) and V'(x) are those of the current coordinate
+    vector, computed when the chain reaches it and reused while it rejects.
     """
     if not sigma > 0.0:
         raise DomainError(f"sigma must be > 0, got {sigma!r}")
     coords = state.coords
-    n = coords.size
-    d1_here = p.d1(coords)
-    a_hat = float(np.mean(d1_here * d1_here))
-    b_hat = float(np.mean(p.d2(coords)))
-    m_hat = float(np.mean(coords))
-    s_hat = float(np.mean(coords * coords))
+    here = _current(state, p)
+    d1_here = here.d1
 
-    noise = state.rng.standard_normal(n)
+    noise = state.rng.standard_normal(coords.size)
     jump = sigma * noise - 0.5 * sigma * sigma * d1_here
     proposal = coords + jump
-    reverse = noise - 0.5 * sigma * (d1_here + p.d1(proposal))
+    d1_proposal = p.d1(proposal)
+    reverse = noise - 0.5 * sigma * (d1_here + d1_proposal)
+    v_proposal = p.eval_v(proposal)
     exponent = float(
-        np.sum(p.eval_v(coords))
-        - np.sum(p.eval_v(proposal))
+        here.sum_v
+        - np.sum(v_proposal)
         + 0.5 * (np.sum(noise * noise) - np.sum(reverse * reverse))
     )
     acc_prob = math.exp(min(exponent, 0.0))
     accepted = state.rng.uniform() <= acc_prob
     if accepted:
-        state.coords = proposal
-        state.accept_count += 1
+        _accept(state, p, proposal, v_proposal, d1_proposal)
     state.k += 1
-    record = StepRecord(
-        k=state.k,
-        ell_used=sigma,
-        accepted=bool(accepted),
-        acc_prob=acc_prob,
-        a_hat=a_hat,
-        b_hat=b_hat,
-        m_hat=m_hat,
-        s_hat=s_hat,
-    )
-    return state, record
+    return state, _record(state, here, sigma, accepted, acc_prob)
 
 
 def _run(init, p, steps, record_every, seed, rng, step_fn):

@@ -140,18 +140,26 @@ def f1(s: float, ell: float) -> float:
     as an independent route to f_rate; the two are tied together by the
     scaling identity f_rate(a, b, ell) == f1(a/b, ell*sqrt(b)) / b for b > 0.
     """
+    return _f1_and_drift(s, ell)[0]
+
+
+def _f1_and_drift(s: float, ell: float) -> tuple[float, float]:
+    # (f1(s, ell), g_drift(s, 1, ell)), sharing the exp-Phi term both need;
+    # equal bit for bit to the two separate calls for finite ell.
     if s < 0.0 or not math.isfinite(s):
         raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
     if not ell > 0.0:
         raise DomainError(f"step scale ell must be > 0, got {ell!r}")
     ell2 = ell * ell
     if s == 0.0:
-        return ell2 * math.exp(-0.5 * ell2)
-    if abs(s - 1.0) < _DIAGONAL_BAND:
-        return _f_diagonal(1.0, ell)
-    root_s = math.sqrt(s)
+        value = ell2 * math.exp(-0.5 * ell2)
+        return value, value
     second = _exp_phi_term(s, 1.0, ell)
-    return ell2 / (1.0 - s) * (phi(-0.5 * ell / root_s) + (1.0 - 2.0 * s) * second)
+    if abs(s - 1.0) < _DIAGONAL_BAND:
+        return _f_diagonal(1.0, ell), ell2 * second
+    root_s = math.sqrt(s)
+    value = ell2 / (1.0 - s) * (phi(-0.5 * ell / root_s) + (1.0 - 2.0 * s) * second)
+    return value, ell2 * second
 
 
 def j_curve(s: float, ell: float) -> float:

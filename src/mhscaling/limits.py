@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .chains import (
     ConstantAccNumeric,
@@ -386,6 +385,9 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, seed=None, rng=None)
     variance 1 / (1 - ell^2 / 4).  Returns the length steps+1 trajectory
     including y0.
     """
+    # imported here: scipy.signal is slow to import and used nowhere else
+    from scipy import signal
+
     if not 0.0 < ell < 2.0:
         raise DomainError(f"AR(1) limit requires 0 < ell < 2, got {ell!r}")
     if rng is None:

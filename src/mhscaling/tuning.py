@@ -25,7 +25,9 @@ from functools import lru_cache
 
 from scipy import optimize
 
-from .coefficients import f1, f_rate, g_drift, j_curve
+# g_drift is not called here; it stays importable as tuning.g_drift, a name
+# the per-layer trace of perfbench/ wraps
+from .coefficients import _f1_and_drift, f1, f_rate, g_drift, j_curve  # noqa: F401
 from .errors import ConcaveRegionError, DomainError
 from .special import phi
 
@@ -227,8 +229,9 @@ def _entropy_derivative_objective(m: float, s: float, ell: float) -> float:
     # Twice the entropy time-derivative: ds/dt - d(s - m^2)/dt / (s - m^2)
     # with ds/dt = f1(s, ell)(1 - s) and dm/dt = -g_drift(s, 1, ell) m, so the
     # mean contributes 2 m^2 g_drift to the variance production.
-    rate = f1(s, ell) * (1.0 - s)
-    return rate - (rate + 2.0 * m * m * g_drift(s, 1.0, ell)) / (s - m * m)
+    f1_value, drift = _f1_and_drift(s, ell)
+    rate = f1_value * (1.0 - s)
+    return rate - (rate + 2.0 * m * m * drift) / (s - m * m)
 
 
 # Grid resolution for the global scan that seeds the local refinement of the

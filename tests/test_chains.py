@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -313,3 +315,70 @@ def test_trajectory_csv_format(tmp_path):
     fields = lines[1].split(",")
     assert int(fields[0]) == 1
     float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
+
+
+def _fresh_copy(state):
+    # Same position, stream and counters, but nothing cached.
+    rng = chain_rng(0)
+    rng.bit_generator.state = copy.deepcopy(state.rng.bit_generator.state)
+    return ChainState(coords=state.coords.copy(), rng=rng, k=state.k,
+                      theta=state.theta, accept_count=state.accept_count)
+
+
+def _bits(record):
+    return np.array(dataclasses.astuple(record), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("target, spec", [
+    *[("gaussian", s) for s in
+      ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "ent")],
+    *[("double-well", s) for s in
+      ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27")],
+    ("gaussian", "mala"),
+    ("double-well", "mala"),
+])
+def test_cached_summary_steps_like_a_fresh_state(target, spec):
+    # The summary reused after rejections (and refreshed after acceptances)
+    # must give bit-for-bit the step a state without a cache gives.
+    p = gaussian_potential() if target == "gaussian" else double_well_potential()
+    if spec == "mala":
+        sigma = 0.8 if target == "gaussian" else 0.3  # both accept and reject
+
+        def step(state):
+            return mala_step(state, p, sigma)
+        init = chain_rng(9).standard_normal(50) + 1.0
+    else:
+        strategy = strategy_from_label(spec)
+
+        def step(state):
+            return rwm_step(state, p, strategy)
+        init = np.full(50, 10.0)
+    state = ChainState(coords=init, rng=chain_rng(5))
+    for _ in range(300):
+        state, _ = step(state)
+    outcomes = set()
+    for _ in range(40):
+        fresh, fresh_record = step(_fresh_copy(state))
+        state, record = step(state)
+        assert _bits(record) == _bits(fresh_record)
+        assert state.coords.tobytes() == fresh.coords.tobytes()
+        assert (state.theta, state.accept_count) == (fresh.theta, fresh.accept_count)
+        outcomes.add(record.accepted)
+    assert outcomes == {True, False}
+
+
+def test_rate_optimal_solves_once_per_point(monkeypatch):
+    # one solve at the start and one after each acceptance, none on rejection
+    calls = 0
+    solve = tuning.ell_star_ab
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(tuning, "ell_star_ab", counted)
+    records, _ = run_chain(np.full(50, 10.0), gaussian_potential(), RateOptimal(),
+                           steps=300, seed=4)
+    assert calls == 1 + sum(r.accepted for r in records[:-1])
+    assert calls < len(records)

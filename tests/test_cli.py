@@ -1,14 +1,30 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mhscaling
 from mhscaling import cli
 
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs most of a cold start and only the AR(1) limit uses it
+    package_root = os.path.dirname(os.path.dirname(mhscaling.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mhscaling.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_tune_star_reference(capsys):

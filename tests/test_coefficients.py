@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mhscaling.coefficients import (
     A_INFINITE,
+    _f1_and_drift,
     acc_rate,
     f1,
     f_rate,
@@ -229,6 +230,18 @@ def test_f1_branches():
         )
         assert f1(1.0, ell) == pytest.approx(f_rate(1.0, 1.0, ell), rel=1e-14)
     assert f1(4.0, 1.0) == pytest.approx(f_rate(4.0, 1.0, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [
+    0.0, 1e-8, 1e-3, 0.5, 1.0 - 2e-7, 1.0 - 5e-8, 1.0, 1.0 + 5e-8, 1.0 + 2e-7,
+    2.0, 1e3, 1e8,
+])
+def test_f1_and_drift_equals_separate_calls(s):
+    # the fused helper is bit-for-bit f1 and g_drift at unit curvature,
+    # inside and just outside the diagonal band |s - 1| < 1e-7
+    for ell in np.logspace(-4.0, 3.0, 57):
+        ell = float(ell)
+        assert _f1_and_drift(s, ell) == (f1(s, ell), g_drift(s, 1.0, ell))
 
 
 def test_f1_scaling_identity():
