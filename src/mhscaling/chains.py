@@ -18,13 +18,14 @@ are immutable and shareable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
 from . import tuning
 from .errors import ConcaveRegionError, DomainError
-from .targets import Potential, empirical_moments
+from .targets import Potential
 
 __all__ = [
     "Strategy",
@@ -37,7 +38,6 @@ __all__ = [
     "ChainState",
     "StepRecord",
     "chain_rng",
-    "choose_ell",
     "adaptive_update",
     "rwm_step",
     "mala_step",
@@ -58,15 +58,42 @@ _S_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Strategy:
-    """Base class for step-scale strategies."""
+    """Base class for step-scale strategies.
+
+    Each rule keeps its three jobs together: ``spec()`` is its lossless text
+    form (``kind`` plus the field values, read back by
+    :func:`strategy_from_label`), ``label()`` its short name in file names
+    and row tags, and ``scale()`` the step constant it prescribes.
+    """
+
+    kind: ClassVar[str] = ""
+
+    def spec(self) -> str:
+        values = (repr(float(getattr(self, f.name))) for f in fields(self))
+        return ":".join([self.kind, *values])
 
     def label(self) -> str:
         raise NotImplementedError
 
+    def scale(self, a, b, m, s, n, theta=None) -> float:
+        """Step constant ell for the moments a = mean V'^2, b = mean V'',
+        mean m and second moment s of the coordinates, in dimension n (None
+        for the deterministic limit), with the adaptive state theta."""
+        raise NotImplementedError
+
+
+def _capped(solve, *args) -> float:
+    # nonpositive curvature: the numeric rules have no finite optimum there
+    try:
+        return solve(*args).ell
+    except ConcaveRegionError:
+        return DEFAULT_ELL_CAP
+
 
 @dataclass(frozen=True)
 class ConstantEll(Strategy):
-    ell: float
+    kind: ClassVar[str] = "constant"
+    ell: float = 2.38
 
     def __post_init__(self):
         if not self.ell > 0.0:
@@ -75,96 +102,117 @@ class ConstantEll(Strategy):
     def label(self) -> str:
         return f"constant-{self.ell:g}"
 
+    def scale(self, a, b, m, s, n, theta=None) -> float:
+        return self.ell
+
 
 @dataclass(frozen=True)
 class ConstantAccNumeric(Strategy):
     """Solve the limiting acceptance curve for a target rate each step."""
 
-    alpha: float
-    ell_cap: float = DEFAULT_ELL_CAP
+    kind: ClassVar[str] = "alpha"
+    alpha: float = 0.27
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not self.ell_cap > 0.0:
-            raise DomainError(f"ell_cap must be > 0, got {self.ell_cap!r}")
 
     def label(self) -> str:
         return f"acc-{self.alpha:g}-numeric"
+
+    def scale(self, a, b, m, s, n, theta=None) -> float:
+        return _capped(tuning.ell_alpha_ab, max(a, _S_FLOOR * abs(b)), b, self.alpha)
 
 
 @dataclass(frozen=True)
 class ConstantAccAdaptive(Strategy):
     """Track a target acceptance rate by stochastic approximation.
 
-    The log proposal standard deviation theta is nudged by
-    gamma_{k+1} * (alpha_k - alpha) after every step, gamma_k = k**-exponent.
-    alpha_k is the computed acceptance probability of the step; set
-    ``use_indicator`` to feed the 0/1 acceptance outcome instead.
+    The log proposal standard deviation theta starts at log(2.38 / sqrt(n))
+    and after the k-th step (k = 1, 2, ...) moves by
+    k**-0.6 * (alpha_k - alpha), alpha_k being the computed acceptance
+    probability of that step (see :func:`adaptive_update`).  The scale is
+    the chain's own state, so the rule has no deterministic-limit
+    counterpart.
     """
 
-    alpha: float
-    gamma_exponent: float = 0.6
-    theta0: float | None = None
-    use_indicator: bool = False
+    kind: ClassVar[str] = "alpha-adaptive"
+    alpha: float = 0.27
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not 0.5 < self.gamma_exponent <= 1.0:
-            raise DomainError(
-                f"gamma exponent must lie in (0.5, 1], got {self.gamma_exponent!r}"
-            )
 
     def label(self) -> str:
         return f"acc-{self.alpha:g}-adaptive"
+
+    def scale(self, a, b, m, s, n, theta=None) -> float:
+        if theta is None:
+            raise DomainError(
+                "the adaptive strategy needs a chain's current theta; it has no "
+                "deterministic-limit counterpart"
+            )
+        return math.exp(theta) * math.sqrt(n)
 
 
 @dataclass(frozen=True)
 class RateOptimal(Strategy):
     """Maximize the entropy production rate given the current moments."""
 
-    ell_cap: float = DEFAULT_ELL_CAP
-
-    def __post_init__(self):
-        if not self.ell_cap > 0.0:
-            raise DomainError(f"ell_cap must be > 0, got {self.ell_cap!r}")
+    kind: ClassVar[str] = "star"
 
     def label(self) -> str:
         return "rate-optimal"
+
+    def scale(self, a, b, m, s, n, theta=None) -> float:
+        return _capped(tuning.ell_star_ab, a, b)
 
 
 @dataclass(frozen=True)
 class EntropyOptimalGaussian(Strategy):
     """Minimize the Gaussian entropy derivative (Gaussian targets only)."""
 
-    ell_cap: float = DEFAULT_ELL_CAP
-
-    def __post_init__(self):
-        if not self.ell_cap > 0.0:
-            raise DomainError(f"ell_cap must be > 0, got {self.ell_cap!r}")
+    kind: ClassVar[str] = "ent"
 
     def label(self) -> str:
         return "entropy-gaussian"
 
+    def scale(self, a, b, m, s, n, theta=None) -> float:
+        if s > m * m + _S_FLOOR:
+            return tuning.ell_ent_gaussian(m, s).ell
+        # degenerate spread (e.g. a point start): fall back to the
+        # rate-optimal value
+        return _capped(tuning.ell_star_ab, a, b)
+
+
+_KINDS = {cls.kind: cls for cls in (ConstantEll, ConstantAccNumeric, ConstantAccAdaptive,
+                                    RateOptimal, EntropyOptimalGaussian)}
+
 
 def strategy_from_label(text: str) -> Strategy:
-    """Parse CLI-style strategy specs like 'constant:2.38' or 'alpha:0.27'."""
+    """Parse a strategy spec such as 'constant:2.38', 'alpha:0.27' or 'star'.
+
+    The inverse of :meth:`Strategy.spec`; an omitted argument takes the
+    field's default.
+    """
     kind, _, arg = text.partition(":")
-    if kind == "constant":
-        return ConstantEll(float(arg) if arg else 2.38)
-    if kind == "alpha":
-        return ConstantAccNumeric(float(arg) if arg else 0.27)
-    if kind == "alpha-adaptive":
-        return ConstantAccAdaptive(float(arg) if arg else 0.27)
-    if kind == "star":
-        return RateOptimal()
-    if kind == "ent":
-        return EntropyOptimalGaussian()
-    raise DomainError(
-        f"unknown strategy {text!r}; expected constant[:ell], alpha[:a], "
-        "alpha-adaptive[:a], star or ent"
-    )
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise DomainError(
+            f"unknown strategy {text!r}; expected constant[:ell], alpha[:a], "
+            "alpha-adaptive[:a], star or ent"
+        )
+    if not arg:
+        return cls()
+    if not fields(cls):
+        raise DomainError(f"strategy {kind!r} takes no argument, got {text!r}")
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"strategy {text!r}: {arg!r} is not a finite number")
+    return cls(value)
 
 
 @dataclass
@@ -222,60 +270,13 @@ def chain_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def choose_ell(strategy, a_hat, b_hat, m_hat, s_hat, n, theta=None) -> float:
-    """Step constant for the current empirical moments.
-
-    Numeric rules fall back to the strategy's ell_cap when the curvature
-    estimate b_hat is nonpositive (no finite optimum exists there).
-    """
-    if isinstance(strategy, ConstantEll):
-        return strategy.ell
-    if isinstance(strategy, ConstantAccAdaptive):
-        if theta is None:
-            raise DomainError("adaptive strategy needs the current theta")
-        return math.exp(theta) * math.sqrt(n)
-    if isinstance(strategy, RateOptimal):
-        try:
-            return tuning.ell_star_ab(a_hat, b_hat).ell
-        except ConcaveRegionError:
-            return strategy.ell_cap
-    if isinstance(strategy, ConstantAccNumeric):
-        try:
-            a_eff = max(a_hat, _S_FLOOR * abs(b_hat))
-            return tuning.ell_alpha_ab(a_eff, b_hat, strategy.alpha).ell
-        except ConcaveRegionError:
-            return strategy.ell_cap
-    if isinstance(strategy, EntropyOptimalGaussian):
-        if s_hat > m_hat * m_hat + _S_FLOOR:
-            return tuning.ell_ent_gaussian(m_hat, s_hat).ell
-        # degenerate spread (e.g. a point start): same convention as the
-        # moment ODE, fall back to the rate-optimal value
-        try:
-            return tuning.ell_star_ab(a_hat, b_hat).ell
-        except ConcaveRegionError:
-            return strategy.ell_cap
-    raise DomainError(f"unknown strategy {strategy!r}")
-
-
-def default_gamma_schedule(k: int, exponent: float = 0.6) -> float:
-    return float(k) ** (-exponent) if k > 0 else 1.0
-
-
-def adaptive_update(theta, acc_prob, alpha_target, k, schedule=None) -> float:
+def adaptive_update(theta, acc_prob, alpha_target, k) -> float:
     """One stochastic-approximation step on the log proposal scale.
 
-    theta_{k+1} = theta_k + gamma_{k+1} * (acc_prob - alpha_target); the
+    theta_{k+1} = theta_k + (k + 1)**-0.6 * (acc_prob - alpha_target); the
     proposal standard deviation at the next step is exp(theta_{k+1}).
     """
-    gamma_k = schedule(k + 1) if schedule is not None else default_gamma_schedule(k + 1)
-    return theta + gamma_k * (acc_prob - alpha_target)
-
-
-def _initial_theta(strategy: ConstantAccAdaptive, n: int) -> float:
-    if strategy.theta0 is not None:
-        return strategy.theta0
-    # start from the classic stationary-phase scale
-    return math.log(2.38 / math.sqrt(n))
+    return theta + float(k + 1) ** -0.6 * (acc_prob - alpha_target)
 
 
 def _summarise(coords: np.ndarray, p: Potential, v: np.ndarray,
@@ -297,7 +298,11 @@ def _current(state: ChainState, p: Potential) -> _Summary:
     here = state._summary
     if here is None or here.coords is not state.coords or here.potential is not p:
         coords = state.coords
-        here = state._summary = _summarise(coords, p, p.eval_v(coords), p.d1(coords))
+        with np.errstate(over="ignore", invalid="ignore"):
+            here = _summarise(coords, p, p.eval_v(coords), p.d1(coords))
+        if not (math.isfinite(here.sum_v) and math.isfinite(here.a_hat)):
+            raise DomainError("sum of V or mean V'^2 is not finite at the chain's state")
+        state._summary = here
     return here
 
 
@@ -337,14 +342,12 @@ def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
     here = _current(state, p)
     adaptive = isinstance(strategy, ConstantAccAdaptive)
     if adaptive:
-        if state.theta is None:
-            state.theta = _initial_theta(strategy, n)
-        ell = choose_ell(strategy, here.a_hat, here.b_hat, here.m_hat, here.s_hat,
-                         n, theta=state.theta)
+        if state.theta is None:  # the classic stationary-phase scale
+            state.theta = math.log(2.38 / math.sqrt(n))
+        ell = strategy.scale(here.a_hat, here.b_hat, here.m_hat, here.s_hat, n, state.theta)
     else:
         if here.strategy is not strategy:
-            here.ell = choose_ell(strategy, here.a_hat, here.b_hat, here.m_hat,
-                                  here.s_hat, n)
+            here.ell = strategy.scale(here.a_hat, here.b_hat, here.m_hat, here.s_hat, n)
             here.strategy = strategy
         ell = here.ell
 
@@ -359,14 +362,7 @@ def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
         _accept(state, p, proposal, v_proposal)
 
     if adaptive:
-        innovation = float(accepted) if strategy.use_indicator else acc_prob
-        state.theta = adaptive_update(
-            state.theta,
-            innovation,
-            strategy.alpha,
-            state.k,
-            schedule=lambda k: default_gamma_schedule(k, strategy.gamma_exponent),
-        )
+        state.theta = adaptive_update(state.theta, acc_prob, strategy.alpha, state.k)
 
     state.k += 1
     return state, _record(state, here, ell, accepted, acc_prob)
@@ -412,13 +408,15 @@ def _run(init, p, steps, record_every, seed, rng, step_fn):
     coords = np.array(init, dtype=float).reshape(-1).copy()
     if coords.size < 1:
         raise DomainError("initial state must have at least one coordinate")
+    if record_every < 1:
+        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     if rng is None:
         rng = chain_rng(0 if seed is None else seed)
     state = ChainState(coords=coords, rng=rng)
     records = []
     for k in range(1, steps + 1):
         state, record = step_fn(state)
-        if record_every and k % record_every == 0:
+        if k % record_every == 0:
             records.append(record)
     return records, state
 

@@ -52,8 +52,14 @@ def _write_manifest(outdir, command, config, seed, outputs):
 
 
 def _parse_grid(spec: str):
-    lo, hi, num = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(num))
+    try:
+        lo, hi, num = spec.split(":")
+        grid = np.linspace(float(lo), float(hi), int(num))
+    except ValueError:
+        grid = np.empty(0)
+    if grid.size < 1 or not np.all(np.isfinite(grid)):
+        raise DomainError(f"grid must be lo:hi:num, finite, num >= 1; got {spec!r}")
+    return grid
 
 
 # -- tune ----------------------------------------------------------------------
@@ -191,14 +197,6 @@ def _cmd_simulate(args) -> int:
 # -- experiment ----------------------------------------------------------------
 
 
-def _parse_strategy(text: str) -> chains.Strategy:
-    # accept CLI specs (constant:2.38) and manifest labels (constant-2.38)
-    try:
-        return chains.strategy_from_label(text)
-    except DomainError:
-        return chains.strategy_from_label(_strategy_spec_from_label(text))
-
-
 def _config_from_dict(d) -> experiments.ExperimentConfig:
     return experiments.ExperimentConfig(
         target=d["target"],
@@ -206,26 +204,11 @@ def _config_from_dict(d) -> experiments.ExperimentConfig:
         window=int(d["window"]),
         t0_grid=tuple(int(v) for v in d["t0_grid"]),
         replicates=int(d["replicates"]),
-        strategies=tuple(_parse_strategy(s) for s in d["strategies"]),
+        strategies=tuple(chains.strategy_from_label(s) for s in d["strategies"]),
         init_kind=d.get("init_kind", "point"),
         init_params=tuple(d.get("init_params", (10.0,))),
         seed=int(d.get("seed", 0)),
     )
-
-
-def _strategy_spec_from_label(label: str) -> str:
-    # manifest labels round-trip through strategy_from_label specs
-    if label.startswith("constant-"):
-        return "constant:" + label.removeprefix("constant-")
-    if label.startswith("acc-") and label.endswith("-numeric"):
-        return "alpha:" + label[len("acc-"):-len("-numeric")]
-    if label.startswith("acc-") and label.endswith("-adaptive"):
-        return "alpha-adaptive:" + label[len("acc-"):-len("-adaptive")]
-    if label == "rate-optimal":
-        return "star"
-    if label == "entropy-gaussian":
-        return "ent"
-    return label
 
 
 def _cmd_experiment(args) -> int:
@@ -262,6 +245,7 @@ def _cmd_experiment(args) -> int:
 
     curves = experiments.square_bias_sweep(cfg, workers=args.threads)
     paths = experiments.write_bias_outputs(cfg, curves, args.out)
+    paths.append(_write_manifest(args.out, "experiment", cfg.to_dict(), cfg.seed, paths))
     print(f"wrote {len(paths)} files to {args.out}")
     return _EXIT_OK
 
@@ -432,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="gaussian", help="target potential for presets")
     p_exp.add_argument("--seed", type=int, default=0, help="master seed for presets")
     p_exp.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: up to 8)")
+                       help="worker processes; os.cpu_count() if not given")
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(fn=_cmd_experiment)
 

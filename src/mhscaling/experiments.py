@@ -13,7 +13,6 @@ with the same config (seed included) are byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Strategy, chain_rng, run_chain, strategy_from_label
+from .chains import chain_rng, run_chain, strategy_from_label
 from .coefficients import f_rate
 from .errors import DomainError
 from .targets import (
@@ -73,20 +72,23 @@ class ExperimentConfig:
             raise DomainError("t0 grid must be nondecreasing")
         if self.init_kind not in ("point", "gaussian", "stationary"):
             raise DomainError(f"unknown init kind {self.init_kind!r}")
+        labels = [s.label() for s in self.strategies]
+        if len(set(labels)) < len(labels):
+            # rows and output files are keyed by label
+            raise DomainError(f"strategies must have distinct labels, got {labels}")
 
     def to_dict(self):
-        d = {
+        return {
             "target": self.target,
             "n": self.n,
             "window": self.window,
             "t0_grid": list(self.t0_grid),
             "replicates": self.replicates,
-            "strategies": [s.label() for s in self.strategies],
+            "strategies": [s.spec() for s in self.strategies],
             "init_kind": self.init_kind,
             "init_params": list(self.init_params),
             "seed": self.seed,
         }
-        return d
 
 
 def _default_strategies(target: str):
@@ -244,7 +246,7 @@ def square_bias_sweep(cfg: ExperimentConfig, workers: int | None = None):
 
 
 def write_bias_outputs(cfg: ExperimentConfig, curves, outdir):
-    """One CSV per strategy plus a JSON manifest; returns written paths."""
+    """One CSV per strategy; returns the written paths."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
     for strategy in cfg.strategies:
@@ -260,12 +262,7 @@ def write_bias_outputs(cfg: ExperimentConfig, curves, outdir):
                     f"{c.stderr_s!r},{c.stderr_m!r}\n"
                 )
         paths.append(path)
-    manifest = {"config": cfg.to_dict(), "outputs": [os.path.basename(p) for p in paths]}
-    manifest_path = os.path.join(outdir, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return paths + [manifest_path]
+    return paths
 
 
 @dataclass(frozen=True)

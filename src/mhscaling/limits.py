@@ -22,18 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (
-    ConstantAccNumeric,
-    ConstantEll,
-    EntropyOptimalGaussian,
-    RateOptimal,
-    Strategy,
-    chain_rng,
-)
+from .chains import Strategy, chain_rng
 from .coefficients import acc_rate, f1, f_rate, g_drift, gamma
 from .errors import DomainError
 from .targets import Potential, empirical_moments, integrate_against_density
-from .tuning import ell_alpha, ell_ent_gaussian, ell_star, golden_section_max
+# ell_alpha, ell_ent_gaussian and ell_star are not called here; they stay
+# importable as limits.<name>, names the per-layer trace of perfbench/ wraps
+from .tuning import ell_alpha, ell_ent_gaussian, ell_star, golden_section_max  # noqa: F401
 
 __all__ = [
     "GaussianMoments",
@@ -58,9 +53,6 @@ __all__ = [
     "write_limit_csv",
     "LIMIT_HEADER",
 ]
-
-_S_FLOOR = 1e-12
-
 
 @dataclass
 class GaussianMoments:
@@ -96,20 +88,9 @@ def _entropy(m: float, s: float) -> float:
 
 
 def policy_ell(strategy: Strategy, m: float, s: float) -> float:
-    """Step constant prescribed by a strategy in the Gaussian limit (b = 1)."""
-    if isinstance(strategy, ConstantEll):
-        return strategy.ell
-    if isinstance(strategy, RateOptimal):
-        return ell_star(s).ell
-    if isinstance(strategy, ConstantAccNumeric):
-        return ell_alpha(max(s, _S_FLOOR), strategy.alpha).ell
-    if isinstance(strategy, EntropyOptimalGaussian):
-        if s > m * m + _S_FLOOR:
-            return ell_ent_gaussian(m, s).ell
-        return ell_star(s).ell
-    raise DomainError(
-        f"strategy {strategy!r} has no deterministic-limit counterpart"
-    )
+    """Step constant prescribed by a strategy in the Gaussian limit, where
+    a = s and b = 1."""
+    return strategy.scale(s, 1.0, m, s, None)
 
 
 def _ode_field(m: float, s: float, ell: float) -> tuple[float, float]:
@@ -243,6 +224,8 @@ def meanfield_particle_step(pe: ParticleEnsemble, p: Potential, ell: float) -> P
 def integrate_particles(pe: ParticleEnsemble, p: Potential, ell: float,
                         t_max: float, record_every: int = 1):
     """Advance an ensemble to t_max; returns (t, mean, second moment) arrays."""
+    if record_every < 1:
+        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     ts = [pe.t]
     ms = [float(np.mean(pe.xs))]
     ss = [float(np.mean(pe.xs**2))]

@@ -8,6 +8,7 @@ from scipy import stats
 
 from mhscaling import tuning
 from mhscaling.chains import (
+    DEFAULT_ELL_CAP,
     ChainState,
     ConstantAccAdaptive,
     ConstantAccNumeric,
@@ -16,7 +17,6 @@ from mhscaling.chains import (
     RateOptimal,
     adaptive_update,
     chain_rng,
-    choose_ell,
     mala_step,
     run_chain,
     run_mala,
@@ -41,38 +41,65 @@ def test_strategy_labels_roundtrip():
         strategy_from_label("bogus")
 
 
+@pytest.mark.parametrize("strategy", [
+    ConstantEll(1.2345678), ConstantEll(2.380000001), ConstantEll(),
+    ConstantAccNumeric(0.2345678), ConstantAccAdaptive(1.0 / 3.0),
+    RateOptimal(), EntropyOptimalGaussian(),
+])
+def test_strategy_spec_roundtrip_is_lossless(strategy):
+    assert strategy_from_label(strategy.spec()) == strategy
+
+
+def test_strategy_spec_defaults():
+    assert strategy_from_label("constant") == ConstantEll(2.38)
+    assert strategy_from_label("alpha") == ConstantAccNumeric(0.27)
+    assert strategy_from_label("alpha-adaptive") == ConstantAccAdaptive(0.27)
+    assert RateOptimal().spec() == "star"
+    assert ConstantEll(2.38).spec() == "constant:2.38"
+
+
+@pytest.mark.parametrize("text", [
+    "constant:abc", "constant:inf", "alpha:nan", "alpha-adaptive:0.2x",
+    "star:5", "ent:1", "constant-2.38", "rate-optimal",
+])
+def test_strategy_spec_malformed(text):
+    with pytest.raises(DomainError):
+        strategy_from_label(text)
+
+
 def test_choose_ell_constant_and_rate_optimal():
-    assert choose_ell(ConstantEll(2.38), 5.0, 1.0, 0.0, 5.0, 10) == 2.38
-    got = choose_ell(RateOptimal(), 1.0, 1.0, 0.0, 1.0, 10)
+    assert ConstantEll(2.38).scale(5.0, 1.0, 0.0, 5.0, 10) == 2.38
+    got = RateOptimal().scale(1.0, 1.0, 0.0, 1.0, 10)
     assert got == pytest.approx(1.85, abs=0.01)
 
 
 def test_choose_ell_acceptance_numeric():
-    got = choose_ell(ConstantAccNumeric(0.27), 5.24, 5.24, 0.0, 1.0, 10)
+    got = ConstantAccNumeric(0.27).scale(5.24, 5.24, 0.0, 1.0, 10)
     want = tuning.ell_alpha(1.0, 0.27).ell / math.sqrt(5.24)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_choose_ell_concave_fallback():
     # nonpositive curvature estimate: numeric rules return the cap
-    assert choose_ell(ConstantAccNumeric(0.3, ell_cap=7.0), 1.0, -0.5, 0.0, 1.0, 10) == 7.0
-    assert choose_ell(RateOptimal(ell_cap=9.0), 1.0, 0.0, 0.0, 1.0, 10) == 9.0
+    assert ConstantAccNumeric(0.3).scale(1.0, -0.5, 0.0, 1.0, 10) == DEFAULT_ELL_CAP
+    assert RateOptimal().scale(1.0, 0.0, 0.0, 1.0, 10) == DEFAULT_ELL_CAP
 
 
 def test_choose_ell_adaptive_uses_theta():
-    got = choose_ell(ConstantAccAdaptive(0.3), 1.0, 1.0, 0.0, 1.0, 25, theta=0.5)
+    got = ConstantAccAdaptive(0.3).scale(1.0, 1.0, 0.0, 1.0, 25, theta=0.5)
     assert got == pytest.approx(math.exp(0.5) * 5.0, rel=1e-14)
+    with pytest.raises(DomainError, match="theta"):
+        ConstantAccAdaptive(0.3).scale(1.0, 1.0, 0.0, 1.0, 25)
 
 
 def test_choose_ell_entropy_degenerate_point_start():
     # zero spread falls back to the rate-optimal value
-    got = choose_ell(EntropyOptimalGaussian(), 100.0, 1.0, 10.0, 100.0, 10)
+    got = EntropyOptimalGaussian().scale(100.0, 1.0, 10.0, 100.0, 10)
     assert got == pytest.approx(tuning.ell_star(100.0).ell, rel=1e-12)
 
 
 def test_adaptive_update_fixed_points():
     assert adaptive_update(0.3, 0.25, 0.25, k=5) == 0.3
-    assert adaptive_update(0.3, 0.9, 0.25, k=5, schedule=lambda k: 0.0) == 0.3
     moved = adaptive_update(0.0, 0.5, 0.25, k=0)
     assert moved == pytest.approx(0.25)  # gamma_1 = 1
 

@@ -147,6 +147,84 @@ def test_experiment_roundtrip_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_experiment_manifest_roundtrip_is_lossless(tmp_path):
+    # the manifest names strategies by spec, which keeps every digit
+    cfg = {
+        "target": "gaussian", "n": 10, "window": 40, "t0_grid": [0, 20],
+        "replicates": 3, "strategies": ["constant:1.2345678", "alpha:0.2345678"],
+        "init_kind": "point", "init_params": [10.0], "seed": 8,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    assert run_cli(["experiment", "--config", str(cfg_path), "--threads", "1",
+                    "--out", str(out1)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["tool"] == "mhscaling"
+    assert manifest["command"] == "experiment"
+    assert manifest["seed"] == 8
+    assert manifest["config"]["seed"] == 8
+    assert manifest["config"]["strategies"] == cfg["strategies"]
+    names = ["bias_acc-0.234568-numeric.csv", "bias_constant-1.23457.csv"]
+    assert manifest["outputs"] == names
+    assert run_cli(["experiment", "--config", str(out1 / "manifest.json"),
+                    "--threads", "1", "--out", str(out2)]) == 0
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
+    # manifests of older versions named strategies by label
+    cfg = {
+        "target": "gaussian", "n": 10, "window": 40, "t0_grid": [0],
+        "replicates": 3, "strategies": ["constant-2.38"], "seed": 1,
+    }
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"config": cfg}))
+    out = tmp_path / "out"
+    assert run_cli(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "unknown strategy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "rwm", "--strategy", "constant:abc"],
+    ["simulate", "--kind", "rwm", "--strategy", "star:5"],
+    ["simulate", "--kind", "ode", "--strategy", "ent:1"],
+    ["simulate", "--kind", "ode", "--strategy", "alpha-adaptive"],
+    ["tune", "--mode", "star", "--s-grid", "0:1"],
+    ["tune", "--mode", "star", "--s-grid", "0:1:0"],
+    ["tune", "--mode", "star", "--s-grid", "0:1:x"],
+])
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["rwm", "mala", "particles"])
+def test_record_every_zero_is_refused(tmp_path, capsys, kind):
+    out = tmp_path / kind
+    rc = run_cli(["simulate", "--kind", kind, "--n", "20", "--steps", "10",
+                  "--t-max", "0.1", "--dt", "0.01", "--record-every", "0",
+                  "--out", str(out)])
+    assert rc == 2
+    assert "record_every" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("init", ["point:1e200", "point:nan"])
+def test_non_finite_start_is_refused(tmp_path, capsys, init):
+    out = tmp_path / "far"
+    rc = run_cli(["simulate", "--kind", "rwm", "--strategy", "star", "--n", "20",
+                  "--steps", "10", "--init", init, "--out", str(out)])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_requires_preset_or_config(tmp_path):
     assert run_cli(["experiment", "--out", str(tmp_path / "x")]) == 2
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -152,14 +151,21 @@ def test_write_bias_outputs(tmp_path):
     curves = square_bias_sweep(cfg, workers=1)
     paths = write_bias_outputs(cfg, curves, tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["bias_constant-2.38.csv", "bias_rate-optimal.csv", "manifest.json"]
+    assert names == ["bias_constant-2.38.csv", "bias_rate-optimal.csv"]
     text = (tmp_path / "bias_rate-optimal.csv").read_text().splitlines()
     assert text[0] == BIAS_HEADER
     assert len(text) == 3
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 3
-    assert manifest["config"]["strategies"] == ["constant-2.38", "rate-optimal"]
-    assert len(paths) == 3
+    assert len(paths) == 2
+
+
+def test_config_refuses_strategies_sharing_a_label():
+    # both would write bias_constant-2.38.csv and tag their rows alike
+    with pytest.raises(DomainError, match="distinct labels"):
+        ExperimentConfig(
+            target="gaussian", n=10, window=60, t0_grid=(0,), replicates=4,
+            strategies=(strategy_from_label("constant:2.38"),
+                        strategy_from_label("constant:2.380000001")),
+        )
 
 
 def test_relative_loss_surface_bounds_and_matched_regimes():
