@@ -43,8 +43,6 @@ __all__ = [
     "mala_step",
     "run_chain",
     "run_mala",
-    "write_trajectory_csv",
-    "TRAJECTORY_HEADER",
 ]
 
 # Fallback scale when the estimated curvature is nonpositive and a numeric
@@ -441,16 +439,3 @@ def run_mala(init, p: Potential, sigma: float, steps: int,
         init, p, steps, record_every, seed, rng,
         lambda state: mala_step(state, p, sigma),
     )
-
-
-TRAJECTORY_HEADER = "k,ell_used,acc_prob,a_hat,b_hat"
-
-
-def write_trajectory_csv(records, path) -> None:
-    """Write step records in the exchange format (k,ell_used,acc_prob,a_hat,b_hat)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.k},{r.ell_used!r},{r.acc_prob!r},{r.a_hat!r},{r.b_hat!r}\n"
-            )

@@ -33,6 +33,11 @@ _EXIT_OK = 0
 _EXIT_VALIDATION = 1
 _EXIT_USAGE = 2
 
+# headers of the exchange-format CSVs
+TRAJECTORY_HEADER = "k,ell_used,acc_prob,a_hat,b_hat"
+LIMIT_HEADER = "t,m,s,H,ell_used,acc"
+BIAS_HEADER = "t0,sq_bias_s,sq_bias_m,stderr_s,stderr_m"
+
 
 def _write_manifest(outdir, command, config, seed, outputs):
     manifest = {
@@ -48,6 +53,20 @@ def _write_manifest(outdir, command, config, seed, outputs):
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def _write_csv(path, header, rows):
+    """Write one exchange-format CSV and return its path.
+
+    Floats are written as ``repr`` (the shortest string that reads back to
+    the same double), everything else with ``str``.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
     return path
 
 
@@ -90,17 +109,14 @@ def _cmd_tune(args) -> int:
             rows.append((f"s={s:g}", res))
 
     print(f"{'input':<20} {'ell':>16} {'objective':>16} {'converged':>10}")
-    lines = []
     for label, res in rows:
         print(f"{label:<20} {res.ell:>16.10f} {res.objective_value:>16.10f} {res.converged!s:>10}")
-        lines.append((label, res))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "tune.csv")
-        with open(path, "w") as fh:
-            fh.write("input,ell,objective,converged\n")
-            for label, res in lines:
-                fh.write(f"{label},{res.ell!r},{res.objective_value!r},{res.converged}\n")
+        path = _write_csv(
+            os.path.join(args.out, "tune.csv"), "input,ell,objective,converged",
+            ((label, res.ell, res.objective_value, res.converged) for label, res in rows),
+        )
         _write_manifest(
             args.out, "tune",
             {"mode": args.mode, "s": args.s, "s_grid": args.s_grid,
@@ -113,16 +129,10 @@ def _cmd_tune(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
-def _parse_init(text: str, n: int, p, rng):
+def _initial_coords(text: str, n: int, p, rng):
+    # --init is kind[:p1,p2,...]; targets.initial_coords defines the kinds
     kind, _, arg = text.partition(":")
-    if kind == "point":
-        return np.full(n, float(arg or 0.0))
-    if kind == "gaussian":
-        mean, var = (float(v) for v in arg.split(",")) if arg else (0.0, 1.0)
-        return mean + math.sqrt(var) * rng.standard_normal(n)
-    if kind == "stationary":
-        return targets.sample_stationary(p, n, rng)
-    raise DomainError(f"unknown init {text!r}; use point:v, gaussian:m,v or stationary")
+    return targets.initial_coords(kind, arg.split(",") if arg else (), n, p, rng)
 
 
 def _cmd_simulate(args) -> int:
@@ -134,7 +144,7 @@ def _cmd_simulate(args) -> int:
 
     if args.kind in ("rwm", "mala"):
         rng = chains.chain_rng(args.seed)
-        init = _parse_init(args.init, args.n, p, rng)
+        init = _initial_coords(args.init, args.n, p, rng)
         if args.kind == "rwm":
             strategy = chains.strategy_from_label(args.strategy)
             records, _ = chains.run_chain(
@@ -147,9 +157,10 @@ def _cmd_simulate(args) -> int:
                 record_every=args.record_every, rng=rng,
             )
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "trajectory.csv")
-        chains.write_trajectory_csv(records, path)
-        outputs.append(path)
+        outputs.append(_write_csv(
+            os.path.join(args.out, "trajectory.csv"), TRAJECTORY_HEADER,
+            ((r.k, r.ell_used, r.acc_prob, r.a_hat, r.b_hat) for r in records),
+        ))
 
     elif args.kind == "ode":
         strategy = chains.strategy_from_label(args.strategy)
@@ -158,34 +169,26 @@ def _cmd_simulate(args) -> int:
             stop_tol=args.stop_tol,
         )
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "limit.csv")
-        limits.write_limit_csv(traj, path)
-        outputs.append(path)
+        outputs.append(_write_csv(
+            os.path.join(args.out, "limit.csv"), LIMIT_HEADER,
+            zip(traj.t, traj.m, traj.s, traj.entropy, traj.ell, traj.acc),
+        ))
 
     elif args.kind == "particles":
         rng = chains.chain_rng(args.seed)
-        init = _parse_init(args.init, args.n, p, rng)
+        init = _initial_coords(args.init, args.n, p, rng)
         pe = limits.make_ensemble(init, dt=args.dt, rng=rng)
         ts, ms, ss = limits.integrate_particles(
             pe, p, args.ell, t_max=args.t_max, record_every=args.record_every
         )
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "particles.csv")
-        with open(path, "w") as fh:
-            fh.write("t,m,s\n")
-            for t, m, s in zip(ts, ms, ss):
-                fh.write(f"{float(t)!r},{float(m)!r},{float(s)!r}\n")
-        outputs.append(path)
+        outputs.append(_write_csv(os.path.join(args.out, "particles.csv"), "t,m,s",
+                                  zip(ts, ms, ss)))
 
     elif args.kind == "ar1":
         traj = limits.mala_ar1_limit(args.ell, args.steps, y0=args.y0, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "ar1.csv")
-        with open(path, "w") as fh:
-            fh.write("k,y\n")
-            for k, y in enumerate(traj):
-                fh.write(f"{k},{float(y)!r}\n")
-        outputs.append(path)
+        outputs.append(_write_csv(os.path.join(args.out, "ar1.csv"), "k,y", enumerate(traj)))
 
     else:
         raise DomainError(f"unknown kind {args.kind!r}")
@@ -217,11 +220,8 @@ def _cmd_experiment(args) -> int:
         rows = experiments.relative_loss_surface(b_values, a_grid, alphas)
         means = experiments.mean_relative_loss(rows)
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "relative_loss.csv")
-        with open(path, "w") as fh:
-            fh.write("alpha,b,a,loss\n")
-            for r in rows:
-                fh.write(f"{r.alpha!r},{r.b!r},{r.a!r},{r.loss!r}\n")
+        path = _write_csv(os.path.join(args.out, "relative_loss.csv"), "alpha,b,a,loss",
+                          ((r.alpha, r.b, r.a, r.loss) for r in rows))
         _write_manifest(
             args.out, "experiment",
             {"kind": "loss", "a_grid": "linear:0.01:100:61",
@@ -244,7 +244,14 @@ def _cmd_experiment(args) -> int:
         raise DomainError("give --preset desk|paper or --config FILE")
 
     curves = experiments.square_bias_sweep(cfg, workers=args.threads)
-    paths = experiments.write_bias_outputs(cfg, curves, args.out)
+    os.makedirs(args.out, exist_ok=True)
+    paths = []
+    for label in (s.label() for s in cfg.strategies):
+        paths.append(_write_csv(
+            os.path.join(args.out, f"bias_{label}.csv"), BIAS_HEADER,
+            ((c.t0, c.sq_bias_s, c.sq_bias_m, c.stderr_s, c.stderr_m)
+             for c in curves if c.strategy == label),
+        ))
     paths.append(_write_manifest(args.out, "experiment", cfg.to_dict(), cfg.seed, paths))
     print(f"wrote {len(paths)} files to {args.out}")
     return _EXIT_OK

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .chains import chain_rng, run_chain, strategy_from_label
 from .coefficients import f_rate
 from .errors import DomainError
 from .targets import (
+    initial_coords,
     potential_by_name,
-    sample_stationary,
+    start_params,
     stationary_coordinate_moments,
 )
 from .tuning import ell_alpha_ab, ell_star_ab
@@ -39,14 +40,10 @@ __all__ = [
     "estimator_m",
     "aggregate_bias",
     "square_bias_sweep",
-    "write_bias_outputs",
     "LossPoint",
     "relative_loss_surface",
     "mean_relative_loss",
-    "BIAS_HEADER",
 ]
-
-BIAS_HEADER = "t0,sq_bias_s,sq_bias_m,stderr_s,stderr_m"
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,7 @@ class ExperimentConfig:
             raise DomainError("need at least 2 replicates")
         if list(self.t0_grid) != sorted(self.t0_grid):
             raise DomainError("t0 grid must be nondecreasing")
-        if self.init_kind not in ("point", "gaussian", "stationary"):
-            raise DomainError(f"unknown init kind {self.init_kind!r}")
+        start_params(self.init_kind, self.init_params)
         labels = [s.label() for s in self.strategies]
         if len(set(labels)) < len(labels):
             # rows and output files are keyed by label
@@ -179,21 +175,12 @@ def aggregate_bias(samples_s, samples_m, ref_s, ref_m, t0: int = 0,
     )
 
 
-def _initial_coords(cfg: ExperimentConfig, p, rng):
-    if cfg.init_kind == "point":
-        return np.full(cfg.n, cfg.init_params[0], dtype=float)
-    if cfg.init_kind == "gaussian":
-        mean, var = cfg.init_params
-        return mean + math.sqrt(var) * rng.standard_normal(cfg.n)
-    return sample_stationary(p, cfg.n, rng)
-
-
 def _replicate_estimates(args):
     """One chain; returns the estimator values at every burn-in."""
     cfg, strategy, seed_seq = args
     p = potential_by_name(cfg.target)
     rng = chain_rng(seed_seq)
-    coords = _initial_coords(cfg, p, rng)
+    coords = initial_coords(cfg.init_kind, cfg.init_params, cfg.n, p, rng)
     steps = max(cfg.t0_grid) + cfg.window
     records, _ = run_chain(coords, p, strategy, steps=steps, record_every=1, rng=rng)
     est_s = [estimator_s(records, t0, cfg.window) for t0 in cfg.t0_grid]
@@ -243,26 +230,6 @@ def square_bias_sweep(cfg: ExperimentConfig, workers: int | None = None):
                 )
             )
     return curves
-
-
-def write_bias_outputs(cfg: ExperimentConfig, curves, outdir):
-    """One CSV per strategy; returns the written paths."""
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for strategy in cfg.strategies:
-        label = strategy.label()
-        path = os.path.join(outdir, f"bias_{label}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(BIAS_HEADER + "\n")
-            for c in curves:
-                if c.strategy != label:
-                    continue
-                fh.write(
-                    f"{c.t0},{c.sq_bias_s!r},{c.sq_bias_m!r},"
-                    f"{c.stderr_s!r},{c.stderr_m!r}\n"
-                )
-        paths.append(path)
-    return paths
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,6 @@ __all__ = [
     "MalaZOptimum",
     "mala_z_optimum",
     "mala_ar1_limit",
-    "write_limit_csv",
-    "LIMIT_HEADER",
 ]
 
 @dataclass
@@ -380,16 +378,3 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, seed=None, rng=None)
     zi = signal.lfiltic([ell], [1.0, -decay], y=[y0])
     filtered, _ = signal.lfilter([ell], [1.0, -decay], noise, zi=zi)
     return np.concatenate(([y0], filtered))
-
-
-LIMIT_HEADER = "t,m,s,H,ell_used,acc"
-
-
-def write_limit_csv(traj: LimitTrajectory, path) -> None:
-    """Write a limit trajectory in the exchange format (t,m,s,H,ell_used,acc)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(LIMIT_HEADER + "\n")
-        for i in range(traj.t.size):
-            row = (traj.t[i], traj.m[i], traj.s[i], traj.entropy[i],
-                   traj.ell[i], traj.acc[i])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -36,6 +36,8 @@ __all__ = [
     "empirical_moments",
     "integrate_against_density",
     "sample_stationary",
+    "start_params",
+    "initial_coords",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -401,3 +403,42 @@ def sample_stationary(p: Potential, size: int, rng: np.random.Generator):
     cdf /= cdf[-1]
     u = rng.uniform(size=size)
     return np.interp(u, cdf, grid)
+
+
+# start laws for a chain or particle system, with the parameters an empty
+# parameter list stands for
+_START_DEFAULTS = {"point": (0.0,), "gaussian": (0.0, 1.0), "stationary": ()}
+
+
+def start_params(kind: str, params=()) -> tuple:
+    """The parameters of the start law ``kind`` as floats, checked.
+
+    ``point`` takes the common value of the coordinates, ``gaussian`` their
+    mean and variance, ``stationary`` (draws from exp(-V)) ignores any.  An
+    empty ``params`` means (0.0,) and (0.0, 1.0) respectively.
+    """
+    if kind not in _START_DEFAULTS:
+        raise DomainError(f"unknown init {kind!r}; use point:v, gaussian:m,v or stationary")
+    if kind == "stationary":
+        return ()
+    try:
+        values = tuple(float(v) for v in params) or _START_DEFAULTS[kind]
+    except (TypeError, ValueError):
+        values = ()
+    if len(values) != len(_START_DEFAULTS[kind]) or (kind == "gaussian" and not values[1] >= 0.0):
+        raise DomainError(
+            f"init {kind!r} takes {'v' if kind == 'point' else 'mean,var with var >= 0'}, "
+            f"got {list(params)!r}"
+        )
+    return values
+
+
+def initial_coords(kind: str, params, n: int, p: Potential, rng: np.random.Generator):
+    """n start coordinates drawn from the law ``kind`` (see :func:`start_params`)."""
+    values = start_params(kind, params)
+    if kind == "point":
+        return np.full(n, values[0], dtype=float)
+    if kind == "gaussian":
+        mean, var = values
+        return mean + math.sqrt(var) * rng.standard_normal(n)
+    return sample_stationary(p, n, rng)

@@ -22,7 +22,6 @@ from mhscaling.chains import (
     run_mala,
     rwm_step,
     strategy_from_label,
-    write_trajectory_csv,
 )
 from mhscaling.errors import DomainError
 from mhscaling.targets import double_well_potential, gaussian_potential
@@ -332,16 +331,21 @@ def test_adaptive_strategy_reaches_target_rate():
 
 
 def test_trajectory_csv_format(tmp_path):
-    p = gaussian_potential()
-    records, _ = run_chain(np.zeros(3), p, ConstantEll(1.0), steps=5, seed=0)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(records, path)
-    lines = path.read_text().splitlines()
+    from mhscaling import cli
+
+    assert cli.main(["simulate", "--kind", "rwm", "--n", "3", "--steps", "5",
+                     "--strategy", "constant:1", "--init", "point:0", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+    records, _ = run_chain(np.zeros(3), gaussian_potential(), ConstantEll(1.0), steps=5,
+                           seed=0)
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "k,ell_used,acc_prob,a_hat,b_hat"
     assert len(lines) == 6
     fields = lines[1].split(",")
     assert int(fields[0]) == 1
-    float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
+    # every double reads back exactly
+    r = records[0]
+    assert [float(v) for v in fields[1:]] == [r.ell_used, r.acc_prob, r.a_hat, r.b_hat]
 
 
 def _fresh_copy(state):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from mhscaling.chains import ConstantEll, StepRecord, chain_rng, run_chain, strategy_from_label
 from mhscaling.errors import DomainError
 from mhscaling.experiments import (
-    BIAS_HEADER,
     ExperimentConfig,
     aggregate_bias,
     desk_config,
@@ -17,7 +17,6 @@ from mhscaling.experiments import (
     relative_loss_surface,
     robustness_grid,
     square_bias_sweep,
-    write_bias_outputs,
 )
 from mhscaling.targets import gaussian_potential
 
@@ -146,16 +145,24 @@ def test_sweep_gaussian_init_and_stationary_init():
         assert curves[0].sq_bias_s >= 0.0
 
 
-def test_write_bias_outputs(tmp_path):
+def test_write_bias_outputs(tmp_path, capsys):
+    from mhscaling import cli
+
     cfg = _mini_config()
-    curves = square_bias_sweep(cfg, workers=1)
-    paths = write_bias_outputs(cfg, curves, tmp_path)
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["bias_constant-2.38.csv", "bias_rate-optimal.csv"]
-    text = (tmp_path / "bias_rate-optimal.csv").read_text().splitlines()
-    assert text[0] == BIAS_HEADER
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", str(config_path), "--threads", "1",
+                     "--out", str(out)]) == 0
+    assert "wrote 3 files" in capsys.readouterr().out
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["bias_constant-2.38.csv", "bias_rate-optimal.csv", "manifest.json"]
+    text = (out / "bias_rate-optimal.csv").read_text().splitlines()
+    assert text[0] == cli.BIAS_HEADER == "t0,sq_bias_s,sq_bias_m,stderr_s,stderr_m"
     assert len(text) == 3
-    assert len(paths) == 2
+    want = [c for c in square_bias_sweep(cfg, workers=1) if c.strategy == "rate-optimal"]
+    rows = [[float(v) for v in line.split(",")] for line in text[1:]]
+    assert rows == [[c.t0, c.sq_bias_s, c.sq_bias_m, c.stderr_s, c.stderr_m] for c in want]
 
 
 def test_config_refuses_strategies_sharing_a_label():

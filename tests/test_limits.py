@@ -8,7 +8,6 @@ from mhscaling.coefficients import f1, g_drift, gamma
 from mhscaling.errors import DomainError
 from mhscaling.limits import (
     GaussianMoments,
-    LIMIT_HEADER,
     ParticleEnsemble,
     entropy_rate_bound,
     gaussian_entropy,
@@ -23,7 +22,6 @@ from mhscaling.limits import (
     mala_z_optimum,
     mala_z_stationary,
     meanfield_particle_step,
-    write_limit_csv,
 )
 from mhscaling.targets import custom_potential, gaussian_potential
 
@@ -258,14 +256,20 @@ def test_ar1_variance_and_recursion():
 
 
 def test_limit_csv_format(tmp_path):
+    from mhscaling import cli
+
+    assert cli.main(["simulate", "--kind", "ode", "--strategy", "constant:1",
+                     "--m0", "1", "--s0", "2", "--dt", "1e-2", "--t-max", "0.05",
+                     "--out", str(tmp_path)]) == 0
     traj = integrate_gaussian_ode(1.0, 2.0, ConstantEll(1.0), dt=1e-2, t_max=0.05)
-    path = tmp_path / "limit.csv"
-    write_limit_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == LIMIT_HEADER
+    lines = (tmp_path / "limit.csv").read_text().splitlines()
+    assert lines[0] == cli.LIMIT_HEADER == "t,m,s,H,ell_used,acc"
     assert len(lines) == traj.t.size + 1
     row = [float(v) for v in lines[1].split(",")]
     assert row[0] == 0.0 and row[1] == 1.0 and row[2] == 2.0
+    last = [float(v) for v in lines[-1].split(",")]
+    assert last == [traj.t[-1], traj.m[-1], traj.s[-1], traj.entropy[-1],
+                    traj.ell[-1], traj.acc[-1]]
 
 
 def test_diffusion_drift_ratio_at_matched_moments():
