@@ -2,8 +2,8 @@
 
 Modules:
 
-* ``special``       normal CDF, inverse, exp-scaled helper functions
-* ``coefficients``  limiting diffusion/drift/acceptance/entropy-rate functions
+* ``coefficients``  normal CDF and the limiting diffusion/drift/acceptance/
+                    entropy-rate functions
 * ``tuning``        rate-optimal, acceptance-matched and entropy-derivative rules
 * ``targets``       1-D potentials and moment functionals
 * ``chains``        finite-n random walk and Langevin-adjusted samplers

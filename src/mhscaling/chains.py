@@ -408,6 +408,8 @@ def _run(init, p, steps, record_every, seed, rng, step_fn):
         raise DomainError("initial state must have at least one coordinate")
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps!r}")
     if rng is None:
         rng = chain_rng(0 if seed is None else seed)
     state = ChainState(coords=coords, rng=rng)

@@ -57,11 +57,7 @@ def _write_manifest(outdir, command, config, seed, outputs):
 
 
 def _write_csv(path, header, rows):
-    """Write one exchange-format CSV and return its path.
-
-    Floats are written as ``repr`` (the shortest string that reads back to
-    the same double), everything else with ``str``.
-    """
+    """Write one exchange-format CSV, floats as repr (exact on re-read); returns path."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -201,17 +197,24 @@ def _cmd_simulate(args) -> int:
 
 
 def _config_from_dict(d) -> experiments.ExperimentConfig:
-    return experiments.ExperimentConfig(
-        target=d["target"],
-        n=int(d["n"]),
-        window=int(d["window"]),
-        t0_grid=tuple(int(v) for v in d["t0_grid"]),
-        replicates=int(d["replicates"]),
-        strategies=tuple(chains.strategy_from_label(s) for s in d["strategies"]),
-        init_kind=d.get("init_kind", "point"),
-        init_params=tuple(d.get("init_params", (10.0,))),
-        seed=int(d.get("seed", 0)),
-    )
+    if not isinstance(d, dict):
+        raise DomainError(f"config must be a JSON object, got {type(d).__name__}")
+    try:
+        return experiments.ExperimentConfig(
+            target=d["target"],
+            n=int(d["n"]),
+            window=int(d["window"]),
+            t0_grid=tuple(int(v) for v in d["t0_grid"]),
+            replicates=int(d["replicates"]),
+            strategies=tuple(chains.strategy_from_label(s) for s in d["strategies"]),
+            init_kind=d.get("init_kind", "point"),
+            init_params=tuple(d.get("init_params", (10.0,))),
+            seed=int(d.get("seed", 0)),
+        )
+    except KeyError as exc:
+        raise DomainError(f"config is missing the key {exc}") from None
+    except (TypeError, ValueError) as exc:  # DomainError included
+        raise DomainError(f"config: {exc}") from None
 
 
 def _cmd_experiment(args) -> int:
@@ -234,7 +237,10 @@ def _cmd_experiment(args) -> int:
 
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"{args.config} is not JSON: {exc}") from None
         cfg = _config_from_dict(raw.get("config", raw) if isinstance(raw, dict) else raw)
     elif args.preset == "desk":
         cfg = experiments.desk_config(target=args.target, seed=args.seed)
@@ -261,6 +267,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if not 2 <= args.samples < math.inf:  # fewer make the Monte Carlo check vacuous
+        raise DomainError(f"--samples must be a finite count >= 2, got {args.samples:g}")
     checks = []
 
     def check(name, ok, detail=""):
@@ -441,10 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (DomainError, OSError) as exc:  # bad input, or a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

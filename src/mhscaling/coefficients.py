@@ -11,6 +11,10 @@ here:
 * ``f1``         f_rate with b normalized to 1, in closed form
 * ``j_curve``    acceptance rate as a function of the moment ratio s = a/b
 
+They are built on two special functions, the normal CDF ``phi`` and the
+exp-scaled product ``f_helper(x) = exp(x**2 / 2) * phi(x)``, both taken from
+``scipy.special``.
+
 All functions are scalar, pure and thread-safe.  The argument ``a`` may be
 ``math.inf`` (the chain degenerates to a pure diffusion); that case is an
 exact branch, not an approximation.
@@ -20,10 +24,13 @@ from __future__ import annotations
 
 import math
 
+from scipy.special import erfcx, ndtr
+
 from .errors import DomainError
-from .special import f_helper, phi
 
 __all__ = [
+    "phi",
+    "f_helper",
     "A_INFINITE",
     "gamma",
     "g_drift",
@@ -35,11 +42,28 @@ __all__ = [
 
 A_INFINITE = math.inf
 
+_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Relative half-width of the band around a == b inside which f_rate switches
 # to the diagonal closed form (the generic branch divides by b - a).
 _DIAGONAL_BAND = 1e-7
+
+
+# The float() calls keep numpy scalars out of the scalar solvers built on
+# these two, which run measurably slower on np.float64.
+def phi(x: float) -> float:
+    """Standard normal cumulative distribution function."""
+    return float(ndtr(x))
+
+
+def f_helper(x: float) -> float:
+    """exp(x**2 / 2) * Phi(x), strictly increasing in x.
+
+    Finite and fully precise far into the left tail; overflows to ``inf``
+    once x exceeds about 37.6.
+    """
+    return 0.5 * float(erfcx(-x / _SQRT2))
 
 
 def _check_ab(a: float, b: float, ell: float) -> None:

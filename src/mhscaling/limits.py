@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Strategy, chain_rng
-from .coefficients import acc_rate, f1, f_rate, g_drift, gamma
+from .coefficients import acc_rate, f1, f_rate, g_drift, gamma, phi
 from .errors import DomainError
 from .targets import Potential, empirical_moments, integrate_against_density
 # ell_alpha, ell_ent_gaussian and ell_star are not called here; they stay
@@ -150,6 +150,8 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     steps (the scale drifts on the trajectory timescale, so a small refresh
     interval changes nothing measurable while saving the solver calls).
     """
+    if not dt > 0.0:
+        raise DomainError(f"dt must be > 0, got {dt!r}")
     gm = GaussianMoments(m=m0, s=s0)
     steps = int(round(t_max / dt))
     ts, ms, ss, ents, ells, accs = [], [], [], [], [], []
@@ -305,8 +307,9 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
 
 
 def _z_moment(p: Potential) -> float:
+    # Roberts & Rosenthal's 5 g'''^2 - 3 g''^3 with g = log density = -V
     raw = integrate_against_density(
-        p, lambda x: 5.0 * float(p.d3(x)) ** 2 - 3.0 * float(p.d2(x)) ** 3
+        p, lambda x: 5.0 * float(p.d3(x)) ** 2 + 3.0 * float(p.d2(x)) ** 3
     )
     mass = integrate_against_density(p, lambda x: 1.0)
     return raw / mass
@@ -315,9 +318,10 @@ def _z_moment(p: Potential) -> float:
 def mala_z_stationary(p: Potential, ell: float) -> float:
     """Stationary-regime MALA speed 2 ell^2 Phi(-ell^3 sqrt(K/3) / 8).
 
-    K is the stationary mean of 5 V'''^2 - 3 V''^2 * V''; it is negative for
-    the Gaussian target (K = -3), in which case the square root is undefined
-    and a DomainError is raised rather than guessing a corrected formula.
+    K is the stationary mean of 5 V'''^2 + 3 V''^3 (Roberts & Rosenthal 1998,
+    JRSS-B 60:255, whose g = log density is -V), for proposal std
+    ell * n^(-1/6).  The Gaussian target has K = 3, hence speed
+    2 ell^2 Phi(-ell^3 / 8).  A target with K < 0 raises DomainError.
     """
     if not ell > 0.0:
         raise DomainError(f"ell must be > 0, got {ell!r}")
@@ -327,8 +331,6 @@ def mala_z_stationary(p: Potential, ell: float) -> float:
             f"stationary moment K={k_moment:.6g} is negative for {p.name}; "
             "the speed formula requires K >= 0"
         )
-    from .special import phi
-
     return 2.0 * ell * ell * phi(-(ell**3) * math.sqrt(k_moment / 3.0) / 8.0)
 
 
@@ -371,6 +373,8 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, seed=None, rng=None)
 
     if not 0.0 < ell < 2.0:
         raise DomainError(f"AR(1) limit requires 0 < ell < 2, got {ell!r}")
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps!r}")
     if rng is None:
         rng = chain_rng(0 if seed is None else seed)
     noise = rng.standard_normal(steps)

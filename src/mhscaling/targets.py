@@ -15,7 +15,7 @@ constructors return module-level functions so instances pickle cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -53,13 +53,9 @@ class Potential:
     d2: Callable
     d3: Callable
     d4: Callable
-    smoothness_order: int
     # points where higher derivatives jump; quadrature splits there
     breakpoints: tuple = ()
     i_fisher: float = field(default=math.nan)
-
-    def log_density(self, x):
-        return -self.eval_v(x)
 
 
 @dataclass(frozen=True)
@@ -226,17 +222,7 @@ def _check_derivatives(p: Potential, tol: float = 1e-5) -> None:
 
 def _with_fisher(p: Potential) -> Potential:
     i_fisher = integrate_against_density(p, lambda x: float(p.d1(x)) ** 2)
-    return Potential(
-        name=p.name,
-        eval_v=p.eval_v,
-        d1=p.d1,
-        d2=p.d2,
-        d3=p.d3,
-        d4=p.d4,
-        smoothness_order=p.smoothness_order,
-        breakpoints=p.breakpoints,
-        i_fisher=i_fisher,
-    )
+    return replace(p, i_fisher=i_fisher)
 
 
 @lru_cache(maxsize=1)
@@ -249,7 +235,6 @@ def gaussian_potential() -> Potential:
         d2=_gauss_d2,
         d3=_gauss_zero,
         d4=_gauss_zero,
-        smoothness_order=4,
     )
     p = _with_fisher(p)
     _validate_potential(p)
@@ -271,7 +256,6 @@ def double_well_potential() -> Potential:
         d2=_dw_d2,
         d3=_dw_d3,
         d4=_dw_d4,
-        smoothness_order=2,
         breakpoints=(-1.0, 1.0),
     )
     p = _with_fisher(p)
@@ -286,7 +270,6 @@ def custom_potential(
     d2,
     d3,
     d4,
-    smoothness_order=2,
     breakpoints=(),
     normalize=False,
     trusted=False,
@@ -304,23 +287,12 @@ def custom_potential(
         d2=d2,
         d3=d3,
         d4=d4,
-        smoothness_order=smoothness_order,
         breakpoints=tuple(breakpoints),
     )
     if normalize:
         mass = integrate_against_density(p, lambda x: 1.0, epsabs=1e-12)
         shift = math.log(mass)
-        base_v = eval_v
-        p = Potential(
-            name=name,
-            eval_v=lambda x, _v=base_v, _s=shift: _v(x) + _s,
-            d1=d1,
-            d2=d2,
-            d3=d3,
-            d4=d4,
-            smoothness_order=smoothness_order,
-            breakpoints=tuple(breakpoints),
-        )
+        p = replace(p, eval_v=lambda x, _v=eval_v, _s=shift: _v(x) + _s)
     p = _with_fisher(p)
     if not trusted:
         _validate_potential(p)
@@ -426,15 +398,15 @@ def start_params(kind: str, params=()) -> tuple:
     except (TypeError, ValueError):
         values = ()
     if len(values) != len(_START_DEFAULTS[kind]) or (kind == "gaussian" and not values[1] >= 0.0):
-        raise DomainError(
-            f"init {kind!r} takes {'v' if kind == 'point' else 'mean,var with var >= 0'}, "
-            f"got {list(params)!r}"
-        )
+        usage = "point:v" if kind == "point" else "gaussian:mean,var with var >= 0"
+        raise DomainError(f"init {kind!r} must be {usage}, got {list(params)!r}")
     return values
 
 
 def initial_coords(kind: str, params, n: int, p: Potential, rng: np.random.Generator):
     """n start coordinates drawn from the law ``kind`` (see :func:`start_params`)."""
+    if n < 1:
+        raise DomainError(f"need at least one coordinate, got n={n!r}")
     values = start_params(kind, params)
     if kind == "point":
         return np.full(n, values[0], dtype=float)

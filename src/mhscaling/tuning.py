@@ -27,9 +27,8 @@ from scipy import optimize
 
 # g_drift is not called here; it stays importable as tuning.g_drift, a name
 # the per-layer trace of perfbench/ wraps
-from .coefficients import _f1_and_drift, f1, f_rate, g_drift, j_curve  # noqa: F401
+from .coefficients import _f1_and_drift, f1, f_rate, g_drift, j_curve, phi  # noqa: F401
 from .errors import ConcaveRegionError, DomainError
-from .special import phi
 
 __all__ = [
     "TuningResult",
@@ -43,7 +42,6 @@ __all__ = [
     "golden_section_max",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ELL_TOL = 1e-12
 
 

@@ -1,14 +1,18 @@
 """Independent oracles shared by the test suite.
 
 Everything here deliberately avoids the code paths under test: the normal CDF
-is obtained by quadrature of the density, optimizers are value-comparison
-searches, and the coefficient oracles are plain Monte Carlo.
+is obtained by quadrature of the density or in arbitrary precision (mpmath),
+optimizers are value-comparison searches, and the coefficient oracles are
+plain Monte Carlo.  Normal quantiles come from ``scipy.special.ndtri``, which
+the package does not use.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtri as phi_inv  # noqa: F401  (normal quantiles)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -26,6 +30,26 @@ def quad_phi(x):
         limit=300,
     )
     return val
+
+
+def mp_f_helper(x):
+    """exp(x^2 / 2) * Phi(x) in 50-digit arithmetic, rounded to a double."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        return float(mpmath.exp(x * x / 2) * mpmath.ncdf(x))
+
+
+def mp_h_helper(x):
+    """x * exp(x^2 / 2) * Phi(x), the increasing helper h of Appendix H."""
+    return x * mp_f_helper(x)
+
+
+def mills_bounds(x):
+    """Two-sided Mills-ratio bounds (lower, upper) on Phi(x) for x < 0."""
+    density_part = math.exp(-0.5 * x * x)
+    lower = -x / (_SQRT_2PI * (1.0 + x * x)) * density_part
+    upper = density_part / (-x * _SQRT_2PI)
+    return lower, upper
 
 
 def mc_gamma_gdrift(a, b, ell, n_samples, seed):

@@ -26,6 +26,8 @@ from mhscaling.chains import (
 from mhscaling.errors import DomainError
 from mhscaling.targets import double_well_potential, gaussian_potential
 
+from oracles import phi_inv
+
 
 def test_strategy_labels_roundtrip():
     for spec, label in [
@@ -207,8 +209,6 @@ def test_acceptance_rate_tracks_limit_as_n_grows():
 
 def test_rwm_reversibility_goodness_of_fit():
     # n = 1 long run should be indistinguishable from the standard normal
-    from mhscaling.special import phi_inv
-
     p = gaussian_potential()
     state = ChainState(coords=np.zeros(1), rng=chain_rng(3))
     xs = []

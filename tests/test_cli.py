@@ -195,10 +195,39 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["tune", "--mode", "star", "--s-grid", "0:1"],
     ["tune", "--mode", "star", "--s-grid", "0:1:0"],
     ["tune", "--mode", "star", "--s-grid", "0:1:x"],
+    ["simulate", "--kind", "ode", "--dt", "0"],
+    ["simulate", "--kind", "rwm", "--steps", "-5"],
+    ["simulate", "--kind", "ar1", "--steps", "-1"],
+    ["simulate", "--kind", "rwm", "--init", "gaussian:1"],
+    ["simulate", "--kind", "particles", "--init", "point:abc"],
+    ["simulate", "--kind", "mala", "--init", "gaussian:0,-1"],
+    ["simulate", "--kind", "rwm", "--init", "uniform"],
+    ["simulate", "--kind", "particles", "--n", "-3"],
+    ["experiment", "--config", "."],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 10}',
+    "[1, 2]",
+    '{"config": [1, 2]}',
+    "n = 10",
+    '{"target": "gaussian", "n": "ten", "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"], "init_kind": "gaussian"}',
+], ids=["missing-key", "list", "config-list", "not-json", "text-n", "gaussian-init-10"])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["experiment", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
@@ -245,6 +274,15 @@ def test_validate_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "nan"])
+def test_validate_refuses_too_few_samples(capsys, samples):
+    # empty-sample means are nan, and "nan > 4 se" is False: a vacuous pass
+    assert run_cli(["validate", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
 
 
 def test_validate_seeded_run_reproducible(capsys):

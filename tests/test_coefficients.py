@@ -14,11 +14,11 @@ from mhscaling.coefficients import (
     g_drift,
     gamma,
     j_curve,
+    phi,
 )
 from mhscaling.errors import DomainError
-from mhscaling.special import phi
 
-from oracles import mc_gamma_gdrift
+from oracles import mc_gamma_gdrift, mp_h_helper
 
 
 def test_gamma_on_diagonal_matches_acceptance_form():
@@ -198,9 +198,8 @@ def test_f_rate_positive_on_compacts():
 
 
 def test_f_rate_appendix_h_form_oracle():
-    # independent closed form through the increasing helper h
-    from mhscaling.special import h_helper
-
+    # independent closed form through the increasing helper h, evaluated in
+    # 50-digit arithmetic
     rng = np.random.default_rng(11)
     for _ in range(200):
         a = float(rng.uniform(0.05, 6.0))
@@ -215,8 +214,8 @@ def test_f_rate_appendix_h_form_oracle():
             * root_a
             * math.exp(-(ell**2) * b * b / (8.0 * a))
             * (
-                h_helper(ell * (b - 2.0 * a) / (2.0 * root_a))
-                - h_helper(-ell * b / (2.0 * root_a))
+                mp_h_helper(ell * (b - 2.0 * a) / (2.0 * root_a))
+                - mp_h_helper(-ell * b / (2.0 * root_a))
             )
             / (b - a)
         )

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mhscaling.chains import ConstantAccNumeric, ConstantEll, RateOptimal, chain_rng
-from mhscaling.coefficients import f1, g_drift, gamma
+from mhscaling.chains import ConstantAccNumeric, ConstantEll, RateOptimal, chain_rng, run_mala
+from mhscaling.coefficients import f1, g_drift, gamma, phi
 from mhscaling.errors import DomainError
 from mhscaling.limits import (
     GaussianMoments,
@@ -27,8 +27,8 @@ from mhscaling.targets import custom_potential, gaussian_potential
 
 
 def wiggly_potential():
-    # Gaussian with a sine perturbation; its stationary 5 V'''^2 - 3 V''^3
-    # moment is positive, unlike both built-ins
+    # Gaussian with a sine perturbation, so that its stationary moment
+    # K = E[5 V'''^2 + 3 V''^3] differs from the Gaussian's K = 3
     def as_arr(x):
         return np.asarray(x, dtype=float)
 
@@ -39,7 +39,6 @@ def wiggly_potential():
         d2=lambda x: 1.0 - 1.8 * np.sin(3.0 * as_arr(x)),
         d3=lambda x: -5.4 * np.cos(3.0 * as_arr(x)),
         d4=lambda x: 16.2 * np.sin(3.0 * as_arr(x)),
-        smoothness_order=4,
         normalize=True,
     )
 
@@ -209,9 +208,26 @@ def test_mala_second_moment_ode_monotone_to_one():
     assert np.all(np.diff(ss) > 0)
 
 
-def test_mala_z_gaussian_is_domain_error():
-    with pytest.raises(DomainError):
-        mala_z_stationary(gaussian_potential(), 1.0)
+def test_mala_z_gaussian_matches_finite_n_acceptance():
+    # Oracle: MALA chains at stationarity in dimension n = 2000 with proposal
+    # std ell * n^(-1/6); their mean acceptance probability should sit at the
+    # limit z / ell^2 = 2 Phi(-ell^3 / 8).  Six chains of 1500 steps put the
+    # standard error at ell = 2 near 0.008.
+    p = gaussian_potential()
+    n, steps, chains = 2000, 1500, 6
+    observed = []
+    for ell in (1.0, 1.5, 2.0):
+        limit = mala_z_stationary(p, ell) / ell**2
+        assert limit == pytest.approx(2.0 * phi(-(ell**3) / 8.0), rel=1e-12)
+        means = []
+        for seed in range(chains):
+            rng = chain_rng(seed)
+            records, _ = run_mala(rng.standard_normal(n), p, ell * n ** (-1.0 / 6.0),
+                                  steps=steps, rng=rng)
+            means.append(np.mean([r.acc_prob for r in records]))
+        observed.append(float(np.mean(means)))
+        assert observed[-1] == pytest.approx(limit, abs=0.03)
+    assert observed[0] > observed[1] > observed[2]
 
 
 def test_mala_z_small_ell_limit():
@@ -223,8 +239,6 @@ def test_mala_z_optimum_universal_acceptance():
     opt = mala_z_optimum(wiggly_potential())
     assert opt.acceptance == pytest.approx(0.574, abs=1e-3)
     # independent root of the optimality condition 2 Phi(-u) = 3 u pdf(u)
-    from mhscaling.special import phi
-
     def crit(u):
         return 2.0 * phi(-u) - 3.0 * u * math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
 

@@ -1,3 +1,5 @@
+"""The normal CDF ``phi`` and the exp-scaled ``f_helper`` of coefficients."""
+
 import math
 
 import numpy as np
@@ -5,17 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhscaling.errors import DomainError
-from mhscaling.special import (
-    f_helper,
-    h_helper,
-    log_phi,
-    mills_bounds,
-    phi,
-    phi_inv,
-)
+from mhscaling.coefficients import f_helper, phi
 
-from oracles import bisect_on, quad_phi
+from oracles import bisect_on, mills_bounds, mp_f_helper, phi_inv, quad_phi
 
 
 def test_phi_at_zero():
@@ -51,14 +45,19 @@ def test_mills_bounds_bracket_phi():
         assert lower < phi(float(x)) < upper
 
 
+# phi_inv is the independent quantile oracle (scipy.special.ndtri); these
+# tests check phi against it
+
+
 def test_phi_inv_median():
-    assert phi_inv(0.5) == 0.0
+    assert phi(phi_inv(0.5)) == 0.5
 
 
 def test_phi_inv_frozen_oracle_values():
-    # frozen from bisection on phi
-    assert phi_inv(0.27) == pytest.approx(-0.6128129910166273, abs=1e-10)
-    assert phi_inv(0.975) == pytest.approx(1.959963985, abs=1e-9)
+    # quantiles of 0.27 and 0.975 frozen from bisection, the second rounded
+    # to 1e-9 (which moves phi by up to 1e-9 * pdf = 6e-11)
+    assert phi(-0.6128129910166273) == pytest.approx(0.27, abs=1e-15)
+    assert phi(1.959963985) == pytest.approx(0.975, abs=1e-10)
 
 
 def test_phi_inv_residuals():
@@ -80,12 +79,6 @@ def test_phi_inv_roundtrip_on_x():
         assert abs(phi_inv(p) - x) <= 1e-9 + conditioning
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, math.nan])
-def test_phi_inv_domain(p):
-    with pytest.raises(DomainError):
-        phi_inv(p)
-
-
 def test_f_helper_values():
     assert f_helper(0.0) == 0.5
     # frozen: exp(2) * quad_phi(-2)
@@ -93,30 +86,31 @@ def test_f_helper_values():
 
 
 def test_h_helper_values():
-    assert h_helper(0.0) == 0.0
-    # frozen: exp(0.5) * quad_phi(+-1)
-    assert h_helper(1.0) == pytest.approx(1.3871429788350047, rel=1e-12)
-    assert h_helper(-1.0) == pytest.approx(-0.26157829186512344, rel=1e-12)
+    # h(x) = x * f_helper(x); frozen: exp(0.5) * quad_phi(+-1)
+    assert 1.0 * f_helper(1.0) == pytest.approx(1.3871429788350047, rel=1e-12)
+    assert -1.0 * f_helper(-1.0) == pytest.approx(-0.26157829186512344, rel=1e-12)
 
 
 def test_f_and_h_strictly_increasing():
     xs = np.linspace(-10.0, 10.0, 10001)
     f_vals = [f_helper(float(x)) for x in xs]
-    h_vals = [h_helper(float(x)) for x in xs]
+    h_vals = [float(x) * f_helper(float(x)) for x in xs]
     assert all(b > a for a, b in zip(f_vals, f_vals[1:]))
     assert all(b > a for a, b in zip(h_vals, h_vals[1:]))
 
 
 def test_f_helper_saturates_far_right():
-    assert f_helper(35.1) == math.inf
+    # finite up to the overflow of exp(x^2 / 2) near x = 37.6, inf past it
+    assert f_helper(35.1) == pytest.approx(mp_f_helper(35.1), rel=1e-13)
+    assert f_helper(37.6) < math.inf
+    assert f_helper(37.7) == math.inf
     assert f_helper(100.0) == math.inf
 
 
 def test_f_helper_far_left_tail_matches_log_phi():
-    # the series branch should agree with exp(x^2/2 + log Phi(x))
-    for x in (-36.0, -50.0, -120.0):
-        expected = math.exp(0.5 * x * x + log_phi(x))
-        assert f_helper(x) == pytest.approx(expected, rel=1e-10)
+    # exp(x^2 / 2) Phi(x) against 50-digit arithmetic, deep in the tail
+    for x in (-2.0, -8.0, -36.0, -50.0, -120.0, -1e4):
+        assert f_helper(x) == pytest.approx(mp_f_helper(x), rel=1e-13)
 
 
 @settings(max_examples=300, deadline=None)

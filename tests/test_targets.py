@@ -152,7 +152,6 @@ def test_custom_potential_normalize_and_trusted():
         d2=lambda x: np.ones_like(np.asarray(x, float)),
         d3=lambda x: np.zeros_like(np.asarray(x, float)),
         d4=lambda x: np.zeros_like(np.asarray(x, float)),
-        smoothness_order=4,
         normalize=True,
     )
     assert integrate_against_density(p, lambda x: 1.0) == pytest.approx(1.0, abs=1e-9)

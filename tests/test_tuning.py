@@ -16,7 +16,7 @@ from mhscaling.tuning import (
     x_star,
 )
 
-from oracles import golden_max
+from oracles import golden_max, phi_inv
 
 
 def test_x_star_value():
@@ -103,8 +103,6 @@ def test_ell_alpha_small_s_limit():
 
 
 def test_ell_alpha_large_s_limit():
-    from mhscaling.special import phi_inv
-
     assert ell_alpha(1e6, 0.27).ell / 1e3 == pytest.approx(
         -2.0 * phi_inv(0.27), abs=1e-3
     )
