@@ -399,7 +399,7 @@ def start_params(kind: str, params=()) -> tuple:
         values = ()
     if len(values) != len(_START_DEFAULTS[kind]) or (kind == "gaussian" and not values[1] >= 0.0):
         usage = "point:v" if kind == "point" else "gaussian:mean,var with var >= 0"
-        raise DomainError(f"init {kind!r} must be {usage}, got {list(params)!r}")
+        raise DomainError(f"init {kind!r} must be {usage}, got {params!r}")
     return values
 
 
