@@ -402,7 +402,7 @@ def mala_step(state: ChainState, p: Potential, sigma: float):
     return state, _record(state, here, sigma, accepted, acc_prob)
 
 
-def _run(init, p, steps, record_every, seed, rng, step_fn):
+def _run(init, p, steps, record_every, rng, step_fn):
     coords = np.array(init, dtype=float).reshape(-1).copy()
     if coords.size < 1:
         raise DomainError("initial state must have at least one coordinate")
@@ -410,8 +410,6 @@ def _run(init, p, steps, record_every, seed, rng, step_fn):
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps!r}")
-    if rng is None:
-        rng = chain_rng(0 if seed is None else seed)
     state = ChainState(coords=coords, rng=rng)
     records = []
     for k in range(1, steps + 1):
@@ -422,22 +420,22 @@ def _run(init, p, steps, record_every, seed, rng, step_fn):
 
 
 def run_chain(init, p: Potential, strategy: Strategy, steps: int,
-              record_every: int = 1, seed=None, rng=None):
-    """Run a random walk chain; deterministic for a given seed.
+              record_every: int = 1, *, rng: np.random.Generator):
+    """Run a random walk chain; deterministic for a given generator state.
 
     Returns (records, final_state) where records holds every
     ``record_every``-th StepRecord.
     """
     return _run(
-        init, p, steps, record_every, seed, rng,
+        init, p, steps, record_every, rng,
         lambda state: rwm_step(state, p, strategy),
     )
 
 
 def run_mala(init, p: Potential, sigma: float, steps: int,
-             record_every: int = 1, seed=None, rng=None):
+             record_every: int = 1, *, rng: np.random.Generator):
     """Run a Langevin-adjusted chain at fixed proposal std sigma."""
     return _run(
-        init, p, steps, record_every, seed, rng,
+        init, p, steps, record_every, rng,
         lambda state: mala_step(state, p, sigma),
     )

@@ -182,7 +182,8 @@ def _cmd_simulate(args) -> int:
                                   zip(ts, ms, ss)))
 
     elif args.kind == "ar1":
-        traj = limits.mala_ar1_limit(args.ell, args.steps, y0=args.y0, seed=args.seed)
+        traj = limits.mala_ar1_limit(args.ell, args.steps, y0=args.y0,
+                                     rng=chains.chain_rng(args.seed))
         os.makedirs(args.out, exist_ok=True)
         outputs.append(_write_csv(os.path.join(args.out, "ar1.csv"), "k,y", enumerate(traj)))
 

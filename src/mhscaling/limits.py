@@ -5,12 +5,13 @@ diffusion limit: the pair (m, s) = (mean, second moment) follows
 
     ds/dt = f1(s, ell) * (1 - s),        dm/dt = -g_drift(s, 1, ell) * m,
 
-with the relative entropy to equilibrium available in closed form.  For
-general targets the limit is simulated as an interacting particle system
-(Euler-Maruyama with coefficients recomputed from the empirical moments each
-step).  The MALA side collects the step-variance regime classifier, the
-transient speed function ``mala_w``, the stationary-regime speed ``z`` and
-the fixed-variance AR(1) limit chain.
+with the relative entropy to equilibrium, :func:`gaussian_entropy`, in closed
+form; :func:`integrate_gaussian_ode` integrates it.  For general targets the
+limit is simulated as an interacting particle system (Euler-Maruyama with
+coefficients recomputed from the empirical moments each step).  The MALA side
+collects the step-variance regime classifier, the transient speed function
+``mala_w``, the stationary-regime speed ``z`` and the fixed-variance AR(1)
+limit chain.
 
 States are single-owner; coefficient calls are pure.
 """
@@ -22,20 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Strategy, chain_rng
-from .coefficients import acc_rate, f1, f_rate, g_drift, gamma, phi
+from .chains import Strategy
+from .coefficients import _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
 from .errors import DomainError
-from .targets import Potential, empirical_moments, integrate_against_density
-# ell_alpha, ell_ent_gaussian and ell_star are not called here; they stay
-# importable as limits.<name>, names the per-layer trace of perfbench/ wraps
+from .targets import Potential, integrate_against_density
+# empirical_moments, f1, ell_alpha, ell_ent_gaussian and ell_star are not
+# called here; they stay importable as limits.<name>, names the per-layer
+# trace of perfbench/ wraps
+from .coefficients import f1  # noqa: F401
+from .targets import empirical_moments  # noqa: F401
 from .tuning import ell_alpha, ell_ent_gaussian, ell_star, golden_section_max  # noqa: F401
 
 __all__ = [
-    "GaussianMoments",
     "LimitTrajectory",
     "gaussian_entropy",
     "policy_ell",
-    "gaussian_ode_step",
     "integrate_gaussian_ode",
     "ParticleEnsemble",
     "make_ensemble",
@@ -52,32 +54,14 @@ __all__ = [
     "mala_ar1_limit",
 ]
 
-@dataclass
-class GaussianMoments:
-    """Mean and second moment of the Gaussian limit law at time t.
 
-    The variance s - m*m must be nonnegative; it may vanish only at the
-    initial time (a point mass start), after which the diffusion makes it
-    positive immediately.
-    """
-
-    m: float
-    s: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.s < self.m * self.m:
-            raise DomainError(
-                f"second moment below squared mean: s={self.s!r}, m={self.m!r}"
-            )
+def _check_horizon(t_max: float, t_start: float) -> None:
+    if not (math.isfinite(t_max) and t_max >= t_start):
+        raise DomainError(f"t_max must be finite and >= {t_start!r}, got {t_max!r}")
 
 
-def gaussian_entropy(gm: GaussianMoments) -> float:
+def gaussian_entropy(m: float, s: float) -> float:
     """Relative entropy to the standard normal, (s - ln(s - m^2) - 1) / 2."""
-    return _entropy(gm.m, gm.s)
-
-
-def _entropy(m: float, s: float) -> float:
     variance = s - m * m
     if variance <= 0.0:
         raise DomainError(f"entropy needs s > m^2, got s={s!r}, m={m!r}")
@@ -93,12 +77,14 @@ def policy_ell(strategy: Strategy, m: float, s: float) -> float:
 
 def _ode_field(m: float, s: float, ell: float) -> tuple[float, float]:
     s = max(s, 0.0)
-    return (-g_drift(s, 1.0, ell) * m, f1(s, ell) * (1.0 - s))
+    f1_value, drift = _f1_and_drift(s, ell)
+    return (-drift * m, f1_value * (1.0 - s))
 
 
-def _rk4_with_guard(gm: GaussianMoments, ell: float, dt: float,
-                    _depth: int = 0) -> GaussianMoments:
-    m0, s0 = gm.m, gm.s
+def _rk4_with_guard(m0: float, s0: float, t: float, ell: float, dt: float,
+                    _depth: int = 0) -> tuple[float, float, float]:
+    # one RK4 step of length dt from (m0, s0) at time t; a step that would
+    # push the variance s - m^2 negative is retried as two half steps
     k1m, k1s = _ode_field(m0, s0, ell)
     k2m, k2s = _ode_field(m0 + 0.5 * dt * k1m, s0 + 0.5 * dt * k1s, ell)
     k3m, k3s = _ode_field(m0 + 0.5 * dt * k2m, s0 + 0.5 * dt * k2s, ell)
@@ -106,24 +92,11 @@ def _rk4_with_guard(gm: GaussianMoments, ell: float, dt: float,
     m1 = m0 + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
     s1 = s0 + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
     if s1 < m1 * m1:
-        # reject and retry at half length until the variance stays positive
         if _depth >= 40:
             raise DomainError("step size underflow while protecting s > m^2")
-        half = _rk4_with_guard(gm, ell, 0.5 * dt, _depth + 1)
-        return _rk4_with_guard(half, ell, 0.5 * dt, _depth + 1)
-    return GaussianMoments(m=m1, s=s1, t=gm.t + dt)
-
-
-def gaussian_ode_step(gm: GaussianMoments, strategy: Strategy, dt: float) -> GaussianMoments:
-    """One RK4 step of the two-moment system.
-
-    The policy scale is evaluated once per step from the current state (it
-    varies on the trajectory timescale, not the step one).  If a step would
-    push the variance negative it is retried at half length.
-    """
-    if not dt > 0.0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
-    return _rk4_with_guard(gm, policy_ell(strategy, gm.m, gm.s), dt)
+        half = _rk4_with_guard(m0, s0, t, ell, 0.5 * dt, _depth + 1)
+        return _rk4_with_guard(*half, ell, 0.5 * dt, _depth + 1)
+    return m1, s1, t + dt
 
 
 @dataclass
@@ -142,47 +115,39 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
                            dt: float = 1e-3, t_max: float = 50.0,
                            stop_tol: float | None = None,
                            policy_every: int = 1) -> LimitTrajectory:
-    """Integrate the moment system from (m0, s0).
+    """Integrate the moment system from (m0, s0) at time 0 by RK4.
 
-    With ``stop_tol`` set, integration ends once |m| and |s - 1| both drop
-    below it.  Entropy is +inf at a zero-variance initial point.
-    ``policy_every`` re-evaluates the strategy scale only every that many
-    steps (the scale drifts on the trajectory timescale, so a small refresh
-    interval changes nothing measurable while saving the solver calls).
+    The start needs s0 >= m0^2; equality is a point mass, whose entropy is
+    +inf.  A step that would push the variance negative is retried at half
+    length.  With ``stop_tol`` set, integration ends once |m| and |s - 1|
+    both drop below it.  The strategy scale is evaluated from the current
+    state at the start of a step, and only every ``policy_every`` steps (the
+    scale drifts on the trajectory timescale, so a small refresh interval
+    changes nothing measurable while saving the solver calls).
     """
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
-    gm = GaussianMoments(m=m0, s=s0)
+    _check_horizon(t_max, 0.0)
+    if not s0 >= m0 * m0:
+        raise DomainError(f"second moment below squared mean: s0={s0!r}, m0={m0!r}")
     steps = int(round(t_max / dt))
-    ts, ms, ss, ents, ells, accs = [], [], [], [], [], []
+    rows = []
 
-    ell = policy_ell(strategy, gm.m, gm.s)
+    def push(m, s, t, ell_used):
+        entropy = gaussian_entropy(m, s) if s - m * m > 0.0 else math.inf
+        rows.append((t, m, s, entropy, ell_used, acc_rate(max(s, 0.0), 1.0, ell_used)))
 
-    def push(state, ell_used):
-        ts.append(state.t)
-        ms.append(state.m)
-        ss.append(state.s)
-        variance = state.s - state.m * state.m
-        ents.append(_entropy(state.m, state.s) if variance > 0.0 else math.inf)
-        ells.append(ell_used)
-        accs.append(acc_rate(max(state.s, 0.0), 1.0, ell_used))
-
-    push(gm, ell)
+    m, s, t = m0, s0, 0.0
+    ell = policy_ell(strategy, m, s)
+    push(m, s, t, ell)
     for k in range(steps):
         if k % policy_every == 0:
-            ell = policy_ell(strategy, gm.m, gm.s)
-        gm = _rk4_with_guard(gm, ell, dt)
-        push(gm, ell)
-        if stop_tol is not None and abs(gm.m) < stop_tol and abs(gm.s - 1.0) < stop_tol:
+            ell = policy_ell(strategy, m, s)
+        m, s, t = _rk4_with_guard(m, s, t, ell, dt)
+        push(m, s, t, ell)
+        if stop_tol is not None and abs(m) < stop_tol and abs(s - 1.0) < stop_tol:
             break
-    return LimitTrajectory(
-        t=np.array(ts),
-        m=np.array(ms),
-        s=np.array(ss),
-        entropy=np.array(ents),
-        ell=np.array(ells),
-        acc=np.array(accs),
-    )
+    return LimitTrajectory(*(np.array(column) for column in zip(*rows)))
 
 
 @dataclass
@@ -201,22 +166,21 @@ class ParticleEnsemble:
             raise DomainError(f"dt must be > 0, got {self.dt!r}")
 
 
-def make_ensemble(xs, dt: float, seed=None, rng=None) -> ParticleEnsemble:
-    xs = np.array(xs, dtype=float).reshape(-1)
-    if rng is None:
-        rng = chain_rng(0 if seed is None else seed)
-    return ParticleEnsemble(xs=xs, t=0.0, dt=dt, rng=rng)
+def make_ensemble(xs, dt: float, *, rng: np.random.Generator) -> ParticleEnsemble:
+    """An ensemble at time 0 with particles at ``xs``, drawing noise from ``rng``."""
+    return ParticleEnsemble(xs=np.array(xs, dtype=float).reshape(-1), t=0.0, dt=dt, rng=rng)
 
 
 def meanfield_particle_step(pe: ParticleEnsemble, p: Potential, ell: float) -> ParticleEnsemble:
-    """One Euler-Maruyama step, coefficients frozen at the empirical moments."""
-    moments = empirical_moments(p, pe.xs)
-    drift = g_drift(moments.a, moments.b, ell)
-    diffusion = gamma(moments.a, moments.b, ell)
+    """One Euler-Maruyama step, coefficients frozen at the empirical moments
+    a = mean V'(x)^2 and b = mean V''(x) of the particles."""
+    d1 = np.asarray(p.d1(pe.xs))
+    a = float(np.mean(d1 * d1))
+    b = float(np.mean(p.d2(pe.xs)))
+    drift = g_drift(a, b, ell)
+    diffusion = gamma(a, b, ell)
     noise = pe.rng.standard_normal(pe.xs.size)
-    pe.xs = pe.xs - drift * np.asarray(p.d1(pe.xs)) * pe.dt + math.sqrt(
-        diffusion * pe.dt
-    ) * noise
+    pe.xs = pe.xs - drift * d1 * pe.dt + math.sqrt(diffusion * pe.dt) * noise
     pe.t += pe.dt
     return pe
 
@@ -226,6 +190,7 @@ def integrate_particles(pe: ParticleEnsemble, p: Potential, ell: float,
     """Advance an ensemble to t_max; returns (t, mean, second moment) arrays."""
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    _check_horizon(t_max, pe.t)
     ts = [pe.t]
     ms = [float(np.mean(pe.xs))]
     ss = [float(np.mean(pe.xs**2))]
@@ -287,6 +252,9 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
                                  t_max: float = 5.0):
     """Second-moment flow ds/dt = mala_w(s - 1, ell) * (1 - s) for the
     Gaussian target; returns (t, s) arrays."""
+    if not dt > 0.0:
+        raise DomainError(f"dt must be > 0, got {dt!r}")
+    _check_horizon(t_max, 0.0)
 
     def field(s):
         return mala_w(s - 1.0, ell) * (1.0 - s)
@@ -361,7 +329,8 @@ def mala_z_optimum(p: Potential) -> MalaZOptimum:
     return MalaZOptimum(ell=ell, z_value=z_val, acceptance=z_val / (ell * ell))
 
 
-def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, seed=None, rng=None):
+def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, *,
+                   rng: np.random.Generator):
     """Fixed-variance MALA limit chain Y_{k+1} = (1 - ell^2/2) Y_k + ell G.
 
     Defined for 0 < ell < 2; the stationary law is centered normal with
@@ -375,8 +344,6 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, seed=None, rng=None)
         raise DomainError(f"AR(1) limit requires 0 < ell < 2, got {ell!r}")
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps!r}")
-    if rng is None:
-        rng = chain_rng(0 if seed is None else seed)
     noise = rng.standard_normal(steps)
     decay = 1.0 - 0.5 * ell * ell
     zi = signal.lfiltic([ell], [1.0, -decay], y=[y0])

@@ -152,11 +152,11 @@ def test_rwm_stationary_acceptance_level():
 
 def test_run_chain_deterministic_and_zero_steps():
     p = gaussian_potential()
-    r1, s1 = run_chain(np.zeros(4), p, ConstantEll(1.0), steps=60, seed=5)
-    r2, s2 = run_chain(np.zeros(4), p, ConstantEll(1.0), steps=60, seed=5)
+    r1, s1 = run_chain(np.zeros(4), p, ConstantEll(1.0), steps=60, rng=chain_rng(5))
+    r2, s2 = run_chain(np.zeros(4), p, ConstantEll(1.0), steps=60, rng=chain_rng(5))
     assert np.array_equal(s1.coords, s2.coords)
     assert r1 == r2
-    r0, s0 = run_chain(np.ones(4), p, ConstantEll(1.0), steps=0, seed=5)
+    r0, s0 = run_chain(np.ones(4), p, ConstantEll(1.0), steps=0, rng=chain_rng(5))
     assert r0 == []
     assert np.array_equal(s0.coords, np.ones(4))
 
@@ -307,7 +307,7 @@ def test_mala_gaussian_closed_form_exponent():
 
 def test_mala_small_sigma_accepts():
     p = gaussian_potential()
-    records, state = run_mala(np.full(20, 1.5), p, sigma=1e-4, steps=50, seed=1)
+    records, state = run_mala(np.full(20, 1.5), p, sigma=1e-4, steps=50, rng=chain_rng(1))
     assert all(r.acc_prob > 0.999 for r in records)
     assert state.accept_count == 50
 
@@ -337,7 +337,7 @@ def test_trajectory_csv_format(tmp_path):
                      "--strategy", "constant:1", "--init", "point:0", "--seed", "0",
                      "--out", str(tmp_path)]) == 0
     records, _ = run_chain(np.zeros(3), gaussian_potential(), ConstantEll(1.0), steps=5,
-                           seed=0)
+                           rng=chain_rng(0))
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "k,ell_used,acc_prob,a_hat,b_hat"
     assert len(lines) == 6
@@ -410,6 +410,6 @@ def test_rate_optimal_solves_once_per_point(monkeypatch):
 
     monkeypatch.setattr(tuning, "ell_star_ab", counted)
     records, _ = run_chain(np.full(50, 10.0), gaussian_potential(), RateOptimal(),
-                           steps=300, seed=4)
+                           steps=300, rng=chain_rng(4))
     assert calls == 1 + sum(r.accepted for r in records[:-1])
     assert calls < len(records)

@@ -203,6 +203,8 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["simulate", "--kind", "mala", "--init", "gaussian:0,-1"],
     ["simulate", "--kind", "rwm", "--init", "uniform"],
     ["simulate", "--kind", "particles", "--n", "-3"],
+    ["simulate", "--kind", "particles", "--t-max", "-1"],
+    ["simulate", "--kind", "ode", "--t-max", "-5"],
     ["experiment", "--config", "."],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):

@@ -7,11 +7,9 @@ from mhscaling.chains import ConstantAccNumeric, ConstantEll, RateOptimal, chain
 from mhscaling.coefficients import f1, g_drift, gamma, phi
 from mhscaling.errors import DomainError
 from mhscaling.limits import (
-    GaussianMoments,
     ParticleEnsemble,
     entropy_rate_bound,
     gaussian_entropy,
-    gaussian_ode_step,
     integrate_gaussian_ode,
     integrate_mala_second_moment,
     integrate_particles,
@@ -43,41 +41,45 @@ def wiggly_potential():
     )
 
 
+def ode_step(m, s, ell, dt):
+    """(m, s) after one integrator step of length dt."""
+    traj = integrate_gaussian_ode(m, s, ConstantEll(ell), dt=dt, t_max=dt)
+    assert traj.t.size == 2
+    return traj.m[-1], traj.s[-1]
+
+
 def test_gaussian_moments_invariant():
-    GaussianMoments(1.0, 1.0)  # boundary allowed (point mass start)
+    ode_step(1.0, 1.0, 1.0, 1e-3)  # boundary allowed (point mass start)
     with pytest.raises(DomainError):
-        GaussianMoments(2.0, 1.0)
+        ode_step(2.0, 1.0, 1.0, 1e-3)
 
 
 def test_entropy_values():
-    assert gaussian_entropy(GaussianMoments(0.0, 1.0)) == 0.0
-    assert gaussian_entropy(GaussianMoments(0.0, math.e)) == pytest.approx(
-        (math.e - 2.0) / 2.0, rel=1e-14
-    )
-    assert gaussian_entropy(GaussianMoments(1.0, 2.0)) == pytest.approx(0.5, rel=1e-14)
+    assert gaussian_entropy(0.0, 1.0) == 0.0
+    assert gaussian_entropy(0.0, math.e) == pytest.approx((math.e - 2.0) / 2.0, rel=1e-14)
+    assert gaussian_entropy(1.0, 2.0) == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(DomainError):
-        gaussian_entropy(GaussianMoments(1.0, 1.0))
+        gaussian_entropy(1.0, 1.0)
 
 
 def test_ode_fixed_point():
-    gm = GaussianMoments(0.0, 1.0)
-    out = gaussian_ode_step(gm, ConstantEll(2.0), 1e-3)
-    assert out.m == 0.0
-    assert out.s == pytest.approx(1.0, abs=1e-14)
+    m, s = ode_step(0.0, 1.0, 2.0, 1e-3)
+    assert m == 0.0
+    assert s == pytest.approx(1.0, abs=1e-14)
 
 
 def test_ode_drift_sign():
     # above equilibrium the second moment decreases, below it increases
-    above = gaussian_ode_step(GaussianMoments(0.0, 4.0), ConstantEll(1.5), 1e-3)
-    below = gaussian_ode_step(GaussianMoments(0.0, 0.25), ConstantEll(1.5), 1e-3)
-    assert above.s < 4.0
-    assert below.s > 0.25
+    _, above = ode_step(0.0, 4.0, 1.5, 1e-3)
+    _, below = ode_step(0.0, 0.25, 1.5, 1e-3)
+    assert above < 4.0
+    assert below > 0.25
 
 
 def test_ode_guard_preserves_variance():
     for dt in (0.5, 2.0, 10.0):
-        out = gaussian_ode_step(GaussianMoments(3.0, 9.000001), ConstantEll(0.8), dt)
-        assert out.s >= out.m * out.m
+        m, s = ode_step(3.0, 9.000001, 0.8, dt)
+        assert s >= m * m
 
 
 def test_ode_convergence_and_entropy_decay():
@@ -130,12 +132,31 @@ def test_meanfield_pure_diffusion_with_flat_potential():
         "flat", eval_v=zeros, d1=zeros, d2=zeros, d3=zeros, d4=zeros, trusted=True
     )
     ell, dt = 1.3, 1e-2
-    pe = make_ensemble(np.zeros(50_000), dt=dt, seed=8)
+    pe = make_ensemble(np.zeros(50_000), dt=dt, rng=chain_rng(8))
     meanfield_particle_step(pe, flat, ell)
     # drift vanishes; increments are pure noise with variance gamma(0,0,ell)*dt
     assert gamma(0.0, 0.0, ell) == ell * ell
     assert float(np.mean(pe.xs)) == pytest.approx(0.0, abs=3 * ell * math.sqrt(dt / 50_000) * 2)
     assert float(np.var(pe.xs)) == pytest.approx(ell * ell * dt, rel=0.05)
+
+
+def test_particle_step_evaluates_each_derivative_once():
+    calls = {"d1": 0, "d2": 0, "d3": 0, "d4": 0}
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    base = gaussian_potential()
+    p = custom_potential(
+        "counted-gaussian", base.eval_v,
+        **{name: counted(name, getattr(base, name)) for name in calls}, trusted=True,
+    )
+    calls.update(d1=0, d2=0, d3=0, d4=0)  # construction evaluates d1 for i_fisher
+    meanfield_particle_step(make_ensemble(np.ones(100), dt=1e-2, rng=chain_rng(3)), p, 1.2)
+    assert calls == {"d1": 1, "d2": 1, "d3": 0, "d4": 0}
 
 
 def test_meanfield_tracks_ode():
@@ -155,9 +176,9 @@ def test_meanfield_tracks_ode():
 
 def test_ensemble_validation():
     with pytest.raises(DomainError):
-        make_ensemble(np.zeros(1), dt=1e-2)
+        make_ensemble(np.zeros(1), dt=1e-2, rng=chain_rng(0))
     with pytest.raises(DomainError):
-        make_ensemble(np.zeros(10), dt=0.0)
+        make_ensemble(np.zeros(10), dt=0.0, rng=chain_rng(0))
 
 
 def test_entropy_rate_bound():
@@ -208,6 +229,24 @@ def test_mala_second_moment_ode_monotone_to_one():
     assert np.all(np.diff(ss) > 0)
 
 
+def test_limit_integrators_refuse_bad_horizon():
+    pe = make_ensemble(np.zeros(10), dt=1e-2, rng=chain_rng(0))
+    for t_max in (-5.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            integrate_gaussian_ode(10.0, 100.0, ConstantEll(1.0), dt=1e-2, t_max=t_max)
+        with pytest.raises(DomainError):
+            integrate_particles(pe, gaussian_potential(), 1.0, t_max=t_max)
+        with pytest.raises(DomainError):
+            integrate_mala_second_moment(4.0, 1.4, dt=1e-3, t_max=t_max)
+    for dt in (0.0, -1e-3):
+        with pytest.raises(DomainError):
+            integrate_mala_second_moment(4.0, 1.4, dt=dt, t_max=1.0)
+    # a zero-length horizon gives the start row alone
+    assert integrate_gaussian_ode(1.0, 2.0, ConstantEll(1.0), t_max=0.0).t.tolist() == [0.0]
+    assert integrate_particles(pe, gaussian_potential(), 1.0, t_max=0.0)[0].tolist() == [0.0]
+    assert integrate_mala_second_moment(4.0, 1.4, t_max=0.0)[1].tolist() == [4.0]
+
+
 def test_mala_z_gaussian_matches_finite_n_acceptance():
     # Oracle: MALA chains at stationarity in dimension n = 2000 with proposal
     # std ell * n^(-1/6); their mean acceptance probability should sit at the
@@ -253,7 +292,7 @@ def test_mala_z_optimum_universal_acceptance():
 
 
 def test_ar1_variance_and_recursion():
-    y = mala_ar1_limit(1.0, 300_000, y0=0.0, seed=5)
+    y = mala_ar1_limit(1.0, 300_000, y0=0.0, rng=chain_rng(5))
     assert float(np.var(y[1000:])) == pytest.approx(4.0 / 3.0, abs=0.03)
 
     class NoNoise:
@@ -264,9 +303,9 @@ def test_ar1_variance_and_recursion():
     decay = 1.0 - 0.5 * 1.3**2
     assert np.allclose(y, [2.0 * decay**k for k in range(11)])
     with pytest.raises(DomainError):
-        mala_ar1_limit(2.0, 10)
+        mala_ar1_limit(2.0, 10, rng=chain_rng(0))
     with pytest.raises(DomainError):
-        mala_ar1_limit(0.0, 10)
+        mala_ar1_limit(0.0, 10, rng=chain_rng(0))
 
 
 def test_limit_csv_format(tmp_path):
