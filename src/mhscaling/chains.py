@@ -377,8 +377,8 @@ def mala_step(state: ChainState, p: Potential, sigma: float):
     in the record, sum V(x) and V'(x) are those of the current coordinate
     vector, computed when the chain reaches it and reused while it rejects.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma!r}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
     coords = state.coords
     here = _current(state, p)
     d1_here = here.d1

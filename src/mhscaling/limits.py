@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import optimize
 
 from .chains import Strategy
-from .coefficients import _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
+from .coefficients import _SQRT_2PI, _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
 from .errors import DomainError
 from .targets import Potential, integrate_against_density
-# empirical_moments, f1, ell_alpha, ell_ent_gaussian and ell_star are not
-# called here; they stay importable as limits.<name>, names the per-layer
-# trace of perfbench/ wraps
+# empirical_moments, f1 and the ell_* solvers are not called here (the MALA
+# optimum is closed form); they stay importable as limits.<name>, names the
+# per-layer trace of perfbench/ wraps
 from .coefficients import f1  # noqa: F401
 from .targets import empirical_moments  # noqa: F401
-from .tuning import ell_alpha, ell_ent_gaussian, ell_star, golden_section_max  # noqa: F401
+from .tuning import ell_alpha, ell_ent_gaussian, ell_star  # noqa: F401
 
 __all__ = [
     "LimitTrajectory",
@@ -53,6 +55,11 @@ __all__ = [
     "mala_z_optimum",
     "mala_ar1_limit",
 ]
+
+
+def _check_step(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
 
 
 def _check_horizon(t_max: float, t_start: float) -> None:
@@ -125,8 +132,7 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     scale drifts on the trajectory timescale, so a small refresh interval
     changes nothing measurable while saving the solver calls).
     """
-    if not dt > 0.0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
+    _check_step(dt)
     _check_horizon(t_max, 0.0)
     if not s0 >= m0 * m0:
         raise DomainError(f"second moment below squared mean: s0={s0!r}, m0={m0!r}")
@@ -141,7 +147,7 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     ell = policy_ell(strategy, m, s)
     push(m, s, t, ell)
     for k in range(steps):
-        if k % policy_every == 0:
+        if k % policy_every == 0 and k > 0:
             ell = policy_ell(strategy, m, s)
         m, s, t = _rk4_with_guard(m, s, t, ell, dt)
         push(m, s, t, ell)
@@ -162,8 +168,7 @@ class ParticleEnsemble:
     def __post_init__(self):
         if self.xs.size < 2:
             raise DomainError("ensemble needs at least 2 particles")
-        if not self.dt > 0.0:
-            raise DomainError(f"dt must be > 0, got {self.dt!r}")
+        _check_step(self.dt)
 
 
 def make_ensemble(xs, dt: float, *, rng: np.random.Generator) -> ParticleEnsemble:
@@ -252,8 +257,7 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
                                  t_max: float = 5.0):
     """Second-moment flow ds/dt = mala_w(s - 1, ell) * (1 - s) for the
     Gaussian target; returns (t, s) arrays."""
-    if not dt > 0.0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
+    _check_step(dt)
     _check_horizon(t_max, 0.0)
 
     def field(s):
@@ -309,24 +313,32 @@ class MalaZOptimum:
     acceptance: float
 
 
+@lru_cache(maxsize=1)
+def _mala_u_star() -> float:
+    # u = c ell^3 at the maximum of 2 ell^2 Phi(-u), whose ell-derivative is
+    # 2 ell (2 Phi(-u) - 3 u pdf(u))
+    return float(optimize.brentq(
+        lambda u: 2.0 * phi(-u) - 3.0 * u * math.exp(-0.5 * u * u) / _SQRT_2PI, 0.1, 2.0,
+        xtol=1e-15,
+    ))
+
+
 def mala_z_optimum(p: Potential) -> MalaZOptimum:
     """Maximizer of the stationary-regime speed and the acceptance there.
 
-    The acceptance rate at the optimum is a universal constant (~0.574),
-    independent of the target.
+    In closed form: with c = sqrt(K/3) / 8 the speed peaks at c ell^3 = u*,
+    the root of 2 Phi(-u) = 3 u pdf(u), so the acceptance there, 2 Phi(-u*)
+    (~0.574), is a universal constant, independent of the target.
     """
     k_moment = _z_moment(p)
     if k_moment <= 0.0:
         raise DomainError(
             f"stationary moment K={k_moment:.6g} must be positive for {p.name}"
         )
-    c = math.sqrt(k_moment / 3.0) / 8.0
-    hi = (4.0 / c) ** (1.0 / 3.0)
-    ell, _ = golden_section_max(
-        lambda e: mala_z_stationary(p, e), 1e-6, hi, tol=1e-10
-    )
-    z_val = mala_z_stationary(p, ell)
-    return MalaZOptimum(ell=ell, z_value=z_val, acceptance=z_val / (ell * ell))
+    u_star = _mala_u_star()
+    ell = (u_star * 8.0 / math.sqrt(k_moment / 3.0)) ** (1.0 / 3.0)
+    acceptance = 2.0 * phi(-u_star)
+    return MalaZOptimum(ell=ell, z_value=ell * ell * acceptance, acceptance=acceptance)
 
 
 def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, *,

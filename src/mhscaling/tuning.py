@@ -10,6 +10,11 @@ standard deviation ``ell / sqrt(n)``) from the current moments:
 * ``ell_ent_gaussian``: minimize the instantaneous entropy derivative of the
   Gaussian moment system (defined for Gaussian targets only).
 
+Each rule is one bracketed root: of the analytic ell-derivative of its
+objective (``ell_star``, ``ell_ent_gaussian``) or of the acceptance residual
+(``ell_alpha``).  A value-only search resolves a smooth optimum only to about
+sqrt(eps), as nearly equal values drown in roundoff.
+
 ``matched_alpha`` returns the acceptance target that makes the constant-
 acceptance rule coincide with the rate-optimal one in each asymptotic regime.
 
@@ -25,9 +30,10 @@ from functools import lru_cache
 
 from scipy import optimize
 
+from .coefficients import _SQRT_2PI, _exp_phi_term, _f1_and_drift, f1, f_rate, j_curve, phi
 # g_drift is not called here; it stays importable as tuning.g_drift, a name
 # the per-layer trace of perfbench/ wraps
-from .coefficients import _f1_and_drift, f1, f_rate, g_drift, j_curve, phi  # noqa: F401
+from .coefficients import g_drift  # noqa: F401
 from .errors import ConcaveRegionError, DomainError
 
 __all__ = [
@@ -39,7 +45,6 @@ __all__ = [
     "ell_alpha_ab",
     "matched_alpha",
     "ell_ent_gaussian",
-    "golden_section_max",
 ]
 
 _ELL_TOL = 1e-12
@@ -55,29 +60,19 @@ class TuningResult:
     converged: bool
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10,
-                       max_iter: int = 200) -> tuple[float, int]:
-    """Golden-section search for the maximizer of a unimodal function.
+# Above this value of t = ell (2s - 1) / (2 sqrt s), the ell-derivatives of
+# f1 and g_drift are taken through the Mills-ratio gap 1 - t M(t), where
+# M(t) = Phi(-t) / pdf(t).  The direct forms cancel to a relative error of
+# about eps * t^2 (6e-5 in ell_star at s = 1e6, 45% at s = 1e8).  No bracket
+# of a solve at s <= 1e3 reaches this t.
+_GAP_T = 4e3
 
-    Returns (argmax, iterations).  Correct for any strictly unimodal fn;
-    resolution is limited to roughly sqrt(eps) near a smooth maximum.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1_val, f2_val = fn(x1), fn(x2)
-    iterations = 0
-    while hi - lo > tol and iterations < max_iter:
-        if f1_val < f2_val:
-            lo, x1, f1_val = x1, x2, f2_val
-            x2 = lo + inv_phi * (hi - lo)
-            f2_val = fn(x2)
-        else:
-            hi, x2, f2_val = x2, x1, f1_val
-            x1 = hi - inv_phi * (hi - lo)
-            f1_val = fn(x1)
-        iterations += 1
-    return 0.5 * (lo + hi), iterations
+
+def _scaled_mills_gap(t: float) -> float:
+    # t^2 (1 - t M(t)) by its asymptotic series 1 - 3/t^2 + 15/t^4; the first
+    # omitted term is below 1e-19 for t >= _GAP_T
+    u = 1.0 / (t * t)
+    return 1.0 - 3.0 * u * (1.0 - 5.0 * u)
 
 
 def _d_f1_d_ell(s: float, ell: float) -> float:
@@ -87,10 +82,24 @@ def _d_f1_d_ell(s: float, ell: float) -> float:
         return (2.0 * ell - ell**3) * math.exp(-0.5 * ell * ell)
     root_s = math.sqrt(s)
     value = f1(s, ell)
+    t = ell * ((s - 0.5) / root_s)
+    if t > _GAP_T:
+        density = math.exp(-ell * ell / (8.0 * s)) / _SQRT_2PI
+        return 2.0 * value / ell - 2.0 * root_s * density * (ell / t) ** 2 * _scaled_mills_gap(t)
     tail = -math.sqrt(2.0 * s / math.pi) * math.exp(-ell * ell / (8.0 * s)) + ell * phi(
         -0.5 * ell / root_s
     )
     return (2.0 / ell - ell * (1.0 - s)) * value + ell * ell * tail
+
+
+def _d_drift_d_ell(s: float, ell: float) -> float:
+    # ell-derivative of g_drift(s, 1, ell) = ell^2 E, E = _exp_phi_term(s, 1, ell)
+    # = density * M(t): ell ((2 - ell^2/(4s)) E - t density (1 - t M(t)))
+    density = math.exp(-ell * ell / (8.0 * s)) / _SQRT_2PI
+    term = _exp_phi_term(s, 1.0, ell)
+    t = ell * ((s - 0.5) / math.sqrt(s))
+    t_gap = density * _scaled_mills_gap(t) / t if t > _GAP_T else t * (density - t * term)
+    return ell * ((2.0 - ell * ell / (4.0 * s)) * term - t_gap)
 
 
 @lru_cache(maxsize=1)
@@ -112,29 +121,34 @@ def _bracket_high(s: float) -> float:
     return max(6.0, 3.0 * x_star() * math.sqrt(s))
 
 
-def ell_star(s: float) -> TuningResult:
-    """Unique maximizer of ell -> f1(s, ell) on (0, inf).
-
-    Solved as the root of the analytic ell-derivative, which a value-only
-    search cannot locate to the contracted 1e-8 accuracy (comparisons of
-    nearly equal maxima drown in roundoff at the sqrt(eps) scale).
-    """
-    if s < 0.0 or math.isnan(s):
-        raise DomainError(f"moment ratio s must be >= 0, got {s!r}")
-    lo = 1e-6
-    hi = _bracket_high(s)
+def _bracketed_root(fn, objective, lo: float, hi: float) -> TuningResult:
+    # Root of fn, which is positive left of its one root and negative right
+    # of it.  lo shrinks by 1e-2 while fn(lo) <= 0 (an acceptance target
+    # within rounding of 1 puts the root below any fixed lo); hi doubles
+    # while fn(hi) > 0.  Both expansions count as iterations.
     expansions = 0
-    while _d_f1_d_ell(s, hi) > 0.0 and expansions < 60:
+    while fn(lo) <= 0.0 and lo > 1e-300:
+        lo *= 1e-2
+        expansions += 1
+    while fn(hi) > 0.0 and expansions < 200:
         hi *= 2.0
         expansions += 1
-    root, info = optimize.brentq(
-        lambda ell: _d_f1_d_ell(s, ell), lo, hi, xtol=_ELL_TOL, full_output=True
-    )
+    root, info = optimize.brentq(fn, lo, hi, xtol=_ELL_TOL, full_output=True)
+    root = float(root)
     return TuningResult(
-        ell=float(root),
-        objective_value=f1(s, float(root)),
+        ell=root,
+        objective_value=objective(root),
         iterations=info.iterations + expansions,
         converged=info.converged,
+    )
+
+
+def ell_star(s: float) -> TuningResult:
+    """Unique maximizer of ell -> f1(s, ell) on (0, inf)."""
+    if s < 0.0 or math.isnan(s):
+        raise DomainError(f"moment ratio s must be >= 0, got {s!r}")
+    return _bracketed_root(
+        lambda ell: _d_f1_d_ell(s, ell), lambda ell: f1(s, ell), 1e-6, _bracket_high(s)
     )
 
 
@@ -167,23 +181,8 @@ def ell_alpha(s: float, alpha: float) -> TuningResult:
         raise DomainError(f"moment ratio s must be > 0, got {s!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"target acceptance alpha must lie in (0, 1), got {alpha!r}")
-    lo = 1e-9
-    expansions = 0
-    while j_curve(s, lo) <= alpha and lo > 1e-300:
-        lo *= 1e-2  # targets within rounding of 1 push the root toward 0
-        expansions += 1
-    hi = 1.0
-    while j_curve(s, hi) > alpha and expansions < 200:
-        hi *= 2.0
-        expansions += 1
-    root, info = optimize.brentq(
-        lambda ell: j_curve(s, ell) - alpha, lo, hi, xtol=_ELL_TOL, full_output=True
-    )
-    return TuningResult(
-        ell=float(root),
-        objective_value=j_curve(s, float(root)),
-        iterations=info.iterations + expansions,
-        converged=info.converged,
+    return _bracketed_root(
+        lambda ell: j_curve(s, ell) - alpha, lambda ell: j_curve(s, ell), 1e-9, 1.0
     )
 
 
@@ -232,47 +231,33 @@ def _entropy_derivative_objective(m: float, s: float, ell: float) -> float:
     return rate - (rate + 2.0 * m * m * drift) / (s - m * m)
 
 
-# Grid resolution for the global scan that seeds the local refinement of the
-# entropy-derivative objective (which is not known to be unimodal).
-_ENT_SCAN_POINTS = 64
-
-
 def ell_ent_gaussian(m: float, s: float) -> TuningResult:
     """Minimizer over ell of the Gaussian entropy time-derivative.
 
-    At the equilibrium point (m, s) == (0, 1) the objective vanishes
-    identically; by convention the rate-optimal ell_star(1) is returned
-    there (continuity with nearby states).
+    The ell-derivative of the objective is negative near ell = 0 and changes
+    sign once.  At the equilibrium point (m, s) == (0, 1), or where m^2
+    underflows to 0 at s == 1, the objective vanishes identically; by
+    convention the rate-optimal ell_star(1) is returned there (continuity
+    with nearby states).
     """
     if math.isnan(m) or math.isnan(s):
         raise DomainError("moments must be finite numbers")
-    if not s > m * m:
+    m2 = m * m
+    if not s > m2:
         raise DomainError(
             f"second moment must exceed squared mean, got s={s!r}, m={m!r}"
         )
-    if m == 0.0 and s == 1.0:
+    if m2 == 0.0 and s == 1.0:
         base = ell_star(1.0)
         return TuningResult(base.ell, 0.0, base.iterations, base.converged)
 
-    hi = _bracket_high(max(s, 1.0))
-    lo = 1e-4
-    ratio = (hi / lo) ** (1.0 / (_ENT_SCAN_POINTS - 1))
-    best_idx, best_val, grid = 0, math.inf, []
-    x = lo
-    for idx in range(_ENT_SCAN_POINTS):
-        grid.append(x)
-        val = _entropy_derivative_objective(m, s, x)
-        if val < best_val:
-            best_idx, best_val = idx, val
-        x *= ratio
-    ref_lo = grid[max(best_idx - 1, 0)]
-    ref_hi = grid[min(best_idx + 1, _ENT_SCAN_POINTS - 1)]
-    ell, iterations = golden_section_max(
-        lambda e: -_entropy_derivative_objective(m, s, e), ref_lo, ref_hi, tol=1e-10
-    )
-    return TuningResult(
-        ell=ell,
-        objective_value=_entropy_derivative_objective(m, s, ell),
-        iterations=iterations + _ENT_SCAN_POINTS,
-        converged=True,
+    f1_weight = (1.0 - s) * (s - m2 - 1.0)
+
+    def descent(ell: float) -> float:
+        # -(s - m^2) times the ell-derivative of the objective
+        return 2.0 * m2 * _d_drift_d_ell(s, ell) - f1_weight * _d_f1_d_ell(s, ell)
+
+    return _bracketed_root(
+        descent, lambda ell: _entropy_derivative_objective(m, s, ell),
+        1e-6, _bracket_high(max(s, 1.0)),
     )

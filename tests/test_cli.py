@@ -205,6 +205,9 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["simulate", "--kind", "particles", "--n", "-3"],
     ["simulate", "--kind", "particles", "--t-max", "-1"],
     ["simulate", "--kind", "ode", "--t-max", "-5"],
+    ["simulate", "--kind", "ode", "--dt", "inf"],
+    ["simulate", "--kind", "particles", "--dt", "inf"],
+    ["simulate", "--kind", "mala", "--sigma", "inf", "--n", "20", "--steps", "5"],
     ["experiment", "--config", "."],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mhscaling.chains import ConstantAccNumeric, ConstantEll, RateOptimal, chain_rng, run_mala
+from mhscaling.chains import (
+    ConstantAccNumeric,
+    ConstantEll,
+    RateOptimal,
+    chain_rng,
+    run_mala,
+    strategy_from_label,
+)
 from mhscaling.coefficients import f1, g_drift, gamma, phi
 from mhscaling.errors import DomainError
 from mhscaling.limits import (
@@ -124,6 +131,42 @@ def test_ode_policies_follow_tuning_rules():
     assert policy_ell(ConstantEll(1.1), 5.0, 30.0) == 1.1
 
 
+def test_ode_solves_the_policy_once_per_refresh():
+    calls = []
+
+    class Counting(ConstantEll):
+        def scale(self, a, b, m, s, n, theta=None):
+            calls.append((m, s))
+            return super().scale(a, b, m, s, n, theta)
+
+    traj = integrate_gaussian_ode(1.0, 4.0, Counting(1.5), dt=1e-2, t_max=0.5)
+    assert len(traj.t) - 1 == 50 and len(calls) == 50
+    calls.clear()
+    integrate_gaussian_ode(1.0, 4.0, Counting(1.5), dt=1e-2, t_max=0.5, policy_every=3)
+    assert len(calls) == 17  # steps 0, 3, ..., 48
+
+
+@pytest.mark.parametrize("label", ["constant:2.38", "star", "alpha:0.27", "ent"])
+def test_ode_entropy_dissipation_bound(label):
+    # dH/dt <= -f1(s, ell) I / 2 along the moment flow, with I = m^2 + (v-1)^2/v
+    # the Fisher information of N(m, v) relative to N(0, 1); equality for
+    # m = 0.  dH/dt is a central difference of the recorded entropy, and the
+    # scale in effect at a state is the one recorded on the step leaving it.
+    dt = 1e-3
+    strategy = strategy_from_label(label)
+    for m0, s0 in ((0.0, 4.0), (0.0, 0.25), (2.0, 6.0), (3.0, 13.0)):
+        traj = integrate_gaussian_ode(m0, s0, strategy, dt=dt, t_max=1.0)
+        dh = (traj.entropy[2:] - traj.entropy[:-2]) / (2.0 * dt)
+        m, s, ell = traj.m[1:-1], traj.s[1:-1], traj.ell[2:]
+        v = s - m * m
+        fisher = m * m + (v - 1.0) ** 2 / v
+        rate = np.array([f1(float(si), float(li)) for si, li in zip(s, ell)])
+        bound = -0.5 * rate * fisher
+        assert np.all(dh <= bound + 1e-3 * np.abs(bound)), (m0, s0)
+        if m0 == 0.0:
+            np.testing.assert_allclose(dh, bound, rtol=1e-3)
+
+
 def test_meanfield_pure_diffusion_with_flat_potential():
     def zeros(x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -177,8 +220,9 @@ def test_meanfield_tracks_ode():
 def test_ensemble_validation():
     with pytest.raises(DomainError):
         make_ensemble(np.zeros(1), dt=1e-2, rng=chain_rng(0))
-    with pytest.raises(DomainError):
-        make_ensemble(np.zeros(10), dt=0.0, rng=chain_rng(0))
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            make_ensemble(np.zeros(10), dt=dt, rng=chain_rng(0))
 
 
 def test_entropy_rate_bound():
@@ -238,7 +282,7 @@ def test_limit_integrators_refuse_bad_horizon():
             integrate_particles(pe, gaussian_potential(), 1.0, t_max=t_max)
         with pytest.raises(DomainError):
             integrate_mala_second_moment(4.0, 1.4, dt=1e-3, t_max=t_max)
-    for dt in (0.0, -1e-3):
+    for dt in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(DomainError):
             integrate_mala_second_moment(4.0, 1.4, dt=dt, t_max=1.0)
     # a zero-length horizon gives the start row alone
@@ -275,7 +319,8 @@ def test_mala_z_small_ell_limit():
 
 
 def test_mala_z_optimum_universal_acceptance():
-    opt = mala_z_optimum(wiggly_potential())
+    p = wiggly_potential()
+    opt = mala_z_optimum(p)
     assert opt.acceptance == pytest.approx(0.574, abs=1e-3)
     # independent root of the optimality condition 2 Phi(-u) = 3 u pdf(u)
     def crit(u):
@@ -288,7 +333,11 @@ def test_mala_z_optimum_universal_acceptance():
             lo = mid
         else:
             hi = mid
-    assert opt.acceptance == pytest.approx(2.0 * phi(-0.5 * (lo + hi)), abs=1e-6)
+    assert opt.acceptance == pytest.approx(2.0 * phi(-0.5 * (lo + hi)), rel=1e-12)
+    # ell is the argmax of the speed, whose relative curvature there is O(1)
+    assert opt.z_value == pytest.approx(mala_z_stationary(p, opt.ell), rel=1e-14)
+    for factor in (1.0 - 1e-5, 1.0 + 1e-5):
+        assert mala_z_stationary(p, opt.ell * factor) < opt.z_value
 
 
 def test_ar1_variance_and_recursion():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,6 @@ from mhscaling.tuning import (
     ell_ent_gaussian,
     ell_star,
     ell_star_ab,
-    golden_section_max,
     matched_alpha,
     x_star,
 )
@@ -163,15 +163,12 @@ def test_f1_unimodality_single_sign_change():
         assert changes == 1, (s, changes)
 
 
-def test_golden_section_max_quadratic():
-    argmax, _ = golden_section_max(lambda x: -(x - 2.3) ** 2, 0.0, 10.0)
-    assert argmax == pytest.approx(2.3, abs=1e-7)
-
-
 def test_ell_ent_gaussian_degenerate_convention():
-    res = ell_ent_gaussian(0.0, 1.0)
-    assert res.ell == pytest.approx(ell_star(1.0).ell, rel=1e-12)
-    assert res.objective_value == 0.0
+    # m = 1e-200 squares to 0, so the objective vanishes there too
+    for m in (0.0, 1e-200):
+        res = ell_ent_gaussian(m, 1.0)
+        assert res.ell == pytest.approx(ell_star(1.0).ell, rel=1e-12)
+        assert res.objective_value == 0.0
 
 
 def test_ell_ent_gaussian_zero_mean_matches_rate_optimal():
@@ -206,3 +203,64 @@ def test_ell_ent_gaussian_domain():
         ell_ent_gaussian(2.0, 4.0)
     with pytest.raises(DomainError):
         ell_ent_gaussian(1.0, 0.5)
+
+
+def _mp_ent_objective(m, s, ell):
+    # the same objective in 50-digit arithmetic, from the closed forms
+    # f1 = ell^2 (Phi(-ell / (2 sqrt s)) + (1 - 2s) E) / (1 - s) and
+    # g_drift = ell^2 E, E = exp(ell^2 (s - 1) / 2) Phi(ell (1 / (2 sqrt s) - sqrt s))
+    root_s = mpmath.sqrt(s)
+    e = mpmath.exp(ell * ell * (s - 1) / 2) * mpmath.ncdf(ell * (1 / (2 * root_s) - root_s))
+    rate = ell * ell * (mpmath.ncdf(-ell / (2 * root_s)) + (1 - 2 * s) * e)
+    drift = ell * ell * e
+    return rate - (rate + 2 * m * m * drift) / (s - m * m)
+
+
+def _mp_derivative_root(fn, bracket):
+    # root of the ell-derivative of fn, by 50-digit numerical differentiation
+    with mpmath.workdps(50):
+        return float(mpmath.findroot(lambda ell: mpmath.diff(fn, ell), bracket,
+                                     solver="anderson"))
+
+
+@pytest.mark.parametrize("s", [1e3, 1e5, 1e6, 1e8, 1e12])
+def test_ell_star_matches_mpmath_root_at_large_s(s):
+    # the direct derivative form cancels to eps * s^2 here
+    def rate(ell):
+        ss = mpmath.mpf(s)
+        return _mp_ent_objective(0, ss, ell) * ss / -(1 - ss) ** 2
+
+    root_s = math.sqrt(s)
+    oracle = _mp_derivative_root(rate, (root_s, 1.5 * root_s))
+    assert ell_star(s).ell == pytest.approx(oracle, rel=1e-9)
+    assert ell_ent_gaussian(0.0, s).ell == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("m,s", [(3.0, 10.0), (1.0, 2.0), (-2.0, 6.0), (0.5, 0.3),
+                                 (0.1, 0.02), (10.0, 200.0), (1.9, 4.0), (0.0, 4.0),
+                                 (900.0, 1e6)])
+def test_ell_ent_gaussian_matches_mpmath_derivative_root(m, s):
+    # the minimizer is a root of the objective's ell-derivative, taken here by
+    # high-precision numerical differentiation and bracketed by a coarse scan
+    grid = np.geomspace(1e-2, 10.0 * math.sqrt(max(s, 1.0)), 400)
+    idx = int(np.argmin([_ent_objective(m, s, float(ell)) for ell in grid]))
+    oracle = _mp_derivative_root(
+        lambda ell: _mp_ent_objective(mpmath.mpf(m), mpmath.mpf(s), ell),
+        (grid[idx - 1], grid[idx + 1]),
+    )
+    assert ell_ent_gaussian(m, s).ell == pytest.approx(oracle, rel=1e-10)
+
+
+def test_ent_objective_single_fall_then_rise():
+    # the root-finding rule relies on one sign change of the ell-derivative;
+    # checked on geometric grids for s < 1, s >> 1 and m^2 near s
+    for s in (0.02, 0.3, 0.9, 2.0, 10.0, 100.0, 500.0):
+        for frac in (0.0, 0.5, 0.9, 0.999):
+            m = frac * math.sqrt(s)
+            hi = max(6.0, 3.0 * x_star() * math.sqrt(max(s, 1.0)))
+            grid = np.geomspace(1e-3, hi, 1000)
+            vals = np.array([_ent_objective(m, s, float(ell)) for ell in grid])
+            diffs = np.diff(vals)
+            signs = np.sign(diffs[np.abs(diffs) > 1e-12 * np.max(np.abs(vals))])
+            changes = int(np.sum(signs[1:] != signs[:-1]))
+            assert signs[0] < 0 and changes == 1, (m, s, changes)
