@@ -6,13 +6,18 @@ with ``ell`` supplied by a pluggable :class:`Strategy`; the Langevin-adjusted
 chain (``mala_step``) uses a drift-corrected proposal with the acceptance
 exponent written out explicitly.
 
-RNG discipline: each chain owns one counter-based generator (Philox) seeded
-from a master seed; replicate independence comes from spawned seed sequences.
-Within a step the n proposal normals are drawn as one block, so coordinate i
-consumes position i of the block, and a single uniform decides acceptance.
+Random walk chains run as rows of one batch (:func:`run_chains`): an
+``(R, n)`` array stepped by one kernel, which does the O(R n) work on arrays
+and whatever sets a row's bits (its draws, scale and exp) row by row.  A
+single chain (:func:`run_chain`, :func:`rwm_step`) is a batch of one.
 
-A ChainState is confined to one worker at a time; potentials and strategies
-are immutable and shareable.
+RNG discipline: each chain, or row, owns one counter-based generator
+(Philox) seeded from a master seed; replicate independence comes from
+spawned seed sequences.  Within a step the n proposal normals are drawn as
+one block, so coordinate i consumes position i of the block, and then a
+single uniform decides acceptance.  A row's stream does not depend on the
+other rows of its batch.  Potentials and strategies are immutable and
+shareable.
 """
 
 from __future__ import annotations
@@ -37,10 +42,13 @@ __all__ = [
     "strategy_from_label",
     "ChainState",
     "StepRecord",
+    "ChainRuns",
+    "RECORD_FIELDS",
     "chain_rng",
     "adaptive_update",
     "rwm_step",
     "mala_step",
+    "run_chains",
     "run_chain",
     "run_mala",
 ]
@@ -214,32 +222,17 @@ def strategy_from_label(text: str) -> Strategy:
 
 
 @dataclass
-class _Summary:
-    """What a step needs to know of the point ``coords`` under ``potential``."""
-
-    coords: np.ndarray  # the summarised array itself; compared by identity
-    potential: Potential
-    sum_v: float
-    d1: np.ndarray
-    a_hat: float
-    b_hat: float
-    m_hat: float
-    s_hat: float
-    strategy: Strategy | None = None  # the strategy ``ell`` was chosen by
-    ell: float = math.nan
-
-
-@dataclass
 class ChainState:
     """Position, generator and counters of one chain.
 
     ``coords`` is replaced by a new array when a proposal is accepted and is
-    never mutated in place.  The step functions rely on this: they cache the
-    current point's moments, ``sum V(coords)``, ``V'(coords)`` and, for
-    non-adaptive strategies, the scale ``ell``, keyed on the identity of the
-    ``coords`` array object (and of the potential and strategy), and reuse
-    them after a rejection.  Assigning a new array to ``coords`` invalidates
-    the cache; writing into the array does not.
+    never mutated in place.  The step functions rely on this: they keep the
+    chain as a batch of one (see :func:`run_chains`) whose point summary --
+    ``sum V(coords)``, ``V'(coords)``, the moments and, for non-adaptive
+    strategies, the scale ``ell`` -- is keyed on the identity of the
+    ``coords`` array object (and of the potential and strategy), and reuse it
+    after a rejection.  Assigning a new array to ``coords`` invalidates it;
+    writing into the array does not.
     """
 
     coords: np.ndarray
@@ -247,7 +240,7 @@ class ChainState:
     k: int = 0
     theta: float | None = None
     accept_count: int = 0
-    _summary: _Summary | None = field(default=None, init=False, repr=False, compare=False)
+    _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -261,6 +254,26 @@ class StepRecord:
     # coordinate moments, consumed by the experiment estimators
     m_hat: float = field(default=math.nan)
     s_hat: float = field(default=math.nan)
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name != "k")
+
+
+@dataclass(frozen=True)
+class ChainRuns:
+    """What :func:`run_chains` records: per-step (R, steps) arrays named as
+    the fields of :class:`StepRecord`, column k - 1 holding step k (None for
+    a field not recorded), and each chain's final point and theta."""
+
+    ell_used: np.ndarray | None
+    accepted: np.ndarray | None
+    acc_prob: np.ndarray | None
+    a_hat: np.ndarray | None
+    b_hat: np.ndarray | None
+    m_hat: np.ndarray | None
+    s_hat: np.ndarray | None
+    coords: np.ndarray
+    theta: list
 
 
 def chain_rng(seed) -> np.random.Generator:
@@ -277,93 +290,141 @@ def adaptive_update(theta, acc_prob, alpha_target, k) -> float:
     return theta + float(k + 1) ** -0.6 * (acc_prob - alpha_target)
 
 
-def _summarise(coords: np.ndarray, p: Potential, v: np.ndarray,
-               d1: np.ndarray) -> _Summary:
-    return _Summary(
-        coords=coords,
-        potential=p,
-        sum_v=np.sum(v),
-        d1=d1,
-        a_hat=float(np.mean(d1 * d1)),
-        b_hat=float(np.mean(p.d2(coords))),
-        m_hat=float(np.mean(coords)),
-        s_hat=float(np.mean(coords * coords)),
-    )
+def _summarise(p: Potential, x: np.ndarray, v: np.ndarray, d1: np.ndarray):
+    # sum V, V', a_hat = mean V'^2, b_hat = mean V'', m_hat = mean x and
+    # s_hat = mean x^2 of each row of the points x.  Each row is reduced as np.sum and np.mean
+    # reduce it alone, so a row's values do not depend on the other rows.
+    means = np.add.reduce(np.array((d1 * d1, p.d2(x), x, x * x)), axis=-1) / x.shape[-1]
+    return (np.add.reduce(v, axis=-1), d1, *means)
 
 
-def _current(state: ChainState, p: Potential) -> _Summary:
-    """The summary of ``state.coords``: cached, or computed on a miss."""
-    here = state._summary
-    if here is None or here.coords is not state.coords or here.potential is not p:
-        coords = state.coords
+_SUMMARY = ("sum_v", "d1", "a_hat", "b_hat", "m_hat", "s_hat")
+
+
+class _Batch:
+    """R chains in dimension n under one potential, stepped together.
+
+    Row r has its own generator ``rngs[r]``, strategy ``strategies[r]`` and
+    adaptive ``theta[r]`` (None until an adaptive strategy first steps it),
+    and the summary of its current point (see ``_summarise``).  ``ell[r]``
+    is the scale row r's strategy chose at that point, None until chosen.
+    ``x`` is replaced, never written into, when rows move, so a row of it
+    can serve as a chain's coords.  All rows have made ``k`` steps.
+    """
+
+    def __init__(self, p: Potential, x: np.ndarray, rngs, strategies, theta):
+        self.p, self.x, self.k = p, x, 0
+        self.rngs, self.strategies, self.theta = list(rngs), list(strategies), list(theta)
+        self.ell = [None] * len(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            here = _summarise(coords, p, p.eval_v(coords), p.d1(coords))
-        if not (math.isfinite(here.sum_v) and math.isfinite(here.a_hat)):
+            summary = _summarise(p, x, p.eval_v(x), p.d1(x))
+        for name, values in zip(_SUMMARY, summary):
+            setattr(self, name, values)
+        if not (np.all(np.isfinite(self.sum_v)) and np.all(np.isfinite(self.a_hat))):
             raise DomainError("sum of V or mean V'^2 is not finite at the chain's state")
-        state._summary = here
-    return here
+
+    def here(self, r: int) -> tuple:
+        """(a_hat, b_hat, m_hat, s_hat) of row r's point, as floats."""
+        return (float(self.a_hat[r]), float(self.b_hat[r]), float(self.m_hat[r]),
+                float(self.s_hat[r]))
+
+    def move(self, accepted: list, proposal: np.ndarray, v: np.ndarray,
+             d1: np.ndarray | None = None) -> None:
+        """Move the rows flagged in ``accepted`` to their proposals, reusing
+        V(proposal) and, when the step has it, V'(proposal)."""
+        rows = [r for r, flag in enumerate(accepted) if flag]
+        for r in rows:
+            self.ell[r] = None
+        if len(rows) < len(accepted):
+            self.x = np.where(np.array(accepted)[:, None], proposal, self.x)
+            proposal, v = proposal[rows], v[rows]
+            d1 = None if d1 is None else d1[rows]
+        else:
+            self.x, rows = proposal, slice(None)
+        summary = _summarise(self.p, proposal, v, self.p.d1(proposal) if d1 is None else d1)
+        for name, values in zip(_SUMMARY, summary):
+            getattr(self, name)[rows] = values
 
 
-def _accept(state: ChainState, p: Potential, proposal: np.ndarray,
-            v: np.ndarray, d1: np.ndarray | None = None) -> None:
-    # V(proposal), and V'(proposal) when the step has it, are reused.
-    state.coords = proposal
+def _rwm_kernel(batch: _Batch):
+    """One random walk Metropolis step of every row of ``batch``.
+
+    Row r proposes x_r + (ell_r / sqrt(n)) G_r with a fresh normal block G_r
+    and accepts with probability exp(sum V(x_r) - sum V(y_r)) ^ 1, using one
+    uniform drawn from its own generator after the block.  ell_r is chosen
+    from the summary of x_r: by adaptive strategies every step, because
+    theta moves every step, by the others once per point.  The proposal, V,
+    the row sums and the refresh of moved rows are array work; the scale,
+    the draws and exp are taken row by row, so each row's bits are those of
+    a chain stepped alone.  Returns the rows' (ell, acc_prob, accepted) as
+    lists.
+    """
+    n = batch.x.shape[1]
+    root_n = math.sqrt(n)
+    ell, theta, rngs = batch.ell, batch.theta, batch.rngs
+    adaptive = []
+    for r, strategy in enumerate(batch.strategies):
+        if isinstance(strategy, ConstantAccAdaptive):
+            adaptive.append(r)
+            if theta[r] is None:  # the classic stationary-phase scale
+                theta[r] = math.log(2.38 / root_n)
+        elif ell[r] is not None:
+            continue
+        ell[r] = strategy.scale(*batch.here(r), n, theta[r])
+    ell_used = ell.copy()
+
+    noise = np.array([rng.standard_normal(n) for rng in rngs])
+    proposal = batch.x + np.array([[e / root_n] for e in ell_used]) * noise
+    v = batch.p.eval_v(proposal)
+    log_ratio = (batch.sum_v - np.add.reduce(v, axis=-1)).tolist()
+    acc_prob = [math.exp(min(d, 0.0)) for d in log_ratio]
+    accepted = [rng.uniform() <= prob for rng, prob in zip(rngs, acc_prob)]
+    for r in adaptive:
+        theta[r] = adaptive_update(theta[r], acc_prob[r], batch.strategies[r].alpha, batch.k)
+    if any(accepted):
+        batch.move(accepted, proposal, v)
+    batch.k += 1
+    return ell_used, acc_prob, accepted
+
+
+def _current(state: ChainState, p: Potential) -> _Batch:
+    """``state`` as a batch of one: cached, or summarised on a miss."""
+    cached = state._batch
+    if cached is None or cached[0] is not state.coords or cached[1].p is not p:
+        batch = _Batch(p, state.coords.reshape(1, -1), [state.rng], [None], [state.theta])
+        state._batch = cached = (state.coords, batch)
+    return cached[1]
+
+
+def _moved(state: ChainState, batch: _Batch) -> None:
+    state.coords = batch.x[0]
     state.accept_count += 1
-    state._summary = _summarise(proposal, p, v, p.d1(proposal) if d1 is None else d1)
-
-
-def _record(state: ChainState, here: _Summary, ell, accepted, acc_prob) -> StepRecord:
-    return StepRecord(
-        k=state.k,
-        ell_used=ell,
-        accepted=bool(accepted),
-        acc_prob=acc_prob,
-        a_hat=here.a_hat,
-        b_hat=here.b_hat,
-        m_hat=here.m_hat,
-        s_hat=here.s_hat,
-    )
+    state._batch = (state.coords, batch)
 
 
 def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
     """One random walk Metropolis step over all coordinates.
 
-    Proposes coords + (ell / sqrt(n)) * G with a fresh normal block G and
-    accepts with probability exp(sum V(x) - sum V(y)) ^ 1 using a single
-    uniform.  The moments in the record, and ell, are those of the current
-    coordinate vector; they are computed when the chain reaches it and reused
-    while the chain rejects (see :class:`ChainState`).  Adaptive strategies
-    choose ell afresh every step, because theta moves every step.
+    The chain is stepped by the batch kernel of :func:`run_chains` as a
+    batch of one.  The moments in the record, and ell, are those of the
+    current coordinate vector; they are computed when the chain reaches it
+    and reused while the chain rejects (see :class:`ChainState`).
     """
-    coords = state.coords
-    n = coords.size
-    here = _current(state, p)
-    adaptive = isinstance(strategy, ConstantAccAdaptive)
-    if adaptive:
-        if state.theta is None:  # the classic stationary-phase scale
-            state.theta = math.log(2.38 / math.sqrt(n))
-        ell = strategy.scale(here.a_hat, here.b_hat, here.m_hat, here.s_hat, n, state.theta)
-    else:
-        if here.strategy is not strategy:
-            here.ell = strategy.scale(here.a_hat, here.b_hat, here.m_hat, here.s_hat, n)
-            here.strategy = strategy
-        ell = here.ell
+    batch = _current(state, p)
+    if batch.strategies[0] is not strategy:
+        batch.strategies, batch.ell = [strategy], [None]
+    batch.rngs, batch.theta, batch.k = [state.rng], [state.theta], state.k
+    here = batch.here(0)
+    ell, acc_prob, accepted = _rwm_kernel(batch)
+    state.k, state.theta = batch.k, batch.theta[0]
+    if accepted[0]:
+        _moved(state, batch)
+    return state, StepRecord(state.k, ell[0], accepted[0], acc_prob[0], *here)
 
-    sigma = ell / math.sqrt(n)
-    noise = state.rng.standard_normal(n)
-    proposal = coords + sigma * noise
-    v_proposal = p.eval_v(proposal)
-    log_ratio = float(here.sum_v - np.sum(v_proposal))
-    acc_prob = math.exp(min(log_ratio, 0.0))
-    accepted = state.rng.uniform() <= acc_prob
-    if accepted:
-        _accept(state, p, proposal, v_proposal)
 
-    if adaptive:
-        state.theta = adaptive_update(state.theta, acc_prob, strategy.alpha, state.k)
-
-    state.k += 1
-    return state, _record(state, here, ell, accepted, acc_prob)
+def _check_sigma(sigma) -> None:
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
 
 
 def mala_step(state: ChainState, p: Potential, sigma: float):
@@ -377,11 +438,11 @@ def mala_step(state: ChainState, p: Potential, sigma: float):
     in the record, sum V(x) and V'(x) are those of the current coordinate
     vector, computed when the chain reaches it and reused while it rejects.
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
+    _check_sigma(sigma)
     coords = state.coords
-    here = _current(state, p)
-    d1_here = here.d1
+    batch = _current(state, p)
+    here = batch.here(0)
+    d1_here = batch.d1[0]
 
     noise = state.rng.standard_normal(coords.size)
     jump = sigma * noise - 0.5 * sigma * sigma * d1_here
@@ -390,20 +451,65 @@ def mala_step(state: ChainState, p: Potential, sigma: float):
     reverse = noise - 0.5 * sigma * (d1_here + d1_proposal)
     v_proposal = p.eval_v(proposal)
     exponent = float(
-        here.sum_v
+        batch.sum_v[0]
         - np.sum(v_proposal)
         + 0.5 * (np.sum(noise * noise) - np.sum(reverse * reverse))
     )
     acc_prob = math.exp(min(exponent, 0.0))
     accepted = state.rng.uniform() <= acc_prob
     if accepted:
-        _accept(state, p, proposal, v_proposal, d1_proposal)
+        batch.move([True], proposal[None], v_proposal[None], d1_proposal[None])
+        _moved(state, batch)
     state.k += 1
-    return state, _record(state, here, sigma, accepted, acc_prob)
+    return state, StepRecord(state.k, sigma, bool(accepted), acc_prob, *here)
 
 
-def _run(init, p, steps, record_every, rng, step_fn):
-    coords = np.array(init, dtype=float).reshape(-1).copy()
+def run_chains(inits, p: Potential, strategies, steps: int, *, rngs,
+               record=RECORD_FIELDS) -> ChainRuns:
+    """Run R random walk chains as one batch; deterministic for given
+    generator states.
+
+    Chain r starts at ``inits[r]`` (all of one dimension n), moves by
+    ``strategies[r]`` and draws only from ``rngs[r]``: each step n normals,
+    then one uniform.  Its records are bit for bit those of
+    :func:`run_chain` on the same generator, whatever the other rows do.
+    ``record`` names the :class:`StepRecord` fields to keep.
+    """
+    x = np.array(inits, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise DomainError(
+            f"initial states must be R rows of n >= 1 coordinates, got shape {x.shape}"
+        )
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps!r}")
+    if not len(strategies) == len(rngs) == len(x):
+        raise DomainError(
+            f"need one strategy and one generator per chain: {len(x)} chains, "
+            f"{len(strategies)} strategies, {len(rngs)} generators"
+        )
+    unknown = set(record) - set(RECORD_FIELDS)
+    if unknown:
+        raise DomainError(f"cannot record {sorted(unknown)}; fields are {RECORD_FIELDS}")
+    batch = _Batch(p, x, rngs, strategies, [None] * len(x))
+    out = {name: np.empty((len(x), steps), dtype=bool if name == "accepted" else float)
+           for name in record}
+    # the moments recorded at a step are those of the point it starts from
+    moments = [(out[name], name) for name in ("a_hat", "b_hat", "m_hat", "s_hat")
+               if name in out]
+    outcome = [(out[name], i) for i, name in enumerate(("ell_used", "acc_prob", "accepted"))
+               if name in out]
+    for k in range(steps):
+        for column, name in moments:
+            column[:, k] = getattr(batch, name)
+        result = _rwm_kernel(batch)
+        for column, i in outcome:
+            column[:, k] = result[i]
+    return ChainRuns(**{name: out.get(name) for name in RECORD_FIELDS},
+                     coords=batch.x, theta=batch.theta)
+
+
+def _run(init, steps, record_every, rng, step_fn):
+    coords = np.array(init, dtype=float).reshape(-1)
     if coords.size < 1:
         raise DomainError("initial state must have at least one coordinate")
     if record_every < 1:
@@ -424,10 +530,12 @@ def run_chain(init, p: Potential, strategy: Strategy, steps: int,
     """Run a random walk chain; deterministic for a given generator state.
 
     Returns (records, final_state) where records holds every
-    ``record_every``-th StepRecord.
+    ``record_every``-th StepRecord.  The chain is a batch of one stepped by
+    :func:`rwm_step`; its records equal those of the same chain in a
+    :func:`run_chains` batch.
     """
     return _run(
-        init, p, steps, record_every, rng,
+        init, steps, record_every, rng,
         lambda state: rwm_step(state, p, strategy),
     )
 
@@ -435,7 +543,8 @@ def run_chain(init, p: Potential, strategy: Strategy, steps: int,
 def run_mala(init, p: Potential, sigma: float, steps: int,
              record_every: int = 1, *, rng: np.random.Generator):
     """Run a Langevin-adjusted chain at fixed proposal std sigma."""
+    _check_sigma(sigma)
     return _run(
-        init, p, steps, record_every, rng,
+        init, steps, record_every, rng,
         lambda state: mala_step(state, p, sigma),
     )

@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="gaussian", help="target potential for presets")
     p_exp.add_argument("--seed", type=int, default=0, help="master seed for presets")
     p_exp.add_argument("--threads", type=int, default=None,
-                       help="worker processes; os.cpu_count() if not given")
+                       help="accepted for compatibility; has no effect (a sweep "
+                            "runs all its chains as one batch in one process)")
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(fn=_cmd_experiment)
 

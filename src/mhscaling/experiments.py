@@ -6,21 +6,23 @@ moments approach their equilibrium values as the burn-in grows.  The
 relative-loss surface compares the constant-acceptance rule against the
 rate-optimal one across a grid of moment pairs.
 
-Replicates are embarrassingly parallel and scheduled on a process pool;
-aggregation is a deterministic reduction ordered by replicate index, so runs
-with the same config (seed included) are byte-identical.
+Every (strategy, replicate) chain of a sweep is a row of one batch stepped
+by :func:`mhscaling.chains.run_chains`; each row draws only from its own
+generator, and aggregation is a deterministic reduction ordered by replicate
+index, so runs with the same config (seed included) are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import chain_rng, run_chain, strategy_from_label
+from .chains import chain_rng, run_chains, strategy_from_label
+# run_chain is not called here; it stays importable as experiments.run_chain,
+# a name the per-layer trace of perfbench/ wraps
+from .chains import run_chain  # noqa: F401
 from .coefficients import f_rate
 from .errors import DomainError
 from .targets import (
@@ -175,54 +177,43 @@ def aggregate_bias(samples_s, samples_m, ref_s, ref_m, t0: int = 0,
     )
 
 
-def _replicate_estimates(args):
-    """One chain; returns the estimator values at every burn-in."""
-    cfg, strategy, seed_seq = args
-    p = potential_by_name(cfg.target)
-    rng = chain_rng(seed_seq)
-    coords = initial_coords(cfg.init_kind, cfg.init_params, cfg.n, p, rng)
-    steps = max(cfg.t0_grid) + cfg.window
-    records, _ = run_chain(coords, p, strategy, steps=steps, record_every=1, rng=rng)
-    est_s = [estimator_s(records, t0, cfg.window) for t0 in cfg.t0_grid]
-    est_m = [estimator_m(records, t0, cfg.window) for t0 in cfg.t0_grid]
-    return est_s, est_m
-
-
 def square_bias_sweep(cfg: ExperimentConfig, workers: int | None = None):
     """Run the full sweep; returns a list of BiasCurve rows.
 
     One chain of length max(t0) + T serves every burn-in value of a
     replicate (the per-t0 estimator laws are unchanged; only their coupling
-    across t0 differs, which the bias and stderr do not see).
+    across t0 differs, which the bias and stderr do not see).  All chains
+    run as one batch in this process; ``workers`` is accepted for
+    compatibility and has no effect.
+
+    Stream layout: the chain of strategy i and replicate r draws from a
+    Philox generator on child i * R + r of SeedSequence(seed).spawn(S * R),
+    first its start coordinates, then, each step, n normals and one uniform.
     """
     p = potential_by_name(cfg.target)
     ref_m, ref_s = stationary_coordinate_moments(p)
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(len(cfg.strategies) * cfg.replicates)
-    jobs = []
-    for i, strategy in enumerate(cfg.strategies):
-        for r in range(cfg.replicates):
-            jobs.append((cfg, strategy, children[i * cfg.replicates + r]))
-
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_estimates, jobs, chunksize=1))
-    else:
-        results = [_replicate_estimates(job) for job in jobs]
-
-    curves = []
     per_strategy = cfg.replicates
+    children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.strategies) * per_strategy)
+    rngs = [chain_rng(child) for child in children]
+    inits = [initial_coords(cfg.init_kind, cfg.init_params, cfg.n, p, rng) for rng in rngs]
+    strategies = [s for s in cfg.strategies for _ in range(per_strategy)]
+    steps = max(cfg.t0_grid) + cfg.window
+    runs = run_chains(inits, p, strategies, steps, rngs=rngs, record=("m_hat", "s_hat"))
+
+    # (chain, t0) estimator values: window means of the per-step moments
+    def windows(per_step):
+        return np.stack([per_step[:, t0 : t0 + cfg.window].mean(axis=1)
+                         for t0 in cfg.t0_grid], axis=1)
+
+    all_s, all_m = windows(runs.s_hat), windows(runs.m_hat)
+    curves = []
     for i, strategy in enumerate(cfg.strategies):
-        block = results[i * per_strategy : (i + 1) * per_strategy]
-        all_s = np.array([est_s for est_s, _ in block])
-        all_m = np.array([est_m for _, est_m in block])
+        block = slice(i * per_strategy, (i + 1) * per_strategy)
         for j, t0 in enumerate(cfg.t0_grid):
             curves.append(
                 aggregate_bias(
-                    all_s[:, j],
-                    all_m[:, j],
+                    all_s[block, j],
+                    all_m[block, j],
                     ref_s,
                     ref_m,
                     t0=t0,

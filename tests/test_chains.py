@@ -9,6 +9,7 @@ from scipy import stats
 from mhscaling import tuning
 from mhscaling.chains import (
     DEFAULT_ELL_CAP,
+    RECORD_FIELDS,
     ChainState,
     ConstantAccAdaptive,
     ConstantAccNumeric,
@@ -19,6 +20,7 @@ from mhscaling.chains import (
     chain_rng,
     mala_step,
     run_chain,
+    run_chains,
     run_mala,
     rwm_step,
     strategy_from_label,
@@ -184,13 +186,15 @@ def test_acceptance_rate_tracks_limit_as_n_grows():
     t_grid = (0.2, 0.4, 0.6, 0.8, 1.0)
 
     def tracking_dev(n, reps, seed0):
+        # the reps chains run as one batch; chain r is the run_chain of
+        # chain_rng(seed0 + r), bit for bit
         window = max(1, n // 20)
         sums = dict.fromkeys(t_grid, 0.0)
-        for r in range(reps):
-            rng = chain_rng(seed0 + r)
-            init = mu0 + math.sqrt(var0) * rng.standard_normal(n)
-            records, _ = run_chain(init, p, ConstantEll(ell), steps=n, rng=rng)
-            probs = np.array([rec.acc_prob for rec in records])
+        rngs = [chain_rng(seed0 + r) for r in range(reps)]
+        inits = [mu0 + math.sqrt(var0) * rng.standard_normal(n) for rng in rngs]
+        runs = run_chains(inits, p, [ConstantEll(ell)] * reps, steps=n, rngs=rngs,
+                          record=("acc_prob",))
+        for probs in runs.acc_prob:
             for t in t_grid:
                 center = min(int(n * t), n - 1)
                 lo = max(0, center - window // 2)
@@ -413,3 +417,121 @@ def test_rate_optimal_solves_once_per_point(monkeypatch):
                            steps=300, rng=chain_rng(4))
     assert calls == 1 + sum(r.accepted for r in records[:-1])
     assert calls < len(records)
+
+
+def _alone(init, p, strategy, steps, rng):
+    # A chain stepped alone with whole-vector numpy reductions and its own
+    # scale cache: the reference the batch kernel's rows must match.
+    x = np.array(init, dtype=float)
+    n = x.size
+    theta = math.log(2.38 / math.sqrt(n)) if isinstance(strategy, ConstantAccAdaptive) else None
+
+    def summary(x):
+        d1 = p.d1(x)
+        return np.sum(p.eval_v(x)), (float(np.mean(d1 * d1)), float(np.mean(p.d2(x))),
+                                     float(np.mean(x)), float(np.mean(x * x)))
+
+    sum_v, here = summary(x)
+    ell, rows = None, []
+    for k in range(steps):
+        if theta is not None or ell is None:
+            ell = strategy.scale(*here, n, theta)
+        y = x + ell / math.sqrt(n) * rng.standard_normal(n)
+        acc_prob = math.exp(min(float(sum_v - np.sum(p.eval_v(y))), 0.0))
+        accepted = rng.uniform() <= acc_prob
+        rows.append((ell, accepted, acc_prob, *here))
+        if theta is not None:
+            theta = adaptive_update(theta, acc_prob, strategy.alpha, k)
+        if accepted:
+            x, ell = y, None
+            sum_v, here = summary(x)
+    return [np.array(column) for column in zip(*rows)], x
+
+
+FIVE_SPECS = ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "ent")
+
+
+@pytest.mark.parametrize("target, starts, specs", [
+    ("gaussian", ("point:10", "gaussian:0,1"), FIVE_SPECS),
+    ("double-well", ("gaussian:0,1", "point:3"), FIVE_SPECS[:4]),
+])
+def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
+    # Each row of a mixed batch must give, bit for bit, the records and end
+    # point of the same chain run alone: a stream, exp or reduction that
+    # depended on the other rows would show here.
+    from mhscaling.targets import initial_coords, potential_by_name
+
+    p = potential_by_name(target)
+    cases = [(start, spec) for start in starts for spec in specs]
+    n, steps = 20, 150
+
+    def start(i):
+        kind, _, arg = cases[i][0].partition(":")
+        rng = chain_rng([7, i])
+        return initial_coords(kind, arg.split(","), n, p, rng), rng
+
+    scale_calls = {}
+    for cls in {type(strategy_from_label(spec)) for spec in specs}:
+        def counted(self, *args, _scale=cls.scale):
+            scale_calls[id(self)] = scale_calls.get(id(self), 0) + 1
+            return _scale(self, *args)
+        monkeypatch.setattr(cls, "scale", counted)
+
+    strategies = [strategy_from_label(spec) for _, spec in cases]
+    inits, rngs = zip(*(start(i) for i in range(len(cases))))
+    runs = run_chains(inits, p, strategies, steps, rngs=rngs)
+    batch_calls = [scale_calls.get(id(s), 0) for s in strategies]
+
+    assert len({row.tobytes() for row in runs.accepted}) == len(cases)
+    for i, (_, spec) in enumerate(cases):
+        accepted = runs.accepted[i]
+        assert 0 < accepted.sum() < steps, spec
+        if spec != "alpha-adaptive:0.27":  # one scale per point visited
+            assert batch_calls[i] == 1 + accepted[:-1].sum(), spec
+
+        init, rng = start(i)
+        records, state = run_chain(init, p, strategy_from_label(spec), steps, rng=rng)
+        init, rng = start(i)
+        columns, end = _alone(init, p, strategy_from_label(spec), steps, rng)
+        for name, column in zip(RECORD_FIELDS, columns):
+            got = getattr(runs, name)[i]
+            assert got.tobytes() == column.tobytes(), (spec, name)
+            alone = np.array([getattr(r, name) for r in records], dtype=got.dtype)
+            assert got.tobytes() == alone.tobytes(), (spec, name)
+        assert runs.coords[i].tobytes() == end.tobytes() == state.coords.tobytes()
+
+
+def test_chains_track_the_moment_ode_as_n_grows():
+    # Mean-field limit (Jourdain, Lelievre & Miasojedow 2012): in dimension n
+    # the RWM chain's second moment s_hat at step k tracks the moment ODE at
+    # t = k / n, with an O(n^-1/2) gap.  Each chain is compared with the ODE
+    # from its own start moments, so the gap measures propagation rather
+    # than the sampling of the start.
+    # Calibration note: over seeds 0..39 in five disjoint groups of eight,
+    # the pooled median sup gap was 0.47-0.63 at n = 200 and 0.21-0.27 at
+    # n = 800, and the n -> 4n ratio 0.34-0.54 (median 0.43); seeds 0..7 are
+    # the group at 0.34.
+    from mhscaling import limits
+
+    p = gaussian_potential()
+    m0, var0, t_max = 2.0, 3.0, 3.0
+    specs, seeds = ("star", "alpha:0.27"), range(8)
+
+    def median_sup_gap(n):
+        rows = [(spec, seed) for spec in specs for seed in seeds]
+        rngs = [chain_rng([n, seed]) for _, seed in rows]
+        inits = [m0 + math.sqrt(var0) * rng.standard_normal(n) for rng in rngs]
+        steps = int(t_max * n)
+        runs = run_chains(inits, p, [strategy_from_label(spec) for spec, _ in rows], steps,
+                          rngs=rngs, record=("m_hat", "s_hat"))
+        times = np.arange(steps) / n
+        gaps = []
+        for (spec, _), m_hat, s_hat in zip(rows, runs.m_hat, runs.s_hat):
+            traj = limits.integrate_gaussian_ode(m_hat[0], s_hat[0], strategy_from_label(spec),
+                                                 dt=1e-2, t_max=t_max)
+            gaps.append(np.max(np.abs(s_hat - np.interp(times, traj.t, traj.s))))
+        return float(np.median(gaps))
+
+    gap_small, gap_large = median_sup_gap(200), median_sup_gap(800)
+    assert gap_small < 0.8
+    assert 0.3 <= gap_large / gap_small <= 0.8

@@ -209,6 +209,8 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["simulate", "--kind", "particles", "--dt", "inf"],
     ["simulate", "--kind", "mala", "--sigma", "inf", "--n", "20", "--steps", "5"],
     ["experiment", "--config", "."],
+    ["simulate", "--kind", "mala", "--sigma", "0", "--steps", "0", "--n", "5"],
+    ["simulate", "--kind", "mala", "--sigma", "inf", "--steps", "0", "--n", "5"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -252,3 +253,25 @@ def test_mean_relative_loss_prefers_low_alpha_on_default_grid():
     rows = relative_loss_surface(b_values, a_grid[::6], alphas)
     means = mean_relative_loss(rows)
     assert min(means, key=means.get) == 0.27
+
+
+def test_sweep_stream_layout_is_pinned():
+    # The digest of a small five-strategy sweep, taken before its chains ran
+    # as one batch.  It changes only if the stream layout (see the README) or
+    # the arithmetic of a step changes; such a change must be recorded.
+    cfg = ExperimentConfig(
+        target="gaussian",
+        n=10,
+        window=40,
+        t0_grid=(0, 20),
+        replicates=3,
+        strategies=tuple(strategy_from_label(s) for s in
+                         ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "ent")),
+        init_kind="point",
+        init_params=(10.0,),
+        seed=11,
+    )
+    rows = "\n".join(repr(row) for row in square_bias_sweep(cfg))
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "b71bed2c640c7a72985e64eabbdaaf20db570cd91f125d9c1b09751192524f22"
+    )
