@@ -7,9 +7,10 @@ relative-loss surface compares the constant-acceptance rule against the
 rate-optimal one across a grid of moment pairs.
 
 Every (strategy, replicate) chain of a sweep is a row of one batch stepped
-by :func:`mhscaling.chains.run_chains`; each row draws only from its own
-generator, and aggregation is a deterministic reduction ordered by replicate
-index, so runs with the same config (seed included) are byte-identical.
+by :func:`mhscaling.chains.run_chains_moments` in this process; each row
+draws only from its own generator, and aggregation is a deterministic
+reduction ordered by replicate index, so runs with the same config (seed
+included) are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import chain_rng, run_chains, strategy_from_label
+from .chains import chain_rng, run_chains_moments, strategy_from_label
 # run_chain is not called here; it stays importable as experiments.run_chain,
 # a name the per-layer trace of perfbench/ wraps
 from .chains import run_chain  # noqa: F401
@@ -128,22 +129,30 @@ def paper_config(target="gaussian", seed=0, strategies=None) -> ExperimentConfig
     )
 
 
-def estimator_s(records, t0: int, window: int) -> float:
-    """Time-and-coordinate average of squared coordinates over (t0, t0+T]."""
-    if len(records) < t0 + window:
+def _window_mean(per_step, t0: int, window: int):
+    per_step = np.asarray(per_step, dtype=float)
+    if per_step.shape[-1] < t0 + window:
         raise DomainError(
-            f"trajectory of length {len(records)} too short for t0={t0}, T={window}"
+            f"trajectory of length {per_step.shape[-1]} too short for t0={t0}, T={window}"
         )
-    return float(np.mean([r.s_hat for r in records[t0 : t0 + window]]))
+    mean = per_step[..., t0 : t0 + window].mean(axis=-1)
+    return float(mean) if mean.ndim == 0 else mean
 
 
-def estimator_m(records, t0: int, window: int) -> float:
-    """Time-and-coordinate average of coordinates over (t0, t0+T]."""
-    if len(records) < t0 + window:
-        raise DomainError(
-            f"trajectory of length {len(records)} too short for t0={t0}, T={window}"
-        )
-    return float(np.mean([r.m_hat for r in records[t0 : t0 + window]]))
+def estimator_s(s_hat, t0: int, window: int):
+    """Time-and-coordinate average of squared coordinates over (t0, t0+T].
+
+    ``s_hat`` holds per-step values along its last axis, entry k - 1 for
+    step k: one trajectory (a float is returned) or a (rows, steps) array
+    (one value per row).
+    """
+    return _window_mean(s_hat, t0, window)
+
+
+def estimator_m(m_hat, t0: int, window: int):
+    """Time-and-coordinate average of coordinates over (t0, t0+T]; laid
+    out as :func:`estimator_s`."""
+    return _window_mean(m_hat, t0, window)
 
 
 @dataclass(frozen=True)
@@ -198,14 +207,10 @@ def square_bias_sweep(cfg: ExperimentConfig, workers: int | None = None):
     inits = [initial_coords(cfg.init_kind, cfg.init_params, cfg.n, p, rng) for rng in rngs]
     strategies = [s for s in cfg.strategies for _ in range(per_strategy)]
     steps = max(cfg.t0_grid) + cfg.window
-    runs = run_chains(inits, p, strategies, steps, rngs=rngs, record=("m_hat", "s_hat"))
-
-    # (chain, t0) estimator values: window means of the per-step moments
-    def windows(per_step):
-        return np.stack([per_step[:, t0 : t0 + cfg.window].mean(axis=1)
-                         for t0 in cfg.t0_grid], axis=1)
-
-    all_s, all_m = windows(runs.s_hat), windows(runs.m_hat)
+    m_hat, s_hat = run_chains_moments(inits, p, strategies, steps, rngs=rngs)
+    # (chain, t0) estimator values
+    all_s = np.stack([estimator_s(s_hat, t0, cfg.window) for t0 in cfg.t0_grid], axis=1)
+    all_m = np.stack([estimator_m(m_hat, t0, cfg.window) for t0 in cfg.t0_grid], axis=1)
     curves = []
     for i, strategy in enumerate(cfg.strategies):
         block = slice(i * per_strategy, (i + 1) * per_strategy)

@@ -9,18 +9,19 @@ from scipy import stats
 from mhscaling import tuning
 from mhscaling.chains import (
     DEFAULT_ELL_CAP,
-    RECORD_FIELDS,
     ChainState,
     ConstantAccAdaptive,
     ConstantAccNumeric,
     ConstantEll,
     EntropyOptimalGaussian,
     RateOptimal,
+    StepRecord,
     adaptive_update,
     chain_rng,
     mala_step,
     run_chain,
     run_chains,
+    run_chains_moments,
     run_mala,
     rwm_step,
     strategy_from_label,
@@ -192,8 +193,7 @@ def test_acceptance_rate_tracks_limit_as_n_grows():
         sums = dict.fromkeys(t_grid, 0.0)
         rngs = [chain_rng(seed0 + r) for r in range(reps)]
         inits = [mu0 + math.sqrt(var0) * rng.standard_normal(n) for rng in rngs]
-        runs = run_chains(inits, p, [ConstantEll(ell)] * reps, steps=n, rngs=rngs,
-                          record=("acc_prob",))
+        runs = run_chains(inits, p, [ConstantEll(ell)] * reps, steps=n, rngs=rngs)
         for probs in runs.acc_prob:
             for t in t_grid:
                 center = min(int(n * t), n - 1)
@@ -419,6 +419,34 @@ def test_rate_optimal_solves_once_per_point(monkeypatch):
     assert calls < len(records)
 
 
+@pytest.mark.parametrize("kind", ["rwm", "mala"])
+def test_steps_leave_the_callers_array_alone(kind):
+    # The Gaussian's V' returns its argument, so a cached summary that kept
+    # it would hold the chain's own coords and an accepted step would write
+    # the proposal into the caller's array.  Two states built on one array
+    # must step like two states on copies of it, and the array must not move.
+    p = gaussian_potential()
+
+    def step(state):
+        if kind == "mala":
+            return mala_step(state, p, 0.5)
+        return rwm_step(state, p, ConstantEll(1.0))
+
+    shared = np.full(20, 1.0)
+    states = [ChainState(coords=shared, rng=chain_rng(seed)) for seed in (3, 4)]
+    copies = [ChainState(coords=shared.copy(), rng=chain_rng(seed)) for seed in (3, 4)]
+    accepts = [0, 0]
+    for _ in range(30):
+        for i in range(2):
+            states[i], record = step(states[i])
+            copies[i], alone = step(copies[i])
+            assert _bits(record) == _bits(alone)
+            assert states[i].coords.tobytes() == copies[i].coords.tobytes()
+            accepts[i] += record.accepted
+    assert min(accepts) > 0
+    assert np.all(shared == 1.0)
+
+
 def _alone(init, p, strategy, steps, rng):
     # A chain stepped alone with whole-vector numpy reductions and its own
     # scale cache: the reference the batch kernel's rows must match.
@@ -448,6 +476,7 @@ def _alone(init, p, strategy, steps, rng):
     return [np.array(column) for column in zip(*rows)], x
 
 
+RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(StepRecord))[1:]  # all but k
 FIVE_SPECS = ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "ent")
 
 
@@ -500,6 +529,11 @@ def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
             assert got.tobytes() == alone.tobytes(), (spec, name)
         assert runs.coords[i].tobytes() == end.tobytes() == state.coords.tobytes()
 
+    inits, rngs = zip(*(start(i) for i in range(len(cases))))
+    m_hat, s_hat = run_chains_moments(inits, p, strategies, steps, rngs=rngs)
+    assert m_hat.tobytes() == runs.m_hat.tobytes()
+    assert s_hat.tobytes() == runs.s_hat.tobytes()
+
 
 def test_chains_track_the_moment_ode_as_n_grows():
     # Mean-field limit (Jourdain, Lelievre & Miasojedow 2012): in dimension n
@@ -522,11 +556,11 @@ def test_chains_track_the_moment_ode_as_n_grows():
         rngs = [chain_rng([n, seed]) for _, seed in rows]
         inits = [m0 + math.sqrt(var0) * rng.standard_normal(n) for rng in rngs]
         steps = int(t_max * n)
-        runs = run_chains(inits, p, [strategy_from_label(spec) for spec, _ in rows], steps,
-                          rngs=rngs, record=("m_hat", "s_hat"))
+        paths = run_chains_moments(inits, p, [strategy_from_label(spec) for spec, _ in rows],
+                                   steps, rngs=rngs)
         times = np.arange(steps) / n
         gaps = []
-        for (spec, _), m_hat, s_hat in zip(rows, runs.m_hat, runs.s_hat):
+        for (spec, _), m_hat, s_hat in zip(rows, *paths):
             traj = limits.integrate_gaussian_ode(m_hat[0], s_hat[0], strategy_from_label(spec),
                                                  dt=1e-2, t_max=t_max)
             gaps.append(np.max(np.abs(s_hat - np.interp(times, traj.t, traj.s))))

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -5,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from mhscaling.chains import ConstantEll, StepRecord, chain_rng, run_chain, strategy_from_label
+from mhscaling.chains import (
+    ConstantEll,
+    chain_rng,
+    run_chain,
+    run_chains_moments,
+    strategy_from_label,
+)
 from mhscaling.errors import DomainError
 from mhscaling.experiments import (
     ExperimentConfig,
@@ -22,36 +29,40 @@ from mhscaling.experiments import (
 from mhscaling.targets import gaussian_potential
 
 
-def _const_records(value, count):
-    return [
-        StepRecord(
-            k=k + 1, ell_used=1.0, accepted=True, acc_prob=1.0,
-            a_hat=0.0, b_hat=1.0, m_hat=value, s_hat=value**2,
-        )
-        for k in range(count)
-    ]
+def _const_m(value, count):
+    # per-step m_hat of a chain held at value on every coordinate
+    return np.full(count, value)
 
 
 def test_estimators_on_constant_trajectories():
-    recs = _const_records(0.0, 50)
-    assert estimator_s(recs, 0, 50) == 0.0
-    assert estimator_m(recs, 0, 50) == 0.0
-    recs = _const_records(3.0, 80)
-    assert estimator_s(recs, 20, 60) == pytest.approx(9.0)
-    assert estimator_m(recs, 20, 60) == pytest.approx(3.0)
+    m = _const_m(0.0, 50)
+    assert estimator_s(m * m, 0, 50) == 0.0
+    assert estimator_m(m, 0, 50) == 0.0
+    m = _const_m(3.0, 80)
+    assert estimator_s(m * m, 20, 60) == pytest.approx(9.0)
+    assert estimator_m(m, 20, 60) == pytest.approx(3.0)
+
+
+def test_estimators_take_one_window_per_row():
+    per_step = np.arange(12.0).reshape(3, 4)
+    assert estimator_s(per_step, 1, 2).tolist() == [1.5, 5.5, 9.5]
+    assert estimator_m(per_step, 0, 4).tolist() == [1.5, 5.5, 9.5]
+    assert estimator_m(per_step[0], 1, 2) == 1.5
 
 
 def test_estimator_antisymmetric_average():
-    recs = _const_records(2.0, 10) + _const_records(-2.0, 10)
-    assert estimator_m(recs, 0, 20) == 0.0
+    m = np.concatenate([_const_m(2.0, 10), _const_m(-2.0, 10)])
+    assert estimator_m(m, 0, 20) == 0.0
 
 
 def test_estimators_length_guard():
-    recs = _const_records(1.0, 10)
+    m = _const_m(1.0, 10)
     with pytest.raises(DomainError):
-        estimator_s(recs, 5, 10)
+        estimator_s(m, 5, 10)
     with pytest.raises(DomainError):
-        estimator_m(recs, 0, 11)
+        estimator_m(m, 0, 11)
+    with pytest.raises(DomainError):
+        estimator_m(np.ones((3, 10)), 0, 11)
 
 
 def test_estimator_stationary_chain_near_one():
@@ -59,20 +70,22 @@ def test_estimator_stationary_chain_near_one():
     rng = chain_rng(14)
     init = rng.standard_normal(100)
     records, _ = run_chain(init, p, ConstantEll(2.38), steps=8500, rng=rng)
+    s_hat = [r.s_hat for r in records]
+    m_hat = [r.m_hat for r in records]
     t0, window, n_batches = 500, 8000, 16
-    est = estimator_s(records, t0, window)
+    est = estimator_s(s_hat, t0, window)
     # batch-means standard error accounts for the chain autocorrelation
     batch = window // n_batches
     batch_means_s = [
-        estimator_s(records, t0 + i * batch, batch) for i in range(n_batches)
+        estimator_s(s_hat, t0 + i * batch, batch) for i in range(n_batches)
     ]
     se_s = float(np.std(batch_means_s, ddof=1)) / math.sqrt(n_batches)
     assert abs(est - 1.0) <= 3.0 * se_s
     batch_means_m = [
-        estimator_m(records, t0 + i * batch, batch) for i in range(n_batches)
+        estimator_m(m_hat, t0 + i * batch, batch) for i in range(n_batches)
     ]
     se_m = float(np.std(batch_means_m, ddof=1)) / math.sqrt(n_batches)
-    assert abs(estimator_m(records, t0, window)) <= 3.0 * se_m
+    assert abs(estimator_m(m_hat, t0, window)) <= 3.0 * se_m
 
 
 def test_aggregate_bias_identical_replicates_zero_stderr():
@@ -255,11 +268,8 @@ def test_mean_relative_loss_prefers_low_alpha_on_default_grid():
     assert min(means, key=means.get) == 0.27
 
 
-def test_sweep_stream_layout_is_pinned():
-    # The digest of a small five-strategy sweep, taken before its chains ran
-    # as one batch.  It changes only if the stream layout (see the README) or
-    # the arithmetic of a step changes; such a change must be recorded.
-    cfg = ExperimentConfig(
+def _layout_config(init_kind, init_params):
+    return ExperimentConfig(
         target="gaussian",
         n=10,
         window=40,
@@ -267,11 +277,58 @@ def test_sweep_stream_layout_is_pinned():
         replicates=3,
         strategies=tuple(strategy_from_label(s) for s in
                          ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "ent")),
-        init_kind="point",
-        init_params=(10.0,),
+        init_kind=init_kind,
+        init_params=init_params,
         seed=11,
     )
-    rows = "\n".join(repr(row) for row in square_bias_sweep(cfg))
+
+
+def test_sweep_stream_layout_is_pinned():
+    # The digest of a small five-strategy sweep, taken before its chains ran
+    # as one batch.  It moves if the stream layout (see the README) or the
+    # arithmetic of a step changes, and such a change must be recorded; it
+    # is also tied to the numpy and scipy in use (their normals, root solves
+    # and sums), so an upgrade of either may move it without any change
+    # here.  test_sweep_rows_draw_from_their_own_children checks the layout
+    # alone.
+    rows = "\n".join(repr(row) for row in square_bias_sweep(_layout_config("point", (10.0,))))
     assert hashlib.sha256(rows.encode()).hexdigest() == (
         "b71bed2c640c7a72985e64eabbdaaf20db570cd91f125d9c1b09751192524f22"
     )
+
+
+def test_sweep_rows_draw_from_their_own_children(monkeypatch):
+    # Row i * R + r (strategy i, replicate r) of the sweep's batch draws from
+    # child i * R + r of SeedSequence(seed).spawn(S * R): its start
+    # coordinates first, then n normals and one uniform for its first step.
+    # Checked against fresh generators on those children, with tolerances,
+    # so that it holds whatever the library versions.
+    from mhscaling import experiments
+
+    cfg = _layout_config("gaussian", (0.0, 1.0))
+    n, reps = cfg.n, cfg.replicates
+    seen = {}
+
+    def spy(inits, p, strategies, steps, *, rngs):
+        seen["inits"] = [np.array(x) for x in inits]
+        seen["rngs"] = copy.deepcopy(list(rngs))
+        seen["labels"] = [s.label() for s in strategies]
+        seen["paths"] = run_chains_moments(inits, p, strategies, steps, rngs=rngs)
+        return seen["paths"]
+
+    monkeypatch.setattr(experiments, "run_chains_moments", spy)
+    square_bias_sweep(cfg)
+    m_hat = seen["paths"][0]
+    p = gaussian_potential()
+    children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.strategies) * reps)
+    for j, child in enumerate(children):
+        assert seen["labels"][j] == cfg.strategies[j // reps].label()
+        fresh = chain_rng(child)
+        x = fresh.standard_normal(n)
+        np.testing.assert_allclose(seen["inits"][j], x, rtol=1e-12)
+        assert seen["rngs"][j].random(3).tolist() == copy.deepcopy(fresh).random(3).tolist()
+        if j < reps:  # constant:2.38 rows: redo the first step by hand
+            y = x + 2.38 / math.sqrt(n) * fresh.standard_normal(n)
+            acc_prob = math.exp(min(float(np.sum(p.eval_v(x)) - np.sum(p.eval_v(y))), 0.0))
+            after = y if fresh.uniform() <= acc_prob else x
+            assert m_hat[j, 1] == pytest.approx(np.mean(after), rel=1e-12)
