@@ -3,21 +3,23 @@
 The random walk chain moves all n coordinates with one shared accept/reject
 decision per step, the proposal standard deviation being ``ell / sqrt(n)``
 with ``ell`` supplied by a pluggable :class:`Strategy`; the Langevin-adjusted
-chain (``mala_step``) uses a drift-corrected proposal with the acceptance
-exponent written out explicitly.
+chain uses a drift-corrected proposal with the acceptance exponent written
+out explicitly.
 
-Random walk chains run as rows of one batch (:func:`run_chains`): an
-``(R, n)`` array stepped by one kernel, which does the O(R n) work on arrays
-and whatever sets a row's bits (its draws, scale and exp) row by row.  A
-single chain (:func:`run_chain`, :func:`rwm_step`) is a batch of one.
+Every chain is a row of a batch: an ``(R, n)`` array stepped by one kernel
+per chain kind, which does the O(R n) work on arrays and whatever sets a
+row's bits (its draws, scale and exp) row by row.  :func:`run_chains` steps
+R random walk chains; :func:`run_chain` and :func:`run_mala` loop the same
+kernels on a batch of one, and :func:`rwm_step` and :func:`mala_step` take
+one step of it by hand.
 
 RNG discipline: each chain, or row, owns one counter-based generator
 (Philox) seeded from a master seed; replicate independence comes from
 spawned seed sequences.  Within a step the n proposal normals are drawn as
 one block, so coordinate i consumes position i of the block, and then a
-single uniform decides acceptance.  A row's stream does not depend on the
-other rows of its batch.  Potentials and strategies are immutable and
-shareable.
+single uniform variate decides acceptance.  A row's stream does not depend
+on the other rows of its batch.  Potentials and strategies are immutable
+and shareable.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import tuning
 from .errors import ConcaveRegionError, DomainError
-from .targets import Potential
+from .targets import Potential, _moment_means
 
 __all__ = [
     "Strategy",
@@ -226,13 +228,15 @@ class ChainState:
     """Position, generator and counters of one chain.
 
     ``coords`` is replaced by a new array when a proposal is accepted and is
-    never mutated in place.  The step functions rely on this: they keep the
-    chain as a batch of one (see :func:`run_chains`) whose point summary --
-    ``sum V(coords)``, ``V'(coords)``, the moments and, for non-adaptive
-    strategies, the scale ``ell`` -- is keyed on the identity of the
-    ``coords`` array object (and of the potential and strategy), and reuse it
-    after a rejection.  Assigning a new array to ``coords`` invalidates it;
-    writing into the array does not.
+    never mutated in place.  Hand stepping (:func:`rwm_step`,
+    :func:`mala_step`) relies on this: it keeps the chain as a batch of one
+    whose point summary -- ``sum V(coords)``, ``V'(coords)``, the moments
+    and, for non-adaptive strategies, the scale ``ell`` -- is keyed on the
+    identity of the ``coords`` array object (and of the potential and
+    strategy), and reuses it after a rejection.  Assigning a new array to
+    ``coords`` invalidates it; writing into the array does not.
+    :func:`run_chain` and :func:`run_mala` hold their batch themselves and
+    return a state without it.
     """
 
     coords: np.ndarray
@@ -252,8 +256,8 @@ class StepRecord:
     a_hat: float
     b_hat: float
     # coordinate moments, consumed by the experiment estimators
-    m_hat: float = field(default=math.nan)
-    s_hat: float = field(default=math.nan)
+    m_hat: float
+    s_hat: float
 
 
 @dataclass(frozen=True)
@@ -291,13 +295,12 @@ def _summarise(p: Potential, x: np.ndarray, v: np.ndarray, d1: np.ndarray):
     # sum V, V', a_hat = mean V'^2, b_hat = mean V'', m_hat = mean x and
     # s_hat = mean x^2 of each row of the points x.  Each row is reduced as np.sum and np.mean
     # reduce it alone, so a row's values do not depend on the other rows.
-    means = np.add.reduce(np.array((d1 * d1, p.d2(x), x, x * x)), axis=-1) / x.shape[-1]
-    return (np.add.reduce(v, axis=-1), d1, *means)
+    return (np.add.reduce(v, axis=-1), d1, *_moment_means(p, x, d1, x, x * x))
 
 
 _SUMMARY = ("sum_v", "d1", "a_hat", "b_hat", "m_hat", "s_hat")
 _MOMENTS = _SUMMARY[2:]
-_OUTCOME = ("ell_used", "acc_prob", "accepted")  # what _rwm_kernel returns, in order
+_OUTCOME = ("ell_used", "acc_prob", "accepted")  # what the kernels return, in order
 
 
 class _Batch:
@@ -380,7 +383,7 @@ def _rwm_kernel(batch: _Batch):
     v = batch.p.eval_v(proposal)
     log_ratio = (batch.sum_v - np.add.reduce(v, axis=-1)).tolist()
     acc_prob = [math.exp(min(d, 0.0)) for d in log_ratio]
-    accepted = [rng.uniform() <= prob for rng, prob in zip(rngs, acc_prob)]
+    accepted = [rng.random() <= prob for rng, prob in zip(rngs, acc_prob)]
     for r in adaptive:
         theta[r] = adaptive_update(theta[r], acc_prob[r], batch.strategies[r].alpha, batch.k)
     if any(accepted):
@@ -389,39 +392,35 @@ def _rwm_kernel(batch: _Batch):
     return ell_used, acc_prob, accepted
 
 
-def _current(state: ChainState, p: Potential) -> _Batch:
-    """``state`` as a batch of one: cached, or summarised on a miss."""
-    cached = state._batch
-    if cached is None or cached[0] is not state.coords or cached[1].p is not p:
-        batch = _Batch(p, state.coords.reshape(1, -1), [state.rng], [None], [state.theta])
-        state._batch = cached = (state.coords, batch)
-    return cached[1]
+def _mala_kernel(batch: _Batch, sigma: float):
+    """One Langevin-adjusted step, proposal std sigma, of every row of ``batch``.
 
-
-def _moved(state: ChainState, batch: _Batch) -> None:
-    state.coords = batch.x[0]
-    state.accept_count += 1
-    state._batch = (state.coords, batch)
-
-
-def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
-    """One random walk Metropolis step over all coordinates.
-
-    The chain is stepped by the batch kernel of :func:`run_chains` as a
-    batch of one.  The moments in the record, and ell, are those of the
-    current coordinate vector; they are computed when the chain reaches it
-    and reused while the chain rejects (see :class:`ChainState`).
+    A row proposes y = x + sigma g - (sigma^2 / 2) V'(x) and accepts with
+    probability exp(E) ^ 1, E being the explicit form
+    sum_i [ V(x_i) - V(y_i)
+            + ((g_i)^2 - (g_i - (sigma/2)(V'(x_i) + V'(y_i)))^2) / 2 ];
+    its equivalence with the density-ratio form is covered by tests rather
+    than assumed.  Draws and exp are taken row by row, as in
+    :func:`_rwm_kernel`.  Returns the rows' (sigma, acc_prob, accepted).
     """
-    batch = _current(state, p)
-    if batch.strategies[0] is not strategy:
-        batch.strategies, batch.ell = [strategy], [None]
-    batch.rngs, batch.theta, batch.k = [state.rng], [state.theta], state.k
-    here = batch.here(0)
-    ell, acc_prob, accepted = _rwm_kernel(batch)
-    state.k, state.theta = batch.k, batch.theta[0]
-    if accepted[0]:
-        _moved(state, batch)
-    return state, StepRecord(state.k, ell[0], accepted[0], acc_prob[0], *here)
+    rngs, d1_here = batch.rngs, batch.d1
+    noise = np.array([rng.standard_normal(batch.x.shape[1]) for rng in rngs])
+    jump = sigma * noise - 0.5 * sigma * sigma * d1_here
+    proposal = batch.x + jump
+    d1 = batch.p.d1(proposal)
+    reverse = noise - 0.5 * sigma * (d1_here + d1)
+    v = batch.p.eval_v(proposal)
+    exponent = (
+        batch.sum_v
+        - np.add.reduce(v, axis=-1)
+        + 0.5 * (np.add.reduce(noise * noise, axis=-1) - np.add.reduce(reverse * reverse, axis=-1))
+    ).tolist()
+    acc_prob = [math.exp(min(e, 0.0)) for e in exponent]
+    accepted = [rng.random() <= prob for rng, prob in zip(rngs, acc_prob)]
+    if any(accepted):
+        batch.move(accepted, proposal, v, d1)
+    batch.k += 1
+    return [sigma] * len(rngs), acc_prob, accepted
 
 
 def _check_sigma(sigma) -> None:
@@ -429,41 +428,43 @@ def _check_sigma(sigma) -> None:
         raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
 
 
-def mala_step(state: ChainState, p: Potential, sigma: float):
-    """One Langevin-adjusted step with proposal std sigma.
-
-    The acceptance exponent is the explicit form
-    sum_i [ V(x_i) - V(x_i + z_i)
-            + ((g_i)^2 - (g_i - (sigma/2)(V'(x_i) + V'(x_i + z_i)))^2) / 2 ]
-    with z_i = sigma g_i - (sigma^2 / 2) V'(x_i); its equivalence with the
-    density-ratio form is covered by tests rather than assumed.  The moments
-    in the record, sum V(x) and V'(x) are those of the current coordinate
-    vector, computed when the chain reaches it and reused while it rejects.
-    """
-    _check_sigma(sigma)
-    coords = state.coords
-    batch = _current(state, p)
+def _hand_step(state: ChainState, p: Potential, strategy, kernel, *args):
+    # One kernel step of ``state`` as a batch of one, cached on the identity
+    # of its coords array (see ChainState); a miss summarises the point anew.
+    cached = state._batch
+    if cached is None or cached[0] is not state.coords or cached[1].p is not p:
+        batch = _Batch(p, state.coords.reshape(1, -1), [state.rng], [strategy], [state.theta])
+    else:
+        batch = cached[1]
+        if batch.strategies[0] is not strategy:
+            batch.strategies, batch.ell = [strategy], [None]
+    batch.rngs, batch.theta, batch.k = [state.rng], [state.theta], state.k
     here = batch.here(0)
-    d1_here = batch.d1[0]
+    ell, acc_prob, accepted = kernel(batch, *args)
+    state.k, state.theta = batch.k, batch.theta[0]
+    if accepted[0]:
+        state.coords = batch.x[0]
+        state.accept_count += 1
+    state._batch = (state.coords, batch)
+    return state, StepRecord(state.k, ell[0], accepted[0], acc_prob[0], *here)
 
-    noise = state.rng.standard_normal(coords.size)
-    jump = sigma * noise - 0.5 * sigma * sigma * d1_here
-    proposal = coords + jump
-    d1_proposal = p.d1(proposal)
-    reverse = noise - 0.5 * sigma * (d1_here + d1_proposal)
-    v_proposal = p.eval_v(proposal)
-    exponent = float(
-        batch.sum_v[0]
-        - np.sum(v_proposal)
-        + 0.5 * (np.sum(noise * noise) - np.sum(reverse * reverse))
-    )
-    acc_prob = math.exp(min(exponent, 0.0))
-    accepted = state.rng.uniform() <= acc_prob
-    if accepted:
-        batch.move([True], proposal[None], v_proposal[None], d1_proposal[None])
-        _moved(state, batch)
-    state.k += 1
-    return state, StepRecord(state.k, sigma, bool(accepted), acc_prob, *here)
+
+def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
+    """One random walk Metropolis step over all coordinates: the step of
+    :func:`run_chain`, taken by hand.  The moments in the record, and ell,
+    are those of the current coordinate vector; they are computed when the
+    chain reaches it and reused while the chain rejects (see
+    :class:`ChainState`)."""
+    return _hand_step(state, p, strategy, _rwm_kernel)
+
+
+def mala_step(state: ChainState, p: Potential, sigma: float):
+    """One Langevin-adjusted step with proposal std sigma: the step of
+    :func:`run_mala`, taken by hand.  The moments in the record, sum V(x)
+    and V'(x) are those of the current coordinate vector, computed when the
+    chain reaches it and reused while it rejects."""
+    _check_sigma(sigma)
+    return _hand_step(state, p, None, _mala_kernel, sigma)
 
 
 def _start(inits, p: Potential, strategies, steps: int, rngs) -> _Batch:
@@ -488,7 +489,7 @@ def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRun
 
     Chain r starts at ``inits[r]`` (all of one dimension n), moves by
     ``strategies[r]`` and draws only from ``rngs[r]``: each step n normals,
-    then one uniform.  Its records are bit for bit those of
+    then one uniform variate.  Its records are bit for bit those of
     :func:`run_chain` on the same generator, whatever the other rows do.
     """
     batch = _start(inits, p, strategies, steps, rngs)
@@ -517,21 +518,21 @@ def run_chains_moments(inits, p: Potential, strategies, steps: int, *, rngs):
     return m_hat, s_hat
 
 
-def _run(init, steps, record_every, rng, step_fn):
-    coords = np.array(init, dtype=float).reshape(-1)
-    if coords.size < 1:
-        raise DomainError("initial state must have at least one coordinate")
+def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
+    # one chain as a batch of one, its kernel looped; a StepRecord every
+    # record_every-th step
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps!r}")
-    state = ChainState(coords=coords, rng=rng)
-    records = []
+    batch = _start([np.reshape(init, -1)], p, [strategy], steps, [rng])
+    records, accept_count = [], 0
     for k in range(1, steps + 1):
-        state, record = step_fn(state)
-        if k % record_every == 0:
-            records.append(record)
-    return records, state
+        # a record holds the moments of the point its step starts from
+        here = batch.here(0) if k % record_every == 0 else None
+        ell, acc_prob, accepted = kernel(batch, *args)
+        accept_count += accepted[0]
+        if here is not None:
+            records.append(StepRecord(k, ell[0], accepted[0], acc_prob[0], *here))
+    return records, ChainState(batch.x[0], rng, batch.k, batch.theta[0], accept_count)
 
 
 def run_chain(init, p: Potential, strategy: Strategy, steps: int,
@@ -540,20 +541,16 @@ def run_chain(init, p: Potential, strategy: Strategy, steps: int,
 
     Returns (records, final_state) where records holds every
     ``record_every``-th StepRecord.  The chain is a batch of one stepped by
-    :func:`rwm_step`; its records equal those of the same chain in a
-    :func:`run_chains` batch.
+    the kernel of :func:`run_chains`; its records equal those of the same
+    chain in a :func:`run_chains` batch or stepped by :func:`rwm_step`.
     """
-    return _run(
-        init, steps, record_every, rng,
-        lambda state: rwm_step(state, p, strategy),
-    )
+    return _run_one(init, p, strategy, steps, record_every, rng, _rwm_kernel)
 
 
 def run_mala(init, p: Potential, sigma: float, steps: int,
              record_every: int = 1, *, rng: np.random.Generator):
-    """Run a Langevin-adjusted chain at fixed proposal std sigma."""
+    """Run a Langevin-adjusted chain at fixed proposal std sigma; laid out
+    as :func:`run_chain`, its records equal those of a :func:`mala_step`
+    loop."""
     _check_sigma(sigma)
-    return _run(
-        init, steps, record_every, rng,
-        lambda state: mala_step(state, p, sigma),
-    )
+    return _run_one(init, p, None, steps, record_every, rng, _mala_kernel, sigma)

@@ -197,27 +197,6 @@ def _cmd_simulate(args) -> int:
 # -- experiment ----------------------------------------------------------------
 
 
-def _config_from_dict(d) -> experiments.ExperimentConfig:
-    if not isinstance(d, dict):
-        raise DomainError(f"config must be a JSON object, got {type(d).__name__}")
-    try:
-        return experiments.ExperimentConfig(
-            target=d["target"],
-            n=int(d["n"]),
-            window=int(d["window"]),
-            t0_grid=tuple(int(v) for v in d["t0_grid"]),
-            replicates=int(d["replicates"]),
-            strategies=tuple(chains.strategy_from_label(s) for s in d["strategies"]),
-            init_kind=d.get("init_kind", "point"),
-            init_params=tuple(d.get("init_params", (10.0,))),
-            seed=int(d.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise DomainError(f"config is missing the key {exc}") from None
-    except (TypeError, ValueError) as exc:  # DomainError included
-        raise DomainError(f"config: {exc}") from None
-
-
 def _cmd_experiment(args) -> int:
     if args.kind == "loss":
         b_values, a_grid, alphas = experiments.robustness_grid()
@@ -242,7 +221,8 @@ def _cmd_experiment(args) -> int:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"{args.config} is not JSON: {exc}") from None
-        cfg = _config_from_dict(raw.get("config", raw) if isinstance(raw, dict) else raw)
+        cfg = experiments.ExperimentConfig.from_dict(
+            raw.get("config", raw) if isinstance(raw, dict) else raw)
     elif args.preset == "desk":
         cfg = experiments.desk_config(target=args.target, seed=args.seed)
     elif args.preset == "paper":

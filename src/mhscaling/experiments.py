@@ -16,7 +16,7 @@ included) are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -68,8 +68,14 @@ class ExperimentConfig:
             raise DomainError("window length T must be >= 1")
         if self.replicates < 2:
             raise DomainError("need at least 2 replicates")
+        if not self.t0_grid:
+            raise DomainError("t0 grid must not be empty")
         if list(self.t0_grid) != sorted(self.t0_grid):
             raise DomainError("t0 grid must be nondecreasing")
+        if self.t0_grid[0] < 0:
+            raise DomainError(f"burn-in t0 must be >= 0, got {self.t0_grid[0]}")
+        if not self.strategies:
+            raise DomainError("need at least one strategy")
         start_params(self.init_kind, self.init_params)
         labels = [s.label() for s in self.strategies]
         if len(set(labels)) < len(labels):
@@ -88,6 +94,30 @@ class ExperimentConfig:
             "init_params": list(self.init_params),
             "seed": self.seed,
         }
+
+    @classmethod
+    def from_dict(cls, d) -> ExperimentConfig:
+        """The config :meth:`to_dict` wrote; a key with a default may be
+        left out.  Anything malformed raises DomainError."""
+        if not isinstance(d, dict):
+            raise DomainError(f"config must be a JSON object, got {type(d).__name__}")
+        d = {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **d}
+        try:
+            return cls(
+                target=d["target"],
+                n=int(d["n"]),
+                window=int(d["window"]),
+                t0_grid=tuple(int(v) for v in d["t0_grid"]),
+                replicates=int(d["replicates"]),
+                strategies=tuple(strategy_from_label(s) for s in d["strategies"]),
+                init_kind=d["init_kind"],
+                init_params=tuple(d["init_params"]),
+                seed=int(d["seed"]),
+            )
+        except KeyError as exc:
+            raise DomainError(f"config is missing the key {exc}") from None
+        except (TypeError, ValueError) as exc:  # DomainError included
+            raise DomainError(f"config: {exc}") from None
 
 
 def _default_strategies(target: str):
@@ -131,6 +161,8 @@ def paper_config(target="gaussian", seed=0, strategies=None) -> ExperimentConfig
 
 def _window_mean(per_step, t0: int, window: int):
     per_step = np.asarray(per_step, dtype=float)
+    if t0 < 0:  # a negative slice start would average the wrong window
+        raise DomainError(f"burn-in t0 must be >= 0, got {t0}")
     if per_step.shape[-1] < t0 + window:
         raise DomainError(
             f"trajectory of length {per_step.shape[-1]} too short for t0={t0}, T={window}"

@@ -28,7 +28,7 @@ from scipy import optimize
 from .chains import Strategy
 from .coefficients import _SQRT_2PI, _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
 from .errors import DomainError
-from .targets import Potential, integrate_against_density
+from .targets import Potential, _moment_means, integrate_against_density
 # empirical_moments, f1 and the ell_* solvers are not called here (the MALA
 # optimum is closed form); they stay importable as limits.<name>, names the
 # per-layer trace of perfbench/ wraps
@@ -180,8 +180,7 @@ def meanfield_particle_step(pe: ParticleEnsemble, p: Potential, ell: float) -> P
     """One Euler-Maruyama step, coefficients frozen at the empirical moments
     a = mean V'(x)^2 and b = mean V''(x) of the particles."""
     d1 = np.asarray(p.d1(pe.xs))
-    a = float(np.mean(d1 * d1))
-    b = float(np.mean(p.d2(pe.xs)))
+    a, b = (float(mean) for mean in _moment_means(p, pe.xs, d1))
     drift = g_drift(a, b, ell)
     diffusion = gamma(a, b, ell)
     noise = pe.rng.standard_normal(pe.xs.size)

@@ -346,18 +346,23 @@ def stationary_coordinate_moments(p: Potential) -> tuple[float, float]:
     return mean, second
 
 
+def _moment_means(p: Potential, x, d1, *more) -> np.ndarray:
+    """a = mean V'(x)^2 and b = mean V''(x) along the last axis of the points
+    x, then the means of the arrays ``more`` (shaped as x), stacked on axis 0;
+    d1 is V'(x).  Each row is reduced alone, as np.mean reduces it, so a
+    row's means do not depend on the other rows."""
+    # a custom V'' may return one number for a constant curvature
+    d2 = np.broadcast_to(p.d2(x), x.shape)
+    return np.add.reduce(np.array((d1 * d1, d2, *more)), axis=-1) / x.shape[-1]
+
+
 def empirical_moments(p: Potential, xs) -> MomentFunctionals:
     """Sample averages of the moment functionals over a coordinate vector."""
-    xs = np.asarray(xs, dtype=float)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
     if xs.size == 0:
         raise DomainError("empirical_moments requires a nonempty sample")
-    d1 = p.d1(xs)
-    return MomentFunctionals(
-        a=float(np.mean(d1 * d1)),
-        b=float(np.mean(p.d2(xs))),
-        i_fisher=p.i_fisher,
-        mala_m4=float(np.mean(_mala_combination(p, xs))),
-    )
+    a, b, m4 = _moment_means(p, xs, p.d1(xs), _mala_combination(p, xs))
+    return MomentFunctionals(a=float(a), b=float(b), i_fisher=p.i_fisher, mala_m4=float(m4))
 
 
 def sample_stationary(p: Potential, size: int, rng: np.random.Generator):

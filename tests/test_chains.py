@@ -116,7 +116,7 @@ def test_rwm_step_zero_move_accepts():
         def standard_normal(self, size):
             return np.zeros(size)
 
-        def uniform(self):
+        def random(self):
             return 0.999999
 
     state = ChainState(coords=np.zeros(1), rng=ZeroNoise())
@@ -135,7 +135,7 @@ def test_rwm_acc_prob_is_density_ratio():
         def standard_normal(self, size):
             return np.full(size, self.y)
 
-        def uniform(self):
+        def random(self):
             return 1.0
 
     y = 1.7
@@ -243,8 +243,8 @@ def test_exchangeability_commutes_with_permutation():
         def standard_normal(self, size):
             return self.base.standard_normal(size)[perm]
 
-        def uniform(self):
-            return self.base.uniform()
+        def random(self):
+            return self.base.random()
 
     init = np.array([0.3, -1.2, 2.0])
     plain, _ = run_chain(init, p, ConstantEll(1.3), steps=40, rng=chain_rng(11))
@@ -486,8 +486,9 @@ FIVE_SPECS = ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "ent
 ])
 def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
     # Each row of a mixed batch must give, bit for bit, the records and end
-    # point of the same chain run alone: a stream, exp or reduction that
-    # depended on the other rows would show here.
+    # point of the same chain run alone, by run_chain, stepped by hand with
+    # rwm_step, and by a whole-vector reference: a stream, exp or reduction
+    # that depended on the other rows, or on the route, would show here.
     from mhscaling.targets import initial_coords, potential_by_name
 
     p = potential_by_name(target)
@@ -522,17 +523,50 @@ def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
         records, state = run_chain(init, p, strategy_from_label(spec), steps, rng=rng)
         init, rng = start(i)
         columns, end = _alone(init, p, strategy_from_label(spec), steps, rng)
+        init, rng = start(i)
+        hand, stepped = ChainState(coords=init, rng=rng), []
+        for _ in range(steps):
+            hand, record = rwm_step(hand, p, strategies[i])
+            stepped.append(record)
         for name, column in zip(RECORD_FIELDS, columns):
             got = getattr(runs, name)[i]
             assert got.tobytes() == column.tobytes(), (spec, name)
-            alone = np.array([getattr(r, name) for r in records], dtype=got.dtype)
-            assert got.tobytes() == alone.tobytes(), (spec, name)
-        assert runs.coords[i].tobytes() == end.tobytes() == state.coords.tobytes()
+            for route in (records, stepped):
+                alone = np.array([getattr(r, name) for r in route], dtype=got.dtype)
+                assert got.tobytes() == alone.tobytes(), (spec, name)
+        assert [r.k for r in records] == [r.k for r in stepped] == list(range(1, steps + 1))
+        assert (runs.coords[i].tobytes() == end.tobytes() == state.coords.tobytes()
+                == hand.coords.tobytes())
+        assert (state.k, state.accept_count, state.theta) == (
+            hand.k, hand.accept_count, hand.theta) == (steps, accepted.sum(), runs.theta[i])
 
     inits, rngs = zip(*(start(i) for i in range(len(cases))))
     m_hat, s_hat = run_chains_moments(inits, p, strategies, steps, rngs=rngs)
     assert m_hat.tobytes() == runs.m_hat.tobytes()
     assert s_hat.tobytes() == runs.s_hat.tobytes()
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("target, sigma", [("gaussian", 0.8), ("double-well", 0.3)])
+def test_run_mala_steps_like_mala_step(target, sigma, record_every):
+    # run_mala loops the MALA kernel on its own batch of one; a mala_step
+    # loop on the same generator must give the same records and end state,
+    # bit for bit.
+    from mhscaling.targets import potential_by_name
+
+    p = potential_by_name(target)
+    init, steps = chain_rng(9).standard_normal(50) + 1.0, 200
+    records, state = run_mala(init, p, sigma, steps, record_every, rng=chain_rng(5))
+    hand, stepped = ChainState(coords=init, rng=chain_rng(5)), []
+    for _ in range(steps):
+        hand, record = mala_step(hand, p, sigma)
+        stepped.append(record)
+    assert len(records) == steps // record_every
+    assert [_bits(r) for r in records] == [_bits(r) for r in stepped[record_every - 1::record_every]]
+    assert state.coords.tobytes() == hand.coords.tobytes()
+    assert (state.k, state.accept_count) == (hand.k, hand.accept_count) == (
+        steps, sum(r.accepted for r in stepped))
+    assert 0 < state.accept_count < steps
 
 
 def test_chains_track_the_moment_ode_as_n_grows():

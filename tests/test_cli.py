@@ -229,7 +229,16 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     '"replicates": 3, "strategies": ["star"]}',
     '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0], '
     '"replicates": 3, "strategies": ["star"], "init_kind": "gaussian"}',
-], ids=["missing-key", "list", "config-list", "not-json", "text-n", "gaussian-init-10"])
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [-100, 0], '
+    '"replicates": 3, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [-20, 30], '
+    '"replicates": 3, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [], '
+    '"replicates": 3, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": []}',
+], ids=["missing-key", "list", "config-list", "not-json", "text-n", "gaussian-init-10",
+        "t0-before-start", "t0-negative-inside", "t0-grid-empty", "no-strategies"])
 def test_malformed_config_exits_2(tmp_path, capsys, text):
     config = tmp_path / "bad.json"
     config.write_text(text)

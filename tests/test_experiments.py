@@ -63,6 +63,10 @@ def test_estimators_length_guard():
         estimator_m(m, 0, 11)
     with pytest.raises(DomainError):
         estimator_m(np.ones((3, 10)), 0, 11)
+    with pytest.raises(DomainError):  # numpy would slice steps 61-160
+        estimator_s(np.arange(200.0), -140, 100)
+    with pytest.raises(DomainError):
+        estimator_m(np.ones((3, 10)), -1, 5)
 
 
 def test_estimator_stationary_chain_near_one():
@@ -108,6 +112,12 @@ def test_config_validation():
         ExperimentConfig("gaussian", 10, 10, (5, 0), 5, (ConstantEll(1.0),))
     with pytest.raises(DomainError):
         ExperimentConfig("gaussian", 10, 10, (0,), 5, (ConstantEll(1.0),), init_kind="nope")
+    with pytest.raises(DomainError):
+        ExperimentConfig("gaussian", 10, 10, (), 5, (ConstantEll(1.0),))
+    with pytest.raises(DomainError):
+        ExperimentConfig("gaussian", 10, 10, (-100, 0), 5, (ConstantEll(1.0),))
+    with pytest.raises(DomainError):
+        ExperimentConfig("gaussian", 10, 10, (0,), 5, ())
 
 
 def test_presets():

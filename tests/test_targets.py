@@ -158,6 +158,37 @@ def test_custom_potential_normalize_and_trusted():
     assert float(p.eval_v(0.0)) == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-9)
 
 
+def test_custom_potential_with_constant_curvature():
+    # V'' of a Gaussian of variance 4 may be given as one number; the
+    # empirical moments, the particle step and the chains take it as they
+    # take the array of that number.
+    from mhscaling.chains import ConstantEll, chain_rng, run_chain
+    from mhscaling.limits import integrate_particles, make_ensemble
+
+    def wide_gaussian(d2, trusted):
+        return custom_potential(
+            "wide-gaussian",
+            eval_v=lambda x: np.asarray(x, float) ** 2 / 8.0 + 0.5 * math.log(8.0 * math.pi),
+            d1=lambda x: np.asarray(x, float) / 4.0,
+            d2=d2,
+            d3=lambda x: np.zeros_like(np.asarray(x, float)),
+            d4=lambda x: np.zeros_like(np.asarray(x, float)),
+            trusted=trusted,
+        )
+
+    scalar = wide_gaussian(lambda x: 0.25, trusted=False)
+    array = wide_gaussian(lambda x: np.full(np.shape(x), 0.25), trusted=True)
+    xs = np.linspace(-3.0, 5.0, 7)
+    assert empirical_moments(scalar, xs) == empirical_moments(array, xs)
+    particles, chains = [], []
+    for p in (scalar, array):
+        ensemble = make_ensemble(xs, dt=0.1, rng=chain_rng(1))
+        particles.append(np.array(integrate_particles(ensemble, p, 1.0, t_max=1.0)).tobytes())
+        chains.append(run_chain(xs, p, ConstantEll(1.5), steps=20, rng=chain_rng(2))[0])
+    assert particles[0] == particles[1]
+    assert chains[0] == chains[1]
+
+
 def test_potential_by_name():
     assert potential_by_name("gaussian").name == "gaussian"
     assert potential_by_name("double-well").name == "double-well"
