@@ -278,7 +278,10 @@ class ChainRuns:
 
 
 def chain_rng(seed) -> np.random.Generator:
-    """Counter-based generator for a chain (accepts int or SeedSequence)."""
+    """Counter-based generator for a chain (accepts an int >= 0, a sequence
+    of them, or a SeedSequence)."""
+    if isinstance(seed, int) and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -318,6 +321,9 @@ class _Batch:
     """
 
     def __init__(self, p: Potential, x: np.ndarray, rngs, strategies, theta):
+        if p.name != "gaussian" and any(isinstance(s, EntropyOptimalGaussian)
+                                        for s in strategies):
+            raise DomainError(f"strategy 'ent' is for the Gaussian target, not {p.name!r}")
         self.p, self.x, self.k = p, x, 0
         self.rngs, self.strategies, self.theta = list(rngs), list(strategies), list(theta)
         self.ell = [None] * len(x)
@@ -432,12 +438,11 @@ def _hand_step(state: ChainState, p: Potential, strategy, kernel, *args):
     # One kernel step of ``state`` as a batch of one, cached on the identity
     # of its coords array (see ChainState); a miss summarises the point anew.
     cached = state._batch
-    if cached is None or cached[0] is not state.coords or cached[1].p is not p:
+    if (cached is None or cached[0] is not state.coords or cached[1].p is not p
+            or cached[1].strategies[0] is not strategy):
         batch = _Batch(p, state.coords.reshape(1, -1), [state.rng], [strategy], [state.theta])
     else:
         batch = cached[1]
-        if batch.strategies[0] is not strategy:
-            batch.strategies, batch.ell = [strategy], [None]
     batch.rngs, batch.theta, batch.k = [state.rng], [state.theta], state.k
     here = batch.here(0)
     ell, acc_prob, accepted = kernel(batch, *args)

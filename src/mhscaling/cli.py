@@ -9,8 +9,11 @@ Subcommands:
 
 Every writing subcommand creates ``--out`` if needed and drops a
 ``manifest.json`` with the fully resolved configuration and seed, enough to
-re-run bit-identically.  Exit codes: 0 success, 1 validation failure,
-2 usage or configuration error.
+re-run bit-identically.  The ``config`` of a ``tune`` or ``simulate``
+manifest holds every parsed option but ``--out`` (``simulate``'s ``--seed``
+goes under ``seed``); an ``experiment`` manifest holds the resolved sweep
+config, or the loss surface's grid.  Exit codes: 0 success, 1 validation
+failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -39,21 +42,32 @@ LIMIT_HEADER = "t,m,s,H,ell_used,acc"
 BIAS_HEADER = "t0,sq_bias_s,sq_bias_m,stderr_s,stderr_m"
 
 
-def _write_manifest(outdir, command, config, seed, outputs):
+def _write_run(outdir, command, config, seed, files):
+    """Create ``outdir``, write each ``(name, header, rows)`` of ``files``
+    there as a CSV, then ``manifest.json`` with ``config`` and ``seed``.
+    Returns the paths written, the manifest last."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = [_write_csv(os.path.join(outdir, name), header, rows)
+             for name, header, rows in files]
     manifest = {
         "tool": "mhscaling",
         "version": __version__,
         "command": command,
         "config": config,
         "seed": seed,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
+        "outputs": sorted(name for name, _, _ in files),
         "wall_clock": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     path = os.path.join(outdir, "manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return [*paths, path]
+
+
+def _options(args, *skip):
+    # a run's parsed options, as its manifest records them
+    return {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out", *skip)}
 
 
 def _write_csv(path, header, rows):
@@ -108,17 +122,10 @@ def _cmd_tune(args) -> int:
     for label, res in rows:
         print(f"{label:<20} {res.ell:>16.10f} {res.objective_value:>16.10f} {res.converged!s:>10}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = _write_csv(
-            os.path.join(args.out, "tune.csv"), "input,ell,objective,converged",
+        _write_run(args.out, "tune", _options(args), None, [(
+            "tune.csv", "input,ell,objective,converged",
             ((label, res.ell, res.objective_value, res.converged) for label, res in rows),
-        )
-        _write_manifest(
-            args.out, "tune",
-            {"mode": args.mode, "s": args.s, "s_grid": args.s_grid,
-             "a": args.a, "b": args.b, "alpha": args.alpha, "m": args.m},
-            None, [path],
-        )
+        )])
     return _EXIT_OK
 
 
@@ -133,11 +140,6 @@ def _initial_coords(text: str, n: int, p, rng):
 
 def _cmd_simulate(args) -> int:
     p = targets.potential_by_name(args.target)
-    outputs = []
-    config = {k: getattr(args, k) for k in
-              ("kind", "target", "n", "steps", "strategy", "ell", "sigma",
-               "dt", "t_max", "m0", "s0", "init", "record_every", "y0")}
-
     if args.kind in ("rwm", "mala"):
         rng = chains.chain_rng(args.seed)
         init = _initial_coords(args.init, args.n, p, rng)
@@ -152,11 +154,8 @@ def _cmd_simulate(args) -> int:
                 init, p, args.sigma, steps=args.steps,
                 record_every=args.record_every, rng=rng,
             )
-        os.makedirs(args.out, exist_ok=True)
-        outputs.append(_write_csv(
-            os.path.join(args.out, "trajectory.csv"), TRAJECTORY_HEADER,
-            ((r.k, r.ell_used, r.acc_prob, r.a_hat, r.b_hat) for r in records),
-        ))
+        output = ("trajectory.csv", TRAJECTORY_HEADER,
+                  ((r.k, r.ell_used, r.acc_prob, r.a_hat, r.b_hat) for r in records))
 
     elif args.kind == "ode":
         strategy = chains.strategy_from_label(args.strategy)
@@ -164,11 +163,8 @@ def _cmd_simulate(args) -> int:
             args.m0, args.s0, strategy, dt=args.dt, t_max=args.t_max,
             stop_tol=args.stop_tol,
         )
-        os.makedirs(args.out, exist_ok=True)
-        outputs.append(_write_csv(
-            os.path.join(args.out, "limit.csv"), LIMIT_HEADER,
-            zip(traj.t, traj.m, traj.s, traj.entropy, traj.ell, traj.acc),
-        ))
+        output = ("limit.csv", LIMIT_HEADER,
+                  zip(traj.t, traj.m, traj.s, traj.entropy, traj.ell, traj.acc))
 
     elif args.kind == "particles":
         rng = chains.chain_rng(args.seed)
@@ -177,20 +173,14 @@ def _cmd_simulate(args) -> int:
         ts, ms, ss = limits.integrate_particles(
             pe, p, args.ell, t_max=args.t_max, record_every=args.record_every
         )
-        os.makedirs(args.out, exist_ok=True)
-        outputs.append(_write_csv(os.path.join(args.out, "particles.csv"), "t,m,s",
-                                  zip(ts, ms, ss)))
+        output = ("particles.csv", "t,m,s", zip(ts, ms, ss))
 
-    elif args.kind == "ar1":
+    else:  # ar1, the last of the kinds argparse lets through
         traj = limits.mala_ar1_limit(args.ell, args.steps, y0=args.y0,
                                      rng=chains.chain_rng(args.seed))
-        os.makedirs(args.out, exist_ok=True)
-        outputs.append(_write_csv(os.path.join(args.out, "ar1.csv"), "k,y", enumerate(traj)))
+        output = ("ar1.csv", "k,y", enumerate(traj))
 
-    else:
-        raise DomainError(f"unknown kind {args.kind!r}")
-
-    _write_manifest(args.out, "simulate", config, args.seed, outputs)
+    _write_run(args.out, "simulate", _options(args, "seed"), args.seed, [output])
     return _EXIT_OK
 
 
@@ -202,14 +192,12 @@ def _cmd_experiment(args) -> int:
         b_values, a_grid, alphas = experiments.robustness_grid()
         rows = experiments.relative_loss_surface(b_values, a_grid, alphas)
         means = experiments.mean_relative_loss(rows)
-        os.makedirs(args.out, exist_ok=True)
-        path = _write_csv(os.path.join(args.out, "relative_loss.csv"), "alpha,b,a,loss",
-                          ((r.alpha, r.b, r.a, r.loss) for r in rows))
-        _write_manifest(
+        _write_run(
             args.out, "experiment",
-            {"kind": "loss", "a_grid": "linear:0.01:100:61",
+            {"kind": "loss", "a_grid": list(a_grid),
              "b_values": list(b_values), "alphas": list(alphas)},
-            None, [path],
+            None, [("relative_loss.csv", "alpha,b,a,loss",
+                    ((r.alpha, r.b, r.a, r.loss) for r in rows))],
         )
         for alpha in sorted(means):
             print(f"alpha={alpha:g}: mean relative loss {means[alpha]:.5f}")
@@ -231,15 +219,12 @@ def _cmd_experiment(args) -> int:
         raise DomainError("give --preset desk|paper or --config FILE")
 
     curves = experiments.square_bias_sweep(cfg, workers=args.threads)
-    os.makedirs(args.out, exist_ok=True)
-    paths = []
-    for label in (s.label() for s in cfg.strategies):
-        paths.append(_write_csv(
-            os.path.join(args.out, f"bias_{label}.csv"), BIAS_HEADER,
-            ((c.t0, c.sq_bias_s, c.sq_bias_m, c.stderr_s, c.stderr_m)
-             for c in curves if c.strategy == label),
-        ))
-    paths.append(_write_manifest(args.out, "experiment", cfg.to_dict(), cfg.seed, paths))
+    # one CSV per strategy; each list is filled here, before any file is written
+    rows = {s.label(): [] for s in cfg.strategies}
+    for c in curves:
+        rows[c.strategy].append((c.t0, c.sq_bias_s, c.sq_bias_m, c.stderr_s, c.stderr_m))
+    paths = _write_run(args.out, "experiment", cfg.to_dict(), cfg.seed,
+                       [(f"bias_{label}.csv", BIAS_HEADER, r) for label, r in rows.items()])
     print(f"wrote {len(paths)} files to {args.out}")
     return _EXIT_OK
 
@@ -250,6 +235,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_validate(args) -> int:
     if not 2 <= args.samples < math.inf:  # fewer make the Monte Carlo check vacuous
         raise DomainError(f"--samples must be a finite count >= 2, got {args.samples:g}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     checks = []
 
     def check(name, ok, detail=""):
@@ -366,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="step-scale tuning rules", **fmt)
     p_tune.add_argument("--mode", choices=("star", "alpha", "ent"), required=True,
                         help="rule: rate-optimal, acceptance-matched, or entropy-derivative")
-    p_tune.add_argument("--s", type=float, default=1.0, help="moment ratio a/b (default 1)")
+    p_tune.add_argument("--s", type=float, default=1.0, help="moment ratio a/b")
     p_tune.add_argument("--s-grid", help="grid lo:hi:num instead of --s")
     p_tune.add_argument("--a", type=float, help="moment E[(V')^2]")
     p_tune.add_argument("--b", type=float, help="moment E[V'']")
     p_tune.add_argument("--alpha", type=float, default=0.27,
-                        help="target acceptance rate for --mode alpha (default 0.27)")
+                        help="target acceptance rate for --mode alpha")
     p_tune.add_argument("--m", type=float, default=0.0,
-                        help="mean for --mode ent (default 0)")
+                        help="mean for --mode ent")
     p_tune.add_argument("--out", help="directory for tune.csv + manifest")
     p_tune.set_defaults(fn=_cmd_tune)
 
@@ -419,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="identity and oracle checks", **fmt)
     p_val.add_argument("--samples", type=float, default=1e6,
-                       help="Monte Carlo oracle sample count (default 1e6)")
+                       help="Monte Carlo oracle sample count")
     p_val.add_argument("--seed", type=int, default=0, help="master seed")
     p_val.set_defaults(fn=_cmd_validate)
 

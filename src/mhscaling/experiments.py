@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise DomainError(f"burn-in t0 must be >= 0, got {self.t0_grid[0]}")
         if not self.strategies:
             raise DomainError("need at least one strategy")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         start_params(self.init_kind, self.init_params)
         labels = [s.label() for s in self.strategies]
         if len(set(labels)) < len(labels):
@@ -105,19 +107,27 @@ class ExperimentConfig:
         try:
             return cls(
                 target=d["target"],
-                n=int(d["n"]),
-                window=int(d["window"]),
-                t0_grid=tuple(int(v) for v in d["t0_grid"]),
-                replicates=int(d["replicates"]),
+                n=_count(d["n"], "n"),
+                window=_count(d["window"], "window"),
+                t0_grid=tuple(_count(v, "t0") for v in d["t0_grid"]),
+                replicates=_count(d["replicates"], "replicates"),
                 strategies=tuple(strategy_from_label(s) for s in d["strategies"]),
                 init_kind=d["init_kind"],
                 init_params=tuple(d["init_params"]),
-                seed=int(d["seed"]),
+                seed=_count(d["seed"], "seed"),
             )
         except KeyError as exc:
             raise DomainError(f"config is missing the key {exc}") from None
-        except (TypeError, ValueError) as exc:  # DomainError included
+        except (TypeError, ValueError, OverflowError) as exc:  # DomainError included
             raise DomainError(f"config: {exc}") from None
+
+
+def _count(value, name: str) -> int:
+    # int() alone would truncate 10.7 to 10 without a word
+    number = int(value)
+    if number != value:
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return number
 
 
 def _default_strategies(target: str):

@@ -603,3 +603,21 @@ def test_chains_track_the_moment_ode_as_n_grows():
     gap_small, gap_large = median_sup_gap(200), median_sup_gap(800)
     assert gap_small < 0.8
     assert 0.3 <= gap_large / gap_small <= 0.8
+
+
+@pytest.mark.parametrize("route", ["run_chain", "rwm_step", "swap", "run_chains_moments"])
+def test_entropy_strategy_is_refused_off_the_gaussian(route):
+    # ent minimizes the Gaussian entropy derivative; on another target it
+    # would run on without a word
+    p, ent = double_well_potential(), EntropyOptimalGaussian()
+    state = ChainState(coords=np.zeros(5), rng=chain_rng(0))
+    with pytest.raises(DomainError, match="Gaussian"):
+        if route == "run_chain":
+            run_chain(np.zeros(5), p, ent, steps=2, rng=chain_rng(0))
+        elif route == "rwm_step":
+            rwm_step(state, p, ent)
+        elif route == "swap":
+            rwm_step(state, p, RateOptimal())
+            rwm_step(state, p, ent)
+        else:
+            run_chains_moments([np.zeros(5)], p, [ent], 2, rngs=[chain_rng(0)])

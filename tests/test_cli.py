@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import mhscaling
-from mhscaling import cli
+from mhscaling import cli, experiments
+from mhscaling.chains import strategy_from_label
 
 
 def run_cli(argv):
@@ -173,6 +174,25 @@ def test_experiment_manifest_roundtrip_is_lossless(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_bias_files_hold_their_own_strategy(tmp_path):
+    # each bias_<label>.csv holds the sweep's rows for that label alone
+    cfg = {
+        "target": "gaussian", "n": 10, "window": 30, "t0_grid": [0, 10],
+        "replicates": 3, "strategies": ["constant:2.38", "star", "alpha:0.27"], "seed": 2,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run_cli(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    curves = experiments.square_bias_sweep(experiments.ExperimentConfig.from_dict(cfg))
+    for spec in cfg["strategies"]:
+        label = strategy_from_label(spec).label()
+        rows = np.loadtxt(out / f"bias_{label}.csv", delimiter=",", skiprows=1)
+        want = [(c.t0, c.sq_bias_s, c.sq_bias_m, c.stderr_s, c.stderr_m)
+                for c in curves if c.strategy == label]
+        assert rows.tolist() == [list(map(float, w)) for w in want], label
+
+
 def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     # manifests of older versions named strategies by label
     cfg = {
@@ -211,6 +231,11 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["experiment", "--config", "."],
     ["simulate", "--kind", "mala", "--sigma", "0", "--steps", "0", "--n", "5"],
     ["simulate", "--kind", "mala", "--sigma", "inf", "--steps", "0", "--n", "5"],
+    ["simulate", "--kind", "ar1", "--seed", "-1"],
+    ["simulate", "--kind", "particles", "--seed", "-1"],
+    ["experiment", "--preset", "desk", "--seed", "-1"],
+    ["simulate", "--kind", "rwm", "--target", "double-well", "--strategy", "ent",
+     "--n", "5", "--steps", "3"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -237,8 +262,26 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     '"replicates": 3, "strategies": ["star"]}',
     '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0], '
     '"replicates": 3, "strategies": []}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"], "seed": -1}',
+    '{"target": "gaussian", "n": 10.7, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 20.9, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0, 5.5], '
+    '"replicates": 3, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 2.9, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"], "seed": 1.5}',
+    '{"target": "double-well", "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["ent"]}',
+    '{"target": "gaussian", "n": 1e999, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"]}',
 ], ids=["missing-key", "list", "config-list", "not-json", "text-n", "gaussian-init-10",
-        "t0-before-start", "t0-negative-inside", "t0-grid-empty", "no-strategies"])
+        "t0-before-start", "t0-negative-inside", "t0-grid-empty", "no-strategies",
+        "seed-negative", "n-fractional", "window-fractional", "t0-fractional",
+        "replicates-fractional", "seed-fractional", "ent-double-well", "n-infinite"])
 def test_malformed_config_exits_2(tmp_path, capsys, text):
     config = tmp_path / "bad.json"
     config.write_text(text)
@@ -301,6 +344,13 @@ def test_validate_refuses_too_few_samples(capsys, samples):
     assert "--samples" in captured.err
 
 
+def test_validate_refuses_negative_seed(capsys):
+    assert run_cli(["validate", "--samples", "100", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err and captured.err.count("\n") == 1
+
+
 def test_validate_seeded_run_reproducible(capsys):
     assert run_cli(["validate", "--samples", "5e4", "--seed", "9"]) == 0
     first = capsys.readouterr().out
@@ -321,3 +371,32 @@ def test_missing_output_dir_created(tmp_path):
     assert run_cli(["simulate", "--kind", "ar1", "--ell", "0.5", "--steps", "10",
                     "--out", str(nested)]) == 0
     assert (nested / "ar1.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "rwm", "--n", "5", "--steps", "4", "--seed", "3"],
+    ["simulate", "--kind", "mala", "--n", "5", "--steps", "4"],
+    ["simulate", "--kind", "ode", "--t-max", "0.01", "--dt", "0.005", "--stop-tol", "1e-3"],
+    ["simulate", "--kind", "particles", "--n", "50", "--t-max", "0.01", "--dt", "0.005"],
+    ["simulate", "--kind", "ar1", "--steps", "4"],
+    ["tune", "--mode", "alpha", "--s-grid", "1:2:2"],
+], ids=["rwm", "mala", "ode", "particles", "ar1", "tune"])
+def test_manifest_records_every_option(tmp_path, argv):
+    # a rerun from the manifest needs every option that shaped the data
+    out = tmp_path / "run"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    parsed = vars(cli.build_parser().parse_args([*argv, "--out", str(out)]))
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in set(parsed) - {"command", "fn", "out", "seed"}:
+        assert manifest["config"][name] == parsed[name], name
+    assert manifest["seed"] == parsed.get("seed")
+
+
+def test_loss_manifest_records_its_grid(tmp_path):
+    out = tmp_path / "loss"
+    assert run_cli(["experiment", "--kind", "loss", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    b_values, a_grid, alphas = experiments.robustness_grid()
+    assert manifest["config"]["a_grid"] == list(a_grid)
+    assert manifest["config"]["b_values"] == list(b_values)
+    assert manifest["config"]["alphas"] == list(alphas)
