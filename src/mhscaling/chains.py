@@ -25,7 +25,7 @@ and shareable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -228,15 +228,8 @@ class ChainState:
     """Position, generator and counters of one chain.
 
     ``coords`` is replaced by a new array when a proposal is accepted and is
-    never mutated in place.  Hand stepping (:func:`rwm_step`,
-    :func:`mala_step`) relies on this: it keeps the chain as a batch of one
-    whose point summary -- ``sum V(coords)``, ``V'(coords)``, the moments
-    and, for non-adaptive strategies, the scale ``ell`` -- is keyed on the
-    identity of the ``coords`` array object (and of the potential and
-    strategy), and reuses it after a rejection.  Assigning a new array to
-    ``coords`` invalidates it; writing into the array does not.
-    :func:`run_chain` and :func:`run_mala` hold their batch themselves and
-    return a state without it.
+    never mutated in place.  A hand step (:func:`rwm_step`,
+    :func:`mala_step`) reads nothing but these fields.
     """
 
     coords: np.ndarray
@@ -244,7 +237,6 @@ class ChainState:
     k: int = 0
     theta: float | None = None
     accept_count: int = 0
-    _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -435,39 +427,29 @@ def _check_sigma(sigma) -> None:
 
 
 def _hand_step(state: ChainState, p: Potential, strategy, kernel, *args):
-    # One kernel step of ``state`` as a batch of one, cached on the identity
-    # of its coords array (see ChainState); a miss summarises the point anew.
-    cached = state._batch
-    if (cached is None or cached[0] is not state.coords or cached[1].p is not p
-            or cached[1].strategies[0] is not strategy):
-        batch = _Batch(p, state.coords.reshape(1, -1), [state.rng], [strategy], [state.theta])
-    else:
-        batch = cached[1]
-    batch.rngs, batch.theta, batch.k = [state.rng], [state.theta], state.k
+    # One kernel step of ``state`` as a fresh batch of one.
+    batch = _Batch(p, state.coords.reshape(1, -1), [state.rng], [strategy], [state.theta])
+    batch.k = state.k
     here = batch.here(0)
     ell, acc_prob, accepted = kernel(batch, *args)
     state.k, state.theta = batch.k, batch.theta[0]
     if accepted[0]:
         state.coords = batch.x[0]
         state.accept_count += 1
-    state._batch = (state.coords, batch)
     return state, StepRecord(state.k, ell[0], accepted[0], acc_prob[0], *here)
 
 
 def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
     """One random walk Metropolis step over all coordinates: the step of
     :func:`run_chain`, taken by hand.  The moments in the record, and ell,
-    are those of the current coordinate vector; they are computed when the
-    chain reaches it and reused while the chain rejects (see
-    :class:`ChainState`)."""
+    are those of the current coordinate vector."""
     return _hand_step(state, p, strategy, _rwm_kernel)
 
 
 def mala_step(state: ChainState, p: Potential, sigma: float):
     """One Langevin-adjusted step with proposal std sigma: the step of
-    :func:`run_mala`, taken by hand.  The moments in the record, sum V(x)
-    and V'(x) are those of the current coordinate vector, computed when the
-    chain reaches it and reused while it rejects."""
+    :func:`run_mala`, taken by hand.  The moments in the record are those of
+    the current coordinate vector."""
     _check_sigma(sigma)
     return _hand_step(state, p, None, _mala_kernel, sigma)
 

@@ -5,7 +5,9 @@ Subcommands:
 * ``tune``        print step scales from the tuning rules
 * ``simulate``    run a chain / moment ODE / particle system / AR(1) limit
 * ``experiment``  square-bias sweeps and the robustness surface
-* ``validate``    run the coefficient identity and Monte Carlo oracle checks
+* ``validate``    run the closed-form checks: coefficient identities, the
+                  Monte Carlo oracle and tuning constants (acceptance
+                  criteria 01 and 03 run the same identity and tuning groups)
 
 Every writing subcommand creates ``--out`` if needed and drops a
 ``manifest.json`` with the fully resolved configuration and seed, enough to
@@ -19,6 +21,7 @@ failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -230,6 +233,87 @@ def _cmd_experiment(args) -> int:
 
 
 # -- validate ------------------------------------------------------------------
+# The closed-form checks: ``validate`` runs the three groups, acceptance
+# criteria 01 and 03 the identity and tuning groups.  Each group yields
+# (name, ok, detail) and takes its seeded draws from ``rng``.
+
+
+def _draws(rng, count, *ranges):
+    # count points, coordinate i uniform on ranges[i], drawn point by point
+    return [tuple(float(rng.uniform(lo, hi)) for lo, hi in ranges) for _ in range(count)]
+
+
+def identity_checks(rng):
+    """gamma == 2 g_drift on the diagonal a == b, the sign of gamma - 2 g_drift
+    off it (on a grid and at 1,000 draws), and F > 0 on a compact grid."""
+    worst = max(abs(gamma(c, c, ell) - 2.0 * g_drift(c, c, ell))
+                for c, ell in itertools.product(np.linspace(0.05, 10.0, 20).tolist(),
+                                                np.linspace(0.3, 4.8, 20).tolist()))
+    yield "equilibrium identity gamma == 2*g_drift", worst <= 1e-12, f"max |diff| {worst:.2e}"
+
+    points = list(itertools.product(np.linspace(0.0, 10.0, 10).tolist(),
+                                    np.linspace(-5.0, 5.0, 10).tolist(),
+                                    np.linspace(0.5, 5.0, 10).tolist()))
+    points += _draws(rng, 1000, (0.0, 10.0), (-5.0, 5.0), (0.05, 5.0))
+    wrong = sum(math.copysign(1.0, gamma(a, b, ell) - 2.0 * g_drift(a, b, ell))
+                != math.copysign(1.0, a - b) for a, b, ell in points if abs(a - b) >= 1e-9)
+    yield ("sign identity sign(gamma - 2 g_drift) == sign(a - b)", wrong == 0,
+           f"{wrong} of {len(points)} points wrong")
+
+    min_f = min(f_rate(a, b, ell) for a, b, ell in itertools.product(
+        np.linspace(0.0, 10.0, 11).tolist(), np.linspace(-10.0, 10.0, 11).tolist(),
+        (0.5, 1.0, 2.0, 4.0)))
+    yield "entropy rate positive on compacts", min_f > 0.0, f"min {min_f:.3e}"
+
+
+def oracle_checks(rng, n_samples):
+    """gamma and g_drift against Monte Carlo means at 8 drawn points, to 4
+    standard errors."""
+    miss = ""
+    for _ in range(8):
+        a, b, ell = _draws(rng, 1, (0.05, 8.0), (-3.0, 3.0), (0.2, 3.0))[0]
+        z = rng.normal(-0.5 * ell * ell * b, ell * math.sqrt(a), size=n_samples)
+        capped = np.exp(np.minimum(z, 0.0))
+        for coefficient, mc in ((gamma, capped), (g_drift, np.where(z < 0.0, capped, 0.0))):
+            se = ell * ell * mc.std() / math.sqrt(n_samples)
+            if not miss and abs(coefficient(a, b, ell) - ell * ell * mc.mean()) > 4.0 * se:
+                miss = f"{coefficient.__name__} at (a={a:.3f}, b={b:.3f}, ell={ell:.3f})"
+    yield f"Monte Carlo oracle at {n_samples} samples (4 se)", not miss, miss
+
+
+# name, value, target, tolerance; a vector value is checked entry by entry
+TUNING_CONSTANTS = (
+    ("rate-optimal scale at s=0 is sqrt(2)", lambda: tuning.ell_star(0.0).ell,
+     math.sqrt(2.0), 1e-8),
+    ("rate-optimal scale at s=1", lambda: tuning.ell_star(1.0).ell, 1.85, 0.01),
+    ("rate-optimal scale at s=1e4, over 100, less x_star",
+     lambda: tuning.ell_star(1e4).ell / 100.0 - tuning.x_star(), 0.0, 0.02),
+    ("acceptance-matched scale at (1, 0.234)", lambda: tuning.ell_alpha(1.0, 0.234).ell,
+     2.38, 0.01),
+    ("matched acceptance targets",
+     lambda: [tuning.matched_alpha(r) for r in ("near_equilibrium", "s_to_zero", "s_to_infinity")],
+     (0.35, math.exp(-1.0), 0.27), (0.005, 1e-10, 0.005)),
+)
+
+
+def tuning_checks(rng):
+    """The constants of TUNING_CONSTANTS, acceptance matching residuals at 10
+    drawn (s, alpha), and the scaling law ell*(la, lb) = ell*(a, b) / sqrt(l)
+    at 10 drawn (a, b, l)."""
+    for name, value, target, tol in TUNING_CONSTANTS:
+        got = np.atleast_1d(value())
+        yield (name, bool(np.all(np.abs(got - target) <= tol)),
+               ", ".join(f"{v:.12g}" for v in got))
+
+    worst = max(abs(j_curve(s, tuning.ell_alpha(s, alpha).ell) - alpha)
+                for s, alpha in _draws(rng, 10, (0.01, 30.0), (0.05, 0.9)))
+    yield "acceptance matching residuals < 1e-10", worst <= 1e-10, f"max {worst:.1e}"
+
+    worst = 0.0
+    for a, b, lam in _draws(rng, 10, (0.0, 5.0), (0.1, 4.0), (0.2, 5.0)):
+        want = tuning.ell_star_ab(a, b).ell / math.sqrt(lam)
+        worst = max(worst, abs(tuning.ell_star_ab(lam * a, lam * b).ell - want) / max(1.0, want))
+    yield "rate-optimal scaling law", worst <= 1e-8, f"max relative error {worst:.1e}"
 
 
 def _cmd_validate(args) -> int:
@@ -237,104 +321,14 @@ def _cmd_validate(args) -> int:
         raise DomainError(f"--samples must be a finite count >= 2, got {args.samples:g}")
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append(ok)
-        print(f"{'PASS' if ok else 'FAIL'}  {name}{': ' + detail if detail else ''}")
-
-    grid_c = np.linspace(0.05, 10.0, 20)
-    grid_l = np.linspace(0.3, 4.5, 20)
-    worst = max(
-        abs(gamma(float(c), float(c), float(l)) - 2.0 * g_drift(float(c), float(c), float(l)))
-        for c in grid_c for l in grid_l
-    )
-    check("equilibrium identity gamma == 2*g_drift", worst <= 1e-12, f"max |diff| {worst:.2e}")
-
     rng = np.random.default_rng(args.seed)
-    ok = True
-    for _ in range(1000):
-        a = float(rng.uniform(0.0, 10.0))
-        b = float(rng.uniform(-5.0, 5.0))
-        ell = float(rng.uniform(0.05, 5.0))
-        if abs(a - b) < 1e-9:
-            continue
-        diff = gamma(a, b, ell) - 2.0 * g_drift(a, b, ell)
-        if math.copysign(1.0, diff) != math.copysign(1.0, a - b):
-            ok = False
-            break
-    check("sign identity sign(gamma - 2 g_drift) == sign(a - b)", ok)
-
-    min_f = min(
-        f_rate(float(a), float(b), float(l))
-        for a in np.linspace(0.0, 10.0, 11)
-        for b in np.linspace(-10.0, 10.0, 11)
-        for l in (0.5, 1.0, 2.0, 4.0)
-    )
-    check("entropy rate positive on compacts", min_f > 0.0, f"min {min_f:.3e}")
-
-    n_samples = int(args.samples)
-    ok = True
-    detail = ""
-    for _ in range(8):
-        a = float(rng.uniform(0.05, 8.0))
-        b = float(rng.uniform(-3.0, 3.0))
-        ell = float(rng.uniform(0.2, 3.0))
-        z = rng.normal(-0.5 * ell * ell * b, ell * math.sqrt(a), size=n_samples)
-        capped = np.exp(np.minimum(z, 0.0))
-        drift = np.where(z < 0.0, capped, 0.0)
-        se_g = ell * ell * capped.std() / math.sqrt(n_samples)
-        se_d = ell * ell * drift.std() / math.sqrt(n_samples)
-        err_g = abs(gamma(a, b, ell) - ell * ell * capped.mean())
-        err_d = abs(g_drift(a, b, ell) - ell * ell * drift.mean())
-        if err_g > 4.0 * se_g or err_d > 4.0 * se_d:
-            ok = False
-            detail = f"(a={a:.3f}, b={b:.3f}, ell={ell:.3f})"
-            break
-    check(f"Monte Carlo oracle at {n_samples} samples (4 se)", ok, detail)
-
-    res = tuning.ell_star(0.0)
-    check("rate-optimal scale at s=0 is sqrt(2)",
-          abs(res.ell - math.sqrt(2.0)) <= 1e-8, f"{res.ell:.12f}")
-    res = tuning.ell_star(1.0)
-    check("rate-optimal scale at s=1", abs(res.ell - 1.85) <= 0.01, f"{res.ell:.6f}")
-    res = tuning.ell_alpha(1.0, 0.234)
-    check("acceptance-matched scale at (1, 0.234)",
-          abs(res.ell - 2.38) <= 0.01, f"{res.ell:.6f}")
-    matched = {r: tuning.matched_alpha(r)
-               for r in ("near_equilibrium", "s_to_zero", "s_to_infinity")}
-    check(
-        "matched acceptance targets",
-        abs(matched["near_equilibrium"] - 0.35) <= 0.005
-        and abs(matched["s_to_zero"] - math.exp(-1.0)) <= 1e-10
-        and abs(matched["s_to_infinity"] - 0.27) <= 0.005,
-        ", ".join(f"{k}={v:.4f}" for k, v in matched.items()),
-    )
-
-    ok = True
-    for _ in range(10):
-        s = float(rng.uniform(0.01, 30.0))
-        alpha = float(rng.uniform(0.05, 0.9))
-        if abs(j_curve(s, tuning.ell_alpha(s, alpha).ell) - alpha) > 1e-10:
-            ok = False
-            break
-    check("acceptance matching residuals < 1e-10", ok)
-
-    ok = True
-    for _ in range(10):
-        a = float(rng.uniform(0.0, 5.0))
-        b = float(rng.uniform(0.1, 4.0))
-        lam = float(rng.uniform(0.2, 5.0))
-        got = tuning.ell_star_ab(lam * a, lam * b).ell
-        want = tuning.ell_star_ab(a, b).ell / math.sqrt(lam)
-        if abs(got - want) > 1e-8 * max(1.0, want):
-            ok = False
-            break
-    check("rate-optimal scaling law", ok)
-
-    failed = checks.count(False)
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return _EXIT_OK if failed == 0 else _EXIT_VALIDATION
+    passed = total = 0
+    for name, ok, detail in itertools.chain(identity_checks(rng), oracle_checks(
+            rng, int(args.samples)), tuning_checks(rng)):
+        print(f"{'PASS' if ok else 'FAIL'}  {name}{': ' + detail if detail else ''}")
+        passed, total = passed + ok, total + 1
+    print(f"{passed}/{total} checks passed")
+    return _EXIT_OK if passed == total else _EXIT_VALIDATION
 
 
 # -- parser --------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .chains import run_chain  # noqa: F401
 from .coefficients import f_rate
 from .errors import DomainError
 from .targets import (
+    check_target_name,
     initial_coords,
     potential_by_name,
     start_params,
@@ -64,6 +65,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_target_name(self.target)
         if self.window < 1:
             raise DomainError("window length T must be >= 1")
         if self.replicates < 2:

@@ -30,6 +30,7 @@ __all__ = [
     "gaussian_potential",
     "double_well_potential",
     "custom_potential",
+    "check_target_name",
     "potential_by_name",
     "stationary_moments",
     "stationary_coordinate_moments",
@@ -299,18 +300,23 @@ def custom_potential(
     return p
 
 
+# the built-in targets by CLI identifier
+_BUILTIN_TARGETS = {
+    "gaussian": gaussian_potential,
+    "double-well": double_well_potential,
+}
+
+
+def check_target_name(name) -> None:
+    """Raise DomainError unless ``name`` identifies a built-in target."""
+    if not (isinstance(name, str) and name in _BUILTIN_TARGETS):
+        raise DomainError(f"unknown target {name!r}; available: {sorted(_BUILTIN_TARGETS)}")
+
+
 def potential_by_name(name: str) -> Potential:
     """Look up a built-in target by its CLI identifier."""
-    builtin = {
-        "gaussian": gaussian_potential,
-        "double-well": double_well_potential,
-    }
-    try:
-        return builtin[name]()
-    except KeyError:
-        raise DomainError(
-            f"unknown target {name!r}; available: {sorted(builtin)}"
-        ) from None
+    check_target_name(name)
+    return _BUILTIN_TARGETS[name]()
 
 
 def _mala_combination(p: Potential, x):

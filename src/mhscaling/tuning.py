@@ -125,19 +125,29 @@ def _bracketed_root(fn, objective, lo: float, hi: float) -> TuningResult:
     # Root of fn, which is positive left of its one root and negative right
     # of it.  lo shrinks by 1e-2 while fn(lo) <= 0 (an acceptance target
     # within rounding of 1 puts the root below any fixed lo); hi doubles
-    # while fn(hi) > 0.  Both expansions count as iterations.
+    # while fn(hi) > 0, short of overflow (ell_alpha(s) grows as sqrt s).
+    # Both expansions count as iterations.  Where the rule's formulas over-
+    # or underflow, fn turns nan or keeps its sign: a DomainError.
     expansions = 0
     while fn(lo) <= 0.0 and lo > 1e-300:
         lo *= 1e-2
         expansions += 1
-    while fn(hi) > 0.0 and expansions < 200:
+    while fn(hi) > 0.0 and 2.0 * hi < math.inf:
         hi *= 2.0
         expansions += 1
-    root, info = optimize.brentq(fn, lo, hi, xtol=_ELL_TOL, full_output=True)
+    try:
+        root, info = optimize.brentq(fn, lo, hi, xtol=_ELL_TOL, full_output=True)
+    except ValueError:
+        raise DomainError(f"no step scale in [{lo:g}, {hi:g}] solves the rule "
+                          "in floating point; the moments are too extreme") from None
     root = float(root)
+    value = objective(root)
+    if not math.isfinite(value):
+        raise DomainError(f"the rule's objective is {value!r} at its root {root!r}; "
+                          "the moments are too extreme")
     return TuningResult(
         ell=root,
-        objective_value=objective(root),
+        objective_value=value,
         iterations=info.iterations + expansions,
         converged=info.converged,
     )

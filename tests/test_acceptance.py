@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mhscaling import experiments, limits, tuning
+from mhscaling import cli, experiments, limits, tuning
 from mhscaling.chains import (
     ConstantAccAdaptive,
     ConstantAccNumeric,
@@ -23,7 +23,7 @@ from mhscaling.chains import (
     run_chain,
     run_mala,
 )
-from mhscaling.coefficients import f_rate, g_drift, gamma
+from mhscaling.coefficients import g_drift, gamma
 from mhscaling.targets import gaussian_potential
 
 from oracles import mc_gamma_gdrift
@@ -44,39 +44,19 @@ def _report(num, ok, budget, elapsed, detail=""):
     print(f"ACCEPTANCE {num:02d} {status} ({elapsed:.2f}s / budget {budget:.0f}s) {detail}")
 
 
-def test_criterion_01_closed_form_identities():
-    budget = 1.0
+def _registry_criterion(num, budget, group):
+    # a group of the closed-form checks `mhscaling validate` runs, fixed seed
     with _Timer() as t:
-        worst_eq = 0.0
-        for c in np.linspace(0.05, 10.0, 20):
-            for ell in np.linspace(0.3, 4.8, 20):
-                diff = gamma(float(c), float(c), float(ell)) - 2.0 * g_drift(
-                    float(c), float(c), float(ell)
-                )
-                worst_eq = max(worst_eq, abs(diff))
-        eq_ok = worst_eq <= 1e-12
-
-        sign_ok = True
-        for a in np.linspace(0.0, 10.0, 10):
-            for b in np.linspace(-5.0, 5.0, 10):
-                for ell in np.linspace(0.5, 5.0, 10):
-                    diff = gamma(float(a), float(b), float(ell)) - 2.0 * g_drift(
-                        float(a), float(b), float(ell)
-                    )
-                    if math.copysign(1.0, diff) != math.copysign(1.0, a - b):
-                        sign_ok = False
-        min_f = min(
-            f_rate(float(a), float(b), float(ell))
-            for a in np.linspace(0.0, 10.0, 11)
-            for b in np.linspace(-10.0, 10.0, 11)
-            for ell in (0.5, 1.0, 2.0, 4.0)
-        )
-        pos_ok = min_f > 0.0
-    ok = eq_ok and sign_ok and pos_ok and t.elapsed < budget
-    _report(1, ok, budget, t.elapsed,
-            f"max|gamma-2G|={worst_eq:.1e}, minF={min_f:.1e}")
-    assert eq_ok and sign_ok and pos_ok
+        results = list(group(np.random.default_rng(0)))
+    failed = [name for name, ok, _ in results if not ok]
+    _report(num, not failed and t.elapsed < budget, budget, t.elapsed,
+            "; ".join(f"{name}: {detail}" for name, _, detail in results))
+    assert not failed
     assert t.elapsed < budget
+
+
+def test_criterion_01_closed_form_identities():
+    _registry_criterion(1, 1.0, cli.identity_checks)
 
 
 def test_criterion_02_monte_carlo_oracle():
@@ -105,35 +85,7 @@ def test_criterion_02_monte_carlo_oracle():
 
 
 def test_criterion_03_tuning_constants():
-    budget = 5.0
-    with _Timer() as t:
-        star0 = tuning.ell_star(0.0).ell
-        star1 = tuning.ell_star(1.0).ell
-        star_large = tuning.ell_star(1e4).ell / 100.0
-        xs = tuning.x_star()
-        alpha_ref = tuning.ell_alpha(1.0, 0.234).ell
-        matched = {
-            "near_equilibrium": tuning.matched_alpha("near_equilibrium"),
-            "s_to_zero": tuning.matched_alpha("s_to_zero"),
-            "s_to_infinity": tuning.matched_alpha("s_to_infinity"),
-        }
-        checks = [
-            abs(star0 - math.sqrt(2.0)) <= 1e-8,
-            abs(star1 - 1.85) <= 0.01,
-            abs(star_large - xs) <= 0.02,
-            abs(alpha_ref - 2.38) <= 0.01,
-            abs(matched["near_equilibrium"] - 0.35) <= 0.005,
-            abs(matched["s_to_zero"] - math.exp(-1.0)) <= 0.005,
-            abs(matched["s_to_infinity"] - 0.27) <= 0.005,
-        ]
-    ok = all(checks) and t.elapsed < budget
-    _report(
-        3, ok, budget, t.elapsed,
-        f"l*(0)={star0:.9f} l*(1)={star1:.4f} l*(1e4)/100={star_large:.4f} "
-        f"l^a(1,.234)={alpha_ref:.4f} matched={{{', '.join(f'{v:.4f}' for v in matched.values())}}}",
-    )
-    assert all(checks)
-    assert t.elapsed < budget
+    _registry_criterion(3, 5.0, cli.tuning_checks)
 
 
 def test_criterion_04_stationary_acceptance_rate():

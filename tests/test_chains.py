@@ -353,7 +353,7 @@ def test_trajectory_csv_format(tmp_path):
 
 
 def _fresh_copy(state):
-    # Same position, stream and counters, but nothing cached.
+    # Same position, stream and counters, in a new state.
     rng = chain_rng(0)
     rng.bit_generator.state = copy.deepcopy(state.rng.bit_generator.state)
     return ChainState(coords=state.coords.copy(), rng=rng, k=state.k,
@@ -373,8 +373,9 @@ def _bits(record):
     ("double-well", "mala"),
 ])
 def test_cached_summary_steps_like_a_fresh_state(target, spec):
-    # The summary reused after rejections (and refreshed after acceptances)
-    # must give bit-for-bit the step a state without a cache gives.
+    # A chain that has stepped, through acceptances and rejections, must step
+    # bit-for-bit like a new state built from its position, stream and
+    # counters: a hand step keeps nothing outside those fields.
     p = gaussian_potential() if target == "gaussian" else double_well_potential()
     if spec == "mala":
         sigma = 0.8 if target == "gaussian" else 0.3  # both accept and reject
@@ -421,7 +422,7 @@ def test_rate_optimal_solves_once_per_point(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["rwm", "mala"])
 def test_steps_leave_the_callers_array_alone(kind):
-    # The Gaussian's V' returns its argument, so a cached summary that kept
+    # The Gaussian's V' returns its argument, so a batch summary that kept
     # it would hold the chain's own coords and an accepted step would write
     # the proposal into the caller's array.  Two states built on one array
     # must step like two states on copies of it, and the array must not move.

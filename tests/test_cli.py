@@ -236,6 +236,7 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["experiment", "--preset", "desk", "--seed", "-1"],
     ["simulate", "--kind", "rwm", "--target", "double-well", "--strategy", "ent",
      "--n", "5", "--steps", "3"],
+    ["tune", "--mode", "star", "--s", "1e308"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -243,6 +244,21 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["tune", "--mode", "alpha", "--s", "1e200"], "tune.csv"),
+    (["simulate", "--kind", "ode", "--strategy", "alpha", "--m0", "0", "--s0", "1e200",
+      "--t-max", "0.05"], "limit.csv"),
+    (["simulate", "--kind", "rwm", "--strategy", "alpha", "--init", "point:1e80",
+      "--n", "5", "--steps", "3"], "trajectory.csv"),
+])
+def test_acceptance_matching_solves_at_extreme_moments(tmp_path, argv, name):
+    # ell_alpha grows as sqrt s, past any fixed number of bracket doublings
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / name).read_text().splitlines()
+    col = header.split(",").index("ell" if name == "tune.csv" else "ell_used")
+    assert rows and all(0.0 < float(row.split(",")[col]) < math.inf for row in rows)
 
 
 @pytest.mark.parametrize("text", [
@@ -278,10 +294,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     '"replicates": 3, "strategies": ["ent"]}',
     '{"target": "gaussian", "n": 1e999, "window": 40, "t0_grid": [0], '
     '"replicates": 3, "strategies": ["star"]}',
+    '{"target": ["gaussian"], "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"]}',
+    '{"target": {"a": 1}, "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"]}',
 ], ids=["missing-key", "list", "config-list", "not-json", "text-n", "gaussian-init-10",
         "t0-before-start", "t0-negative-inside", "t0-grid-empty", "no-strategies",
         "seed-negative", "n-fractional", "window-fractional", "t0-fractional",
-        "replicates-fractional", "seed-fractional", "ent-double-well", "n-infinite"])
+        "replicates-fractional", "seed-fractional", "ent-double-well", "n-infinite",
+        "target-list", "target-object"])
 def test_malformed_config_exits_2(tmp_path, capsys, text):
     config = tmp_path / "bad.json"
     config.write_text(text)
@@ -333,6 +354,19 @@ def test_validate_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+def test_validate_reports_a_failing_check(monkeypatch, capsys):
+    # one registry entry made to fail: one FAIL line, n-1 of n passed, rc 1
+    name, value, target, tol = cli.TUNING_CONSTANTS[1]
+    monkeypatch.setattr(cli, "TUNING_CONSTANTS", (
+        cli.TUNING_CONSTANTS[0], (name, value, target + 1.0, tol), *cli.TUNING_CONSTANTS[2:]))
+    assert run_cli(["validate", "--samples", "5e4", "--seed", "9"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL  {name}: {value():.12g}"]
+    n = sum(line.startswith(("PASS", "FAIL")) for line in lines)
+    assert lines[-1] == f"{n - 1}/{n} checks passed"
 
 
 @pytest.mark.parametrize("samples", ["0", "1", "nan"])

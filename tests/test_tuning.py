@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhscaling.coefficients import acc_rate, f1, f_rate, j_curve
 from mhscaling.errors import ConcaveRegionError, DomainError
@@ -264,3 +266,17 @@ def test_ent_objective_single_fall_then_rise():
             signs = np.sign(diffs[np.abs(diffs) > 1e-12 * np.max(np.abs(vals))])
             changes = int(np.sum(signs[1:] != signs[:-1]))
             assert signs[0] < 0 and changes == 1, (m, s, changes)
+
+
+@settings(max_examples=500, deadline=None)
+@given(*3 * [st.floats(allow_nan=False, allow_infinity=False)])
+def test_rules_return_a_finite_scale_or_refuse(m, s, alpha):
+    # over all finite inputs: a usable scale, or DomainError (never a bare
+    # ValueError from the root finder, never a nan)
+    for solve in (lambda: ell_star(s), lambda: ell_alpha(s, alpha),
+                  lambda: ell_ent_gaussian(m, s)):
+        try:
+            res = solve()
+        except DomainError:
+            continue
+        assert 0.0 < res.ell < math.inf and math.isfinite(res.objective_value)
