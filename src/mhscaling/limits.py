@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from .chains import Strategy
-from .coefficients import _SQRT_2PI, _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
+from .coefficients import _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
 from .errors import DomainError
 from .targets import Potential, _moment_means, integrate_against_density
 # empirical_moments, f1 and the ell_* solvers are not called here (the MALA
@@ -65,6 +63,12 @@ def _check_step(dt: float) -> None:
 def _check_horizon(t_max: float, t_start: float) -> None:
     if not (math.isfinite(t_max) and t_max >= t_start):
         raise DomainError(f"t_max must be finite and >= {t_start!r}, got {t_max!r}")
+
+
+def _step_count(span: float, dt: float) -> int:
+    if not math.isfinite(span / dt):
+        raise DomainError(f"{span!r} in steps of {dt!r} is too many steps to count")
+    return int(round(span / dt))
 
 
 def gaussian_entropy(m: float, s: float) -> float:
@@ -134,9 +138,11 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     """
     _check_step(dt)
     _check_horizon(t_max, 0.0)
+    if policy_every < 1:
+        raise DomainError(f"policy_every must be >= 1, got {policy_every!r}")
     if not s0 >= m0 * m0:
         raise DomainError(f"second moment below squared mean: s0={s0!r}, m0={m0!r}")
-    steps = int(round(t_max / dt))
+    steps = _step_count(t_max, dt)
     rows = []
 
     def push(m, s, t, ell_used):
@@ -198,7 +204,7 @@ def integrate_particles(pe: ParticleEnsemble, p: Potential, ell: float,
     ts = [pe.t]
     ms = [float(np.mean(pe.xs))]
     ss = [float(np.mean(pe.xs**2))]
-    steps = int(round((t_max - pe.t) / pe.dt))
+    steps = _step_count(t_max - pe.t, pe.dt)
     for k in range(1, steps + 1):
         meanfield_particle_step(pe, p, ell)
         if k % record_every == 0:
@@ -262,7 +268,7 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
     def field(s):
         return mala_w(s - 1.0, ell) * (1.0 - s)
 
-    steps = int(round(t_max / dt))
+    steps = _step_count(t_max, dt)
     ts = np.empty(steps + 1)
     ss = np.empty(steps + 1)
     ts[0], ss[0] = 0.0, s0
@@ -312,14 +318,9 @@ class MalaZOptimum:
     acceptance: float
 
 
-@lru_cache(maxsize=1)
-def _mala_u_star() -> float:
-    # u = c ell^3 at the maximum of 2 ell^2 Phi(-u), whose ell-derivative is
-    # 2 ell (2 Phi(-u) - 3 u pdf(u))
-    return float(optimize.brentq(
-        lambda u: 2.0 * phi(-u) - 3.0 * u * math.exp(-0.5 * u * u) / _SQRT_2PI, 0.1, 2.0,
-        xtol=1e-15,
-    ))
+# u = c ell^3 at the maximum of 2 ell^2 Phi(-u), whose ell-derivative is
+# 2 ell (2 Phi(-u) - 3 u pdf(u)): the 50-digit root rounded to a double
+_MALA_U_STAR = 0.5618244445677497
 
 
 def mala_z_optimum(p: Potential) -> MalaZOptimum:
@@ -334,9 +335,8 @@ def mala_z_optimum(p: Potential) -> MalaZOptimum:
         raise DomainError(
             f"stationary moment K={k_moment:.6g} must be positive for {p.name}"
         )
-    u_star = _mala_u_star()
-    ell = (u_star * 8.0 / math.sqrt(k_moment / 3.0)) ** (1.0 / 3.0)
-    acceptance = 2.0 * phi(-u_star)
+    ell = (_MALA_U_STAR * 8.0 / math.sqrt(k_moment / 3.0)) ** (1.0 / 3.0)
+    acceptance = 2.0 * phi(-_MALA_U_STAR)
     return MalaZOptimum(ell=ell, z_value=ell * ell * acceptance, acceptance=acceptance)
 
 

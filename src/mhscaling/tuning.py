@@ -13,7 +13,9 @@ standard deviation ``ell / sqrt(n)``) from the current moments:
 Each rule is one bracketed root: of the analytic ell-derivative of its
 objective (``ell_star``, ``ell_ent_gaussian``) or of the acceptance residual
 (``ell_alpha``).  A value-only search resolves a smooth optimum only to about
-sqrt(eps), as nearly equal values drown in roundoff.
+sqrt(eps), as nearly equal values drown in roundoff.  All three share one
+solve, brentq in u = log ell from one guess sqrt(2 + x_star^2 s): a tolerance
+relative in ell, as an acceptance target above 1/2 has its root near 1/sqrt s.
 
 ``matched_alpha`` returns the acceptance target that makes the constant-
 acceptance rule coincide with the rate-optimal one in each asymptotic regime.
@@ -25,8 +27,7 @@ optimal and a ``ConcaveRegionError`` is raised (callers apply a cap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 from scipy import optimize
 
@@ -47,7 +48,8 @@ __all__ = [
     "ell_ent_gaussian",
 ]
 
-_ELL_TOL = 1e-12
+# brentq's absolute tolerance in u = log ell, a relative one in ell
+_U_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -63,16 +65,16 @@ class TuningResult:
 # Above this value of t = ell (2s - 1) / (2 sqrt s), the ell-derivatives of
 # f1 and g_drift are taken through the Mills-ratio gap 1 - t M(t), where
 # M(t) = Phi(-t) / pdf(t).  The direct forms cancel to a relative error of
-# about eps * t^2 (6e-5 in ell_star at s = 1e6, 45% at s = 1e8).  No bracket
-# of a solve at s <= 1e3 reaches this t.
-_GAP_T = 4e3
+# about eps * t^2 (6e-5 in ell_star at s = 1e6, 45% at s = 1e8; 2e-12 at this
+# t, which ell_star's root reaches near s = 80).
+_GAP_T = 100.0
 
 
 def _scaled_mills_gap(t: float) -> float:
-    # t^2 (1 - t M(t)) by its asymptotic series 1 - 3/t^2 + 15/t^4; the first
-    # omitted term is below 1e-19 for t >= _GAP_T
+    # t^2 (1 - t M(t)) by its asymptotic series 1 - 3/t^2 + 15/t^4 - 105/t^6;
+    # the first omitted term is below 1e-13 for t >= _GAP_T
     u = 1.0 / (t * t)
-    return 1.0 - 3.0 * u * (1.0 - 5.0 * u)
+    return 1.0 - 3.0 * u * (1.0 - 5.0 * u * (1.0 - 7.0 * u))
 
 
 def _d_f1_d_ell(s: float, ell: float) -> float:
@@ -102,64 +104,65 @@ def _d_drift_d_ell(s: float, ell: float) -> float:
     return ell * ((2.0 - ell * ell / (4.0 * s)) * term - t_gap)
 
 
-@lru_cache(maxsize=1)
+_X_STAR = 1.2240063619249615
+
+
 def x_star() -> float:
     """Maximizer of x*sqrt(2/pi)*exp(-x**2/8) - x**2*Phi(-x/2) (~1.22).
 
-    Governs the large-s growth ell_star(s) ~ x_star * sqrt(s).  Computed once
-    by root-finding on the derivative; the lru_cache doubles as the one-time
-    initialization guard.
+    Governs the large-s growth ell_star(s) ~ x_star * sqrt(s).  A literal:
+    the 50-digit root of the derivative sqrt(2/pi) exp(-x^2/8) - 2 x Phi(-x/2),
+    rounded to the nearest double.
     """
-
-    def dpsi(x: float) -> float:
-        return math.sqrt(2.0 / math.pi) * math.exp(-x * x / 8.0) - 2.0 * x * phi(-0.5 * x)
-
-    return float(optimize.brentq(dpsi, 0.5, 4.0, xtol=1e-13))
+    return _X_STAR
 
 
-def _bracket_high(s: float) -> float:
-    return max(6.0, 3.0 * x_star() * math.sqrt(s))
+def _guess(s: float) -> float:
+    # follows ell_star's asymptotes sqrt 2 (s -> 0) and x_star sqrt s (s -> inf)
+    return math.hypot(math.sqrt(2.0), _X_STAR * math.sqrt(s))
 
 
-def _bracketed_root(fn, objective, lo: float, hi: float) -> TuningResult:
+# u = log ell over which exp(u) is a positive finite double
+_LOG_MIN, _LOG_MAX = math.log(5e-324), math.log(1.7e308)
+
+
+def _bracketed_root(fn, objective, guess: float) -> TuningResult:
     # Root of fn, which is positive left of its one root and negative right
-    # of it.  lo shrinks by 1e-2 while fn(lo) <= 0 (an acceptance target
-    # within rounding of 1 puts the root below any fixed lo); hi doubles
-    # while fn(hi) > 0, short of overflow (ell_alpha(s) grows as sqrt s).
-    # Both expansions count as iterations.  Where the rule's formulas over-
-    # or underflow, fn turns nan or keeps its sign: a DomainError.
-    expansions = 0
-    while fn(lo) <= 0.0 and lo > 1e-300:
-        lo *= 1e-2
-        expansions += 1
-    while fn(hi) > 0.0 and 2.0 * hi < math.inf:
-        hi *= 2.0
-        expansions += 1
+    # of it, found by brentq in u = log ell to a relative tolerance.  The
+    # bracket starts at guess * e^(+-1) and steps out by 1, 2, 4, ... in u,
+    # the old outer end becoming the inner one; the steps count as
+    # iterations.  Where the rule's formulas over- or underflow, fn turns nan
+    # or keeps its sign to the ends of the floating-point range: a DomainError.
+    def g(u: float) -> float:
+        return fn(math.exp(u))
+
+    lo = math.log(guess) - 1.0
+    hi = lo + 2.0
+    step, expansions = 1.0, 0
+    while g(lo) <= 0.0 and lo > _LOG_MIN:
+        lo, hi = max(lo - step, _LOG_MIN), lo
+        step, expansions = 2.0 * step, expansions + 1
+    while g(hi) > 0.0 and hi < _LOG_MAX:
+        lo, hi = hi, min(hi + step, _LOG_MAX)
+        step, expansions = 2.0 * step, expansions + 1
     try:
-        root, info = optimize.brentq(fn, lo, hi, xtol=_ELL_TOL, full_output=True)
+        root, info = optimize.brentq(g, lo, hi, xtol=_U_TOL, full_output=True)
     except ValueError:
-        raise DomainError(f"no step scale in [{lo:g}, {hi:g}] solves the rule "
-                          "in floating point; the moments are too extreme") from None
-    root = float(root)
+        raise DomainError(f"no step scale in [{math.exp(lo):g}, {math.exp(hi):g}] solves "
+                          "the rule in floating point; the moments are too extreme") from None
+    root = math.exp(root)
     value = objective(root)
     if not math.isfinite(value):
         raise DomainError(f"the rule's objective is {value!r} at its root {root!r}; "
                           "the moments are too extreme")
-    return TuningResult(
-        ell=root,
-        objective_value=value,
-        iterations=info.iterations + expansions,
-        converged=info.converged,
-    )
+    return TuningResult(root, value, info.iterations + expansions, info.converged)
 
 
 def ell_star(s: float) -> TuningResult:
     """Unique maximizer of ell -> f1(s, ell) on (0, inf)."""
     if s < 0.0 or math.isnan(s):
         raise DomainError(f"moment ratio s must be >= 0, got {s!r}")
-    return _bracketed_root(
-        lambda ell: _d_f1_d_ell(s, ell), lambda ell: f1(s, ell), 1e-6, _bracket_high(s)
-    )
+    return _bracketed_root(lambda ell: _d_f1_d_ell(s, ell), lambda ell: f1(s, ell), _guess(s))
 
 
 def ell_star_ab(a: float, b: float) -> TuningResult:
@@ -173,12 +176,7 @@ def ell_star_ab(a: float, b: float) -> TuningResult:
         )
     base = ell_star(a / b)
     ell = base.ell / math.sqrt(b)
-    return TuningResult(
-        ell=ell,
-        objective_value=f_rate(a, b, ell),
-        iterations=base.iterations,
-        converged=base.converged,
-    )
+    return replace(base, ell=ell, objective_value=f_rate(a, b, ell))
 
 
 def ell_alpha(s: float, alpha: float) -> TuningResult:
@@ -192,7 +190,7 @@ def ell_alpha(s: float, alpha: float) -> TuningResult:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"target acceptance alpha must lie in (0, 1), got {alpha!r}")
     return _bracketed_root(
-        lambda ell: j_curve(s, ell) - alpha, lambda ell: j_curve(s, ell), 1e-9, 1.0
+        lambda ell: j_curve(s, ell) - alpha, lambda ell: j_curve(s, ell), _guess(s)
     )
 
 
@@ -206,12 +204,7 @@ def ell_alpha_ab(a: float, b: float, alpha: float) -> TuningResult:
     if not a > 0.0:
         raise DomainError(f"moment a must be > 0, got {a!r}")
     base = ell_alpha(a / b, alpha)
-    return TuningResult(
-        ell=base.ell / math.sqrt(b),
-        objective_value=base.objective_value,
-        iterations=base.iterations,
-        converged=base.converged,
-    )
+    return replace(base, ell=base.ell / math.sqrt(b))
 
 
 def matched_alpha(regime: str) -> float:
@@ -258,16 +251,18 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
             f"second moment must exceed squared mean, got s={s!r}, m={m!r}"
         )
     if m2 == 0.0 and s == 1.0:
-        base = ell_star(1.0)
-        return TuningResult(base.ell, 0.0, base.iterations, base.converged)
+        return replace(ell_star(1.0), objective_value=0.0)
 
-    f1_weight = (1.0 - s) * (s - m2 - 1.0)
+    # for s = f 2^e >= 1 both weights carry a factor 2^(-2e): the f1 weight
+    # overflows once s^2 does, and a power of two changes no rounding
+    e = max(math.frexp(s)[1], 0)
+    f1_weight = math.ldexp(1.0 - s, -e) * math.ldexp(s - m2 - 1.0, -e)
+    drift_weight = math.ldexp(m2, 1 - 2 * e)
 
     def descent(ell: float) -> float:
-        # -(s - m^2) times the ell-derivative of the objective
-        return 2.0 * m2 * _d_drift_d_ell(s, ell) - f1_weight * _d_f1_d_ell(s, ell)
+        # -(s - m^2) 2^(-2e) times the ell-derivative of the objective
+        return drift_weight * _d_drift_d_ell(s, ell) - f1_weight * _d_f1_d_ell(s, ell)
 
     return _bracketed_root(
-        descent, lambda ell: _entropy_derivative_objective(m, s, ell),
-        1e-6, _bracket_high(max(s, 1.0)),
+        descent, lambda ell: _entropy_derivative_objective(m, s, ell), _guess(s)
     )

@@ -237,6 +237,8 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["simulate", "--kind", "rwm", "--target", "double-well", "--strategy", "ent",
      "--n", "5", "--steps", "3"],
     ["tune", "--mode", "star", "--s", "1e308"],
+    ["simulate", "--kind", "ode", "--dt", "5e-324"],
+    ["simulate", "--kind", "particles", "--t-max", "1e308"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -303,7 +303,7 @@ def test_sweep_stream_layout_is_pinned():
     # alone.
     rows = "\n".join(repr(row) for row in square_bias_sweep(_layout_config("point", (10.0,))))
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "b71bed2c640c7a72985e64eabbdaaf20db570cd91f125d9c1b09751192524f22"
+        "13266153a1f482705926bd1f224e1f6dae25bcd41f8981be7539a967b2180ce4"
     )
 
 

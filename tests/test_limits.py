@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from mhscaling.chains import (
 from mhscaling.coefficients import f1, g_drift, gamma, phi
 from mhscaling.errors import DomainError
 from mhscaling.limits import (
+    _MALA_U_STAR,
     ParticleEnsemble,
     entropy_rate_bound,
     gaussian_entropy,
@@ -282,9 +284,18 @@ def test_limit_integrators_refuse_bad_horizon():
             integrate_particles(pe, gaussian_potential(), 1.0, t_max=t_max)
         with pytest.raises(DomainError):
             integrate_mala_second_moment(4.0, 1.4, dt=1e-3, t_max=t_max)
-    for dt in (0.0, -1e-3, math.inf, math.nan):
+    for dt in (0.0, -1e-3, math.inf, math.nan, 5e-324):
         with pytest.raises(DomainError):
             integrate_mala_second_moment(4.0, 1.4, dt=dt, t_max=1.0)
+    # a step count that overflows a float
+    with pytest.raises(DomainError):
+        integrate_gaussian_ode(10.0, 100.0, ConstantEll(1.0), dt=5e-324, t_max=1.0)
+    with pytest.raises(DomainError):
+        integrate_particles(pe, gaussian_potential(), 1.0, t_max=1e308)
+    for every in (0, -1):
+        with pytest.raises(DomainError):
+            integrate_gaussian_ode(10.0, 100.0, ConstantEll(1.0), dt=1e-2, t_max=1.0,
+                                   policy_every=every)
     # a zero-length horizon gives the start row alone
     assert integrate_gaussian_ode(1.0, 2.0, ConstantEll(1.0), t_max=0.0).t.tolist() == [0.0]
     assert integrate_particles(pe, gaussian_potential(), 1.0, t_max=0.0)[0].tolist() == [0.0]
@@ -316,6 +327,12 @@ def test_mala_z_gaussian_matches_finite_n_acceptance():
 def test_mala_z_small_ell_limit():
     p = wiggly_potential()
     assert mala_z_stationary(p, 1e-4) == pytest.approx(1e-8, rel=1e-3)
+
+
+def test_mala_u_star_is_the_50_digit_root():
+    with mpmath.workdps(50):
+        oracle = mpmath.findroot(lambda u: 2 * mpmath.ncdf(-u) - 3 * u * mpmath.npdf(u), 0.56)
+    assert abs(_MALA_U_STAR - oracle) <= math.ulp(_MALA_U_STAR)
 
 
 def test_mala_z_optimum_universal_acceptance():

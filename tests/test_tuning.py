@@ -32,6 +32,13 @@ def test_x_star_value():
     assert x_star() == pytest.approx(golden_max(psi, 0.5, 4.0), abs=1e-7)
 
 
+def test_x_star_is_the_50_digit_root():
+    with mpmath.workdps(50):
+        oracle = mpmath.findroot(lambda x: mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-x * x / 8)
+                                 - 2 * x * mpmath.ncdf(-x / 2), 1.22)
+    assert abs(x_star() - oracle) <= math.ulp(x_star())
+
+
 def test_ell_star_at_zero_is_sqrt_two():
     res = ell_star(0.0)
     assert res.converged
@@ -117,6 +124,26 @@ def test_ell_alpha_residuals_random():
         alpha = float(rng.uniform(0.02, 0.95))
         res = ell_alpha(s, alpha)
         assert abs(j_curve(s, res.ell) - alpha) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("s", [1e12, 1e20, 1e42, 1e100])
+def test_ell_alpha_above_one_half_at_large_s(s, alpha):
+    # a target above 1/2 puts the root near 1 / sqrt s, far below any fixed
+    # absolute tolerance
+    assert abs(j_curve(s, ell_alpha(s, alpha).ell) - alpha) <= 1e-12
+
+
+def test_ell_alpha_at_huge_s_takes_few_iterations():
+    assert ell_alpha(1e200, 0.27).iterations < 15
+
+
+def test_star_and_alpha_solve_cost_canary():
+    # total solver iterations over a wide grid of s; a bracket that starts
+    # far from the root shows here first
+    grid = [float(s) for s in np.geomspace(1e-6, 1e12, 200)]
+    total = sum(ell_star(s).iterations + ell_alpha(s, 0.27).iterations for s in grid)
+    assert total <= 4000
 
 
 def test_ell_alpha_domain():
@@ -225,7 +252,7 @@ def _mp_derivative_root(fn, bracket):
                                      solver="anderson"))
 
 
-@pytest.mark.parametrize("s", [1e3, 1e5, 1e6, 1e8, 1e12])
+@pytest.mark.parametrize("s", [160.0, 1e3, 3e3, 1e5, 1e6, 1e8, 1e12])
 def test_ell_star_matches_mpmath_root_at_large_s(s):
     # the direct derivative form cancels to eps * s^2 here
     def rate(ell):
@@ -234,8 +261,16 @@ def test_ell_star_matches_mpmath_root_at_large_s(s):
 
     root_s = math.sqrt(s)
     oracle = _mp_derivative_root(rate, (root_s, 1.5 * root_s))
-    assert ell_star(s).ell == pytest.approx(oracle, rel=1e-9)
-    assert ell_ent_gaussian(0.0, s).ell == pytest.approx(oracle, rel=1e-9)
+    assert ell_star(s).ell == pytest.approx(oracle, rel=2e-11)
+    assert ell_ent_gaussian(0.0, s).ell == pytest.approx(oracle, rel=2e-11)
+
+
+def test_ell_ent_gaussian_solves_at_huge_s():
+    # (1 - s)(s - m^2 - 1) overflows here unless the descent weights are rescaled
+    for s in np.geomspace(1e100, 1e307, 300):
+        for m in (0.0, 1.0, 1e5):
+            res = ell_ent_gaussian(m, float(s))
+            assert 0.0 < res.ell < math.inf and math.isfinite(res.objective_value)
 
 
 @pytest.mark.parametrize("m,s", [(3.0, 10.0), (1.0, 2.0), (-2.0, 6.0), (0.5, 0.3),
