@@ -7,19 +7,23 @@ chain uses a drift-corrected proposal with the acceptance exponent written
 out explicitly.
 
 Every chain is a row of a batch: an ``(R, n)`` array stepped by one kernel
-per chain kind, which does the O(R n) work on arrays and whatever sets a
-row's bits (its draws, scale and exp) row by row.  :func:`run_chains` steps
-R random walk chains; :func:`run_chain` and :func:`run_mala` loop the same
-kernels on a batch of one, and :func:`rwm_step` and :func:`mala_step` take
-one step of it by hand.
+per chain kind.  A kernel chooses its scale, builds the proposal and its
+log acceptance ratio; the batch draws the normals, decides, moves the
+accepted rows and counts the step, doing the O(R n) work on arrays and
+whatever sets a row's bits (its draws, scale and exp) row by row.
+:func:`run_chains` steps R random walk chains; :func:`run_chain` and
+:func:`run_mala` loop the same kernels on a batch of one, and
+:func:`rwm_step` and :func:`mala_step` are one-step runs of a given state.
 
 RNG discipline: each chain, or row, owns one counter-based generator
 (Philox) seeded from a master seed; replicate independence comes from
 spawned seed sequences.  Within a step the n proposal normals are drawn as
 one block, so coordinate i consumes position i of the block, and then a
-single uniform variate decides acceptance.  A row's stream does not depend
-on the other rows of its batch.  Potentials and strategies are immutable
-and shareable.
+single uniform variate decides acceptance.  Both draws are made in one
+place each (``_Batch.normals`` and ``_Batch.decide``), which fixes the
+stream layout for every kind of chain.  A row's stream does not depend on
+the other rows of its batch.  Potentials and strategies are immutable and
+shareable.
 """
 
 from __future__ import annotations
@@ -227,9 +231,9 @@ def strategy_from_label(text: str) -> Strategy:
 class ChainState:
     """Position, generator and counters of one chain.
 
-    ``coords`` is replaced by a new array when a proposal is accepted and is
-    never mutated in place.  A hand step (:func:`rwm_step`,
-    :func:`mala_step`) reads nothing but these fields.
+    A hand step (:func:`rwm_step`, :func:`mala_step`) reads nothing but
+    these fields and advances them in place; ``coords`` is replaced by a new
+    array, never mutated in place.
     """
 
     coords: np.ndarray
@@ -331,11 +335,23 @@ class _Batch:
         return (float(self.a_hat[r]), float(self.b_hat[r]), float(self.m_hat[r]),
                 float(self.s_hat[r]))
 
-    def move(self, accepted: list, proposal: np.ndarray, v: np.ndarray,
-             d1: np.ndarray | None = None) -> None:
-        """Move the rows flagged in ``accepted`` to their proposals, reusing
-        V(proposal) and, when the step has it, V'(proposal)."""
+    def normals(self) -> np.ndarray:
+        """Each row's block of n proposal normals, drawn from its own generator."""
+        return np.array([rng.standard_normal(self.x.shape[1]) for rng in self.rngs])
+
+    def decide(self, log_ratio: np.ndarray, proposal: np.ndarray, v: np.ndarray,
+               d1: np.ndarray | None = None):
+        """Close a step: row r accepts its proposal with probability
+        exp(log_ratio[r]) ^ 1, against one uniform from its own generator;
+        the accepted rows move (reusing V(proposal) and, when the step has
+        it, V'(proposal)) and the step is counted.  Returns the rows'
+        (acc_prob, accepted) as lists."""
+        acc_prob = [math.exp(min(d, 0.0)) for d in log_ratio.tolist()]
+        accepted = [rng.random() <= prob for rng, prob in zip(self.rngs, acc_prob)]
+        self.k += 1
         rows = [r for r, flag in enumerate(accepted) if flag]
+        if not rows:
+            return acc_prob, accepted
         for r in rows:
             self.ell[r] = None
         if len(rows) < len(accepted):
@@ -347,6 +363,7 @@ class _Batch:
         summary = _summarise(self.p, proposal, v, self.p.d1(proposal) if d1 is None else d1)
         for name, values in zip(_SUMMARY, summary):
             getattr(self, name)[rows] = values
+        return acc_prob, accepted
 
 
 def _rwm_kernel(batch: _Batch):
@@ -364,7 +381,7 @@ def _rwm_kernel(batch: _Batch):
     """
     n = batch.x.shape[1]
     root_n = math.sqrt(n)
-    ell, theta, rngs = batch.ell, batch.theta, batch.rngs
+    ell, theta = batch.ell, batch.theta
     adaptive = []
     for r, strategy in enumerate(batch.strategies):
         if isinstance(strategy, ConstantAccAdaptive):
@@ -376,17 +393,12 @@ def _rwm_kernel(batch: _Batch):
         ell[r] = strategy.scale(*batch.here(r), n, theta[r])
     ell_used = ell.copy()
 
-    noise = np.array([rng.standard_normal(n) for rng in rngs])
-    proposal = batch.x + np.array([[e / root_n] for e in ell_used]) * noise
+    proposal = batch.x + np.array([[e / root_n] for e in ell_used]) * batch.normals()
     v = batch.p.eval_v(proposal)
-    log_ratio = (batch.sum_v - np.add.reduce(v, axis=-1)).tolist()
-    acc_prob = [math.exp(min(d, 0.0)) for d in log_ratio]
-    accepted = [rng.random() <= prob for rng, prob in zip(rngs, acc_prob)]
+    k = batch.k  # theta_k moves with the index of the step it closes
+    acc_prob, accepted = batch.decide(batch.sum_v - np.add.reduce(v, axis=-1), proposal, v)
     for r in adaptive:
-        theta[r] = adaptive_update(theta[r], acc_prob[r], batch.strategies[r].alpha, batch.k)
-    if any(accepted):
-        batch.move(accepted, proposal, v)
-    batch.k += 1
+        theta[r] = adaptive_update(theta[r], acc_prob[r], batch.strategies[r].alpha, k)
     return ell_used, acc_prob, accepted
 
 
@@ -401,10 +413,8 @@ def _mala_kernel(batch: _Batch, sigma: float):
     than assumed.  Draws and exp are taken row by row, as in
     :func:`_rwm_kernel`.  Returns the rows' (sigma, acc_prob, accepted).
     """
-    rngs, d1_here = batch.rngs, batch.d1
-    noise = np.array([rng.standard_normal(batch.x.shape[1]) for rng in rngs])
-    jump = sigma * noise - 0.5 * sigma * sigma * d1_here
-    proposal = batch.x + jump
+    d1_here, noise = batch.d1, batch.normals()
+    proposal = batch.x + (sigma * noise - 0.5 * sigma * sigma * d1_here)
     d1 = batch.p.d1(proposal)
     reverse = noise - 0.5 * sigma * (d1_here + d1)
     v = batch.p.eval_v(proposal)
@@ -412,13 +422,9 @@ def _mala_kernel(batch: _Batch, sigma: float):
         batch.sum_v
         - np.add.reduce(v, axis=-1)
         + 0.5 * (np.add.reduce(noise * noise, axis=-1) - np.add.reduce(reverse * reverse, axis=-1))
-    ).tolist()
-    acc_prob = [math.exp(min(e, 0.0)) for e in exponent]
-    accepted = [rng.random() <= prob for rng, prob in zip(rngs, acc_prob)]
-    if any(accepted):
-        batch.move(accepted, proposal, v, d1)
-    batch.k += 1
-    return [sigma] * len(rngs), acc_prob, accepted
+    )
+    acc_prob, accepted = batch.decide(exponent, proposal, v, d1)
+    return [sigma] * len(acc_prob), acc_prob, accepted
 
 
 def _check_sigma(sigma) -> None:
@@ -426,32 +432,19 @@ def _check_sigma(sigma) -> None:
         raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
 
 
-def _hand_step(state: ChainState, p: Potential, strategy, kernel, *args):
-    # One kernel step of ``state`` as a fresh batch of one.
-    batch = _Batch(p, state.coords.reshape(1, -1), [state.rng], [strategy], [state.theta])
-    batch.k = state.k
-    here = batch.here(0)
-    ell, acc_prob, accepted = kernel(batch, *args)
-    state.k, state.theta = batch.k, batch.theta[0]
-    if accepted[0]:
-        state.coords = batch.x[0]
-        state.accept_count += 1
-    return state, StepRecord(state.k, ell[0], accepted[0], acc_prob[0], *here)
-
-
 def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
-    """One random walk Metropolis step over all coordinates: the step of
-    :func:`run_chain`, taken by hand.  The moments in the record, and ell,
-    are those of the current coordinate vector."""
-    return _hand_step(state, p, strategy, _rwm_kernel)
+    """One random walk Metropolis step over all coordinates: a one-step
+    :func:`run_chain` of ``state``, which it advances and returns with the
+    step's record.  The moments in the record, and ell, are those of the
+    current coordinate vector."""
+    return state, _run_one(state, p, strategy, 1, 1, _rwm_kernel)[0]
 
 
 def mala_step(state: ChainState, p: Potential, sigma: float):
-    """One Langevin-adjusted step with proposal std sigma: the step of
-    :func:`run_mala`, taken by hand.  The moments in the record are those of
-    the current coordinate vector."""
+    """One Langevin-adjusted step with proposal std sigma: a one-step
+    :func:`run_mala` of ``state``, laid out as :func:`rwm_step`."""
     _check_sigma(sigma)
-    return _hand_step(state, p, None, _mala_kernel, sigma)
+    return state, _run_one(state, p, None, 1, 1, _mala_kernel, sigma)[0]
 
 
 def _start(inits, p: Potential, strategies, steps: int, rngs) -> _Batch:
@@ -505,21 +498,23 @@ def run_chains_moments(inits, p: Potential, strategies, steps: int, *, rngs):
     return m_hat, s_hat
 
 
-def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
-    # one chain as a batch of one, its kernel looped; a StepRecord every
-    # record_every-th step
+def _run_one(state: ChainState, p, strategy, steps, record_every, kernel, *args):
+    # advance ``state`` in place by ``steps`` kernel steps, as a batch of
+    # one; returns a StepRecord for every record_every-th step
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    batch = _start([np.reshape(init, -1)], p, [strategy], steps, [rng])
-    records, accept_count = [], 0
-    for k in range(1, steps + 1):
+    batch = _start(np.reshape(state.coords, (1, -1)), p, [strategy], steps, [state.rng])
+    batch.k, batch.theta[0] = state.k, state.theta
+    records = []
+    for i in range(1, steps + 1):
         # a record holds the moments of the point its step starts from
-        here = batch.here(0) if k % record_every == 0 else None
+        here = batch.here(0) if i % record_every == 0 else None
         ell, acc_prob, accepted = kernel(batch, *args)
-        accept_count += accepted[0]
+        state.accept_count += accepted[0]
         if here is not None:
-            records.append(StepRecord(k, ell[0], accepted[0], acc_prob[0], *here))
-    return records, ChainState(batch.x[0], rng, batch.k, batch.theta[0], accept_count)
+            records.append(StepRecord(batch.k, ell[0], accepted[0], acc_prob[0], *here))
+    state.coords, state.k, state.theta = batch.x[0], batch.k, batch.theta[0]
+    return records
 
 
 def run_chain(init, p: Potential, strategy: Strategy, steps: int,
@@ -531,7 +526,8 @@ def run_chain(init, p: Potential, strategy: Strategy, steps: int,
     the kernel of :func:`run_chains`; its records equal those of the same
     chain in a :func:`run_chains` batch or stepped by :func:`rwm_step`.
     """
-    return _run_one(init, p, strategy, steps, record_every, rng, _rwm_kernel)
+    state = ChainState(init, rng)
+    return _run_one(state, p, strategy, steps, record_every, _rwm_kernel), state
 
 
 def run_mala(init, p: Potential, sigma: float, steps: int,
@@ -540,4 +536,5 @@ def run_mala(init, p: Potential, sigma: float, steps: int,
     as :func:`run_chain`, its records equal those of a :func:`mala_step`
     loop."""
     _check_sigma(sigma)
-    return _run_one(init, p, None, steps, record_every, rng, _mala_kernel, sigma)
+    state = ChainState(init, rng)
+    return _run_one(state, p, None, steps, record_every, _mala_kernel, sigma), state

@@ -221,7 +221,7 @@ def _cmd_experiment(args) -> int:
     else:
         raise DomainError("give --preset desk|paper or --config FILE")
 
-    curves = experiments.square_bias_sweep(cfg, workers=args.threads)
+    curves = experiments.square_bias_sweep(cfg)
     # one CSV per strategy; each list is filled here, before any file is written
     rows = {s.label(): [] for s in cfg.strategies}
     for c in curves:
@@ -392,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--target", choices=("gaussian", "double-well"),
                        default="gaussian", help="target potential for presets")
     p_exp.add_argument("--seed", type=int, default=0, help="master seed for presets")
-    p_exp.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; has no effect (a sweep "
-                            "runs all its chains as one batch in one process)")
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(fn=_cmd_experiment)
 

@@ -89,7 +89,7 @@ def _exp_phi_term(a: float, b: float, ell: float) -> float:
     if x2 >= 0.0:
         # Here b >= 2a, hence the exponent is negative: no overflow.
         return math.exp(0.5 * ell * ell * (a - b)) * phi(x2)
-    exponent = -(ell * ell * b * b) / (8.0 * a)
+    exponent = -(ell * ell * b * b) / 8.0 / a
     return math.exp(exponent) * f_helper(x2)
 
 

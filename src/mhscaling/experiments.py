@@ -236,8 +236,9 @@ def square_bias_sweep(cfg: ExperimentConfig, workers: int | None = None):
     One chain of length max(t0) + T serves every burn-in value of a
     replicate (the per-t0 estimator laws are unchanged; only their coupling
     across t0 differs, which the bias and stderr do not see).  All chains
-    run as one batch in this process; ``workers`` is accepted for
-    compatibility and has no effect.
+    run as one batch in this process.  ``workers`` has no effect; it stays
+    accepted because perfbench's sweep round and acceptance criterion 07
+    pass it.
 
     Stream layout: the chain of strategy i and replicate r draws from a
     Philox generator on child i * R + r of SeedSequence(seed).spawn(S * R),

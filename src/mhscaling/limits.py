@@ -6,12 +6,14 @@ diffusion limit: the pair (m, s) = (mean, second moment) follows
     ds/dt = f1(s, ell) * (1 - s),        dm/dt = -g_drift(s, 1, ell) * m,
 
 with the relative entropy to equilibrium, :func:`gaussian_entropy`, in closed
-form; :func:`integrate_gaussian_ode` integrates it.  For general targets the
-limit is simulated as an interacting particle system (Euler-Maruyama with
-coefficients recomputed from the empirical moments each step).  The MALA side
-collects the step-variance regime classifier, the transient speed function
-``mala_w``, the stationary-regime speed ``z`` and the fixed-variance AR(1)
-limit chain.
+form; :func:`integrate_gaussian_ode` integrates it.  It and the MALA
+second-moment flow take one RK4 step, ``_rk4_with_guard``, given their field,
+which halves a step that would make s - m^2 negative.  For general targets
+the limit is simulated as an interacting particle system (Euler-Maruyama
+with coefficients recomputed from the empirical moments each step).  The
+MALA side collects the step-variance regime classifier, the transient speed
+function ``mala_w``, the stationary-regime speed ``z`` and the
+fixed-variance AR(1) limit chain.
 
 States are single-owner; coefficient calls are pure.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,22 +95,23 @@ def _ode_field(m: float, s: float, ell: float) -> tuple[float, float]:
     return (-drift * m, f1_value * (1.0 - s))
 
 
-def _rk4_with_guard(m0: float, s0: float, t: float, ell: float, dt: float,
-                    _depth: int = 0) -> tuple[float, float, float]:
-    # one RK4 step of length dt from (m0, s0) at time t; a step that would
-    # push the variance s - m^2 negative is retried as two half steps
-    k1m, k1s = _ode_field(m0, s0, ell)
-    k2m, k2s = _ode_field(m0 + 0.5 * dt * k1m, s0 + 0.5 * dt * k1s, ell)
-    k3m, k3s = _ode_field(m0 + 0.5 * dt * k2m, s0 + 0.5 * dt * k2s, ell)
-    k4m, k4s = _ode_field(m0 + dt * k3m, s0 + dt * k3s, ell)
+def _rk4_with_guard(field, m0: float, s0: float, dt: float,
+                    _depth: int = 0) -> tuple[float, float]:
+    # one RK4 step of length dt of (dm/dt, ds/dt) = field(m, s) from
+    # (m0, s0); a step that would push s - m^2 negative is retried as two
+    # half steps
+    k1m, k1s = field(m0, s0)
+    k2m, k2s = field(m0 + 0.5 * dt * k1m, s0 + 0.5 * dt * k1s)
+    k3m, k3s = field(m0 + 0.5 * dt * k2m, s0 + 0.5 * dt * k2s)
+    k4m, k4s = field(m0 + dt * k3m, s0 + dt * k3s)
     m1 = m0 + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
     s1 = s0 + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
     if s1 < m1 * m1:
         if _depth >= 40:
             raise DomainError("step size underflow while protecting s > m^2")
-        half = _rk4_with_guard(m0, s0, t, ell, 0.5 * dt, _depth + 1)
-        return _rk4_with_guard(*half, ell, 0.5 * dt, _depth + 1)
-    return m1, s1, t + dt
+        half = _rk4_with_guard(field, m0, s0, 0.5 * dt, _depth + 1)
+        return _rk4_with_guard(field, *half, 0.5 * dt, _depth + 1)
+    return m1, s1
 
 
 @dataclass
@@ -152,10 +156,12 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     m, s, t = m0, s0, 0.0
     ell = policy_ell(strategy, m, s)
     push(m, s, t, ell)
+    field = partial(_ode_field, ell=ell)
     for k in range(steps):
         if k % policy_every == 0 and k > 0:
             ell = policy_ell(strategy, m, s)
-        m, s, t = _rk4_with_guard(m, s, t, ell, dt)
+            field = partial(_ode_field, ell=ell)
+        (m, s), t = _rk4_with_guard(field, m, s, dt), t + dt
         push(m, s, t, ell)
         if stop_tol is not None and abs(m) < stop_tol and abs(s - 1.0) < stop_tol:
             break
@@ -261,26 +267,19 @@ def mala_w(moment: float, ell: float) -> float:
 def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
                                  t_max: float = 5.0):
     """Second-moment flow ds/dt = mala_w(s - 1, ell) * (1 - s) for the
-    Gaussian target; returns (t, s) arrays."""
+    Gaussian target, stepped as the moment system with m = 0; returns (t, s)."""
     _check_step(dt)
     _check_horizon(t_max, 0.0)
 
-    def field(s):
-        return mala_w(s - 1.0, ell) * (1.0 - s)
+    def field(m, s):
+        return 0.0, mala_w(s - 1.0, ell) * (1.0 - s)
 
     steps = _step_count(t_max, dt)
-    ts = np.empty(steps + 1)
     ss = np.empty(steps + 1)
-    ts[0], ss[0] = 0.0, s0
-    s = s0
+    ss[0] = s0
     for k in range(1, steps + 1):
-        k1 = field(s)
-        k2 = field(s + 0.5 * dt * k1)
-        k3 = field(s + 0.5 * dt * k2)
-        k4 = field(s + dt * k3)
-        s += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ts[k], ss[k] = k * dt, s
-    return ts, ss
+        ss[k] = _rk4_with_guard(field, 0.0, ss[k - 1], dt)[1]
+    return np.arange(steps + 1) * dt, ss
 
 
 def _z_moment(p: Potential) -> float:

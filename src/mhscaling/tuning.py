@@ -86,9 +86,9 @@ def _d_f1_d_ell(s: float, ell: float) -> float:
     value = f1(s, ell)
     t = ell * ((s - 0.5) / root_s)
     if t > _GAP_T:
-        density = math.exp(-ell * ell / (8.0 * s)) / _SQRT_2PI
+        density = math.exp(-ell * ell / 8.0 / s) / _SQRT_2PI
         return 2.0 * value / ell - 2.0 * root_s * density * (ell / t) ** 2 * _scaled_mills_gap(t)
-    tail = -math.sqrt(2.0 * s / math.pi) * math.exp(-ell * ell / (8.0 * s)) + ell * phi(
+    tail = -math.sqrt(2.0 * s / math.pi) * math.exp(-ell * ell / 8.0 / s) + ell * phi(
         -0.5 * ell / root_s
     )
     return (2.0 / ell - ell * (1.0 - s)) * value + ell * ell * tail
@@ -97,11 +97,11 @@ def _d_f1_d_ell(s: float, ell: float) -> float:
 def _d_drift_d_ell(s: float, ell: float) -> float:
     # ell-derivative of g_drift(s, 1, ell) = ell^2 E, E = _exp_phi_term(s, 1, ell)
     # = density * M(t): ell ((2 - ell^2/(4s)) E - t density (1 - t M(t)))
-    density = math.exp(-ell * ell / (8.0 * s)) / _SQRT_2PI
+    density = math.exp(-ell * ell / 8.0 / s) / _SQRT_2PI
     term = _exp_phi_term(s, 1.0, ell)
     t = ell * ((s - 0.5) / math.sqrt(s))
     t_gap = density * _scaled_mills_gap(t) / t if t > _GAP_T else t * (density - t * term)
-    return ell * ((2.0 - ell * ell / (4.0 * s)) * term - t_gap)
+    return ell * ((2.0 - ell * ell / 4.0 / s) * term - t_gap)
 
 
 _X_STAR = 1.2240063619249615
@@ -122,8 +122,8 @@ def _guess(s: float) -> float:
     return math.hypot(math.sqrt(2.0), _X_STAR * math.sqrt(s))
 
 
-# u = log ell over which exp(u) is a positive finite double
-_LOG_MIN, _LOG_MAX = math.log(5e-324), math.log(1.7e308)
+# u = log ell over which exp(u) is a positive double and ell^2 is finite
+_LOG_MIN, _LOG_MAX = math.log(5e-324), 0.5 * math.log(1.7e308)
 
 
 def _bracketed_root(fn, objective, guess: float) -> TuningResult:
@@ -137,7 +137,7 @@ def _bracketed_root(fn, objective, guess: float) -> TuningResult:
         return fn(math.exp(u))
 
     lo = math.log(guess) - 1.0
-    hi = lo + 2.0
+    hi = min(lo + 2.0, _LOG_MAX)
     step, expansions = 1.0, 0
     while g(lo) <= 0.0 and lo > _LOG_MIN:
         lo, hi = max(lo - step, _LOG_MIN), lo

@@ -125,6 +125,18 @@ def test_rwm_step_zero_move_accepts():
     assert rec.accepted
 
 
+def test_hand_steps_advance_the_state_they_are_given():
+    # a hand step is a one-step run of the state it is given: it advances
+    # that object in place and returns it
+    p = gaussian_potential()
+    for step in (lambda s: rwm_step(s, p, ConstantEll(1.0)), lambda s: mala_step(s, p, 0.5)):
+        state = ChainState(coords=np.ones(5), rng=chain_rng(2))
+        for k in range(1, 4):
+            returned, record = step(state)
+            assert returned is state
+            assert state.k == record.k == k
+
+
 def test_rwm_acc_prob_is_density_ratio():
     p = gaussian_potential()
 

@@ -139,11 +139,10 @@ def test_experiment_roundtrip_byte_identical(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert run_cli(["experiment", "--config", str(cfg_path), "--threads", "1",
-                    "--out", str(out1)]) == 0
+    assert run_cli(["experiment", "--config", str(cfg_path), "--out", str(out1)]) == 0
     # re-run from the produced manifest
     assert run_cli(["experiment", "--config", str(out1 / "manifest.json"),
-                    "--threads", "2", "--out", str(out2)]) == 0
+                    "--out", str(out2)]) == 0
     for name in ("bias_constant-2.38.csv", "bias_rate-optimal.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -158,8 +157,7 @@ def test_experiment_manifest_roundtrip_is_lossless(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert run_cli(["experiment", "--config", str(cfg_path), "--threads", "1",
-                    "--out", str(out1)]) == 0
+    assert run_cli(["experiment", "--config", str(cfg_path), "--out", str(out1)]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["tool"] == "mhscaling"
     assert manifest["command"] == "experiment"
@@ -169,7 +167,7 @@ def test_experiment_manifest_roundtrip_is_lossless(tmp_path):
     names = ["bias_acc-0.234568-numeric.csv", "bias_constant-1.23457.csv"]
     assert manifest["outputs"] == names
     assert run_cli(["experiment", "--config", str(out1 / "manifest.json"),
-                    "--threads", "1", "--out", str(out2)]) == 0
+                    "--out", str(out2)]) == 0
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

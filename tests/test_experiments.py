@@ -176,8 +176,7 @@ def test_write_bias_outputs(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "out"
-    assert cli.main(["experiment", "--config", str(config_path), "--threads", "1",
-                     "--out", str(out)]) == 0
+    assert cli.main(["experiment", "--config", str(config_path), "--out", str(out)]) == 0
     assert "wrote 3 files" in capsys.readouterr().out
     names = sorted(p.name for p in out.iterdir())
     assert names == ["bias_constant-2.38.csv", "bias_rate-optimal.csv", "manifest.json"]

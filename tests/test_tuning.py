@@ -273,6 +273,16 @@ def test_ell_ent_gaussian_solves_at_huge_s():
             assert 0.0 < res.ell < math.inf and math.isfinite(res.objective_value)
 
 
+def test_rules_solve_near_the_top_of_the_float_range():
+    # the roots are near 1e154, normal doubles; above s ~ 2.3e307 the
+    # bracket's outer end squared, or 8 s, overflowed and the rules refused
+    s = 5e307
+    assert ell_star(s).ell == pytest.approx(x_star() * math.sqrt(s), rel=1e-13)
+    assert abs(ell_alpha(1e308, 0.27).objective_value - 0.27) <= 1e-14
+    res = ell_ent_gaussian(1.0, s)
+    assert res.converged and 0.0 < res.ell < math.inf
+
+
 @pytest.mark.parametrize("m,s", [(3.0, 10.0), (1.0, 2.0), (-2.0, 6.0), (0.5, 0.3),
                                  (0.1, 0.02), (10.0, 200.0), (1.9, 4.0), (0.0, 4.0),
                                  (900.0, 1e6)])
