@@ -79,7 +79,11 @@ def gaussian_entropy(m: float, s: float) -> float:
     variance = s - m * m
     if variance <= 0.0:
         raise DomainError(f"entropy needs s > m^2, got s={s!r}, m={m!r}")
-    # log1p keeps full precision when the state is close to equilibrium
+    # log1p keeps full precision near equilibrium, where variance - 1 is
+    # exact (Sterbenz, from 1/2 to 2); below 1/2, variance - 1 would round
+    # the small variance away (to -1 below 1.1e-16), so log takes it directly
+    if variance < 0.5:
+        return 0.5 * (s - 1.0 - math.log(variance))
     return 0.5 * (s - 1.0 - math.log1p(variance - 1.0))
 
 
@@ -354,6 +358,8 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, *,
         raise DomainError(f"AR(1) limit requires 0 < ell < 2, got {ell!r}")
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps!r}")
+    if not math.isfinite(y0):
+        raise DomainError(f"AR(1) limit needs a finite y0, got {y0!r}")
     noise = rng.standard_normal(steps)
     decay = 1.0 - 0.5 * ell * ell
     zi = signal.lfiltic([ell], [1.0, -decay], y=[y0])

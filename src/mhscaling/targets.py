@@ -8,19 +8,21 @@ and a bistable double well); arbitrary potentials can be wrapped with
 tuning rules and the mean-field integrators.
 
 All callables are vectorized over numpy arrays.  Potentials are immutable
-after construction and safe to share across threads/processes; the built-in
-constructors return module-level functions so instances pickle cleanly.
+after construction and safe to share across threads/processes.  Every
+potential, the built-ins included, is built and checked by
+:func:`custom_potential`; the built-ins are made of module-level functions
+(the double well's normalizing constant through a ``functools.partial``), so
+they pickle cleanly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureError
 
@@ -76,6 +78,9 @@ class MomentFunctionals:
 
 def integrate_against_density(p: Potential, fn, epsabs: float = 1e-10) -> float:
     """Integral of fn(x) * exp(-V(x)) over the line by adaptive quadrature."""
+    # imported here, its one user: the CLI starts without loading it
+    from scipy import integrate
+
     edges = [-np.inf, *sorted(p.breakpoints), np.inf]
     total = 0.0
     err_total = 0.0
@@ -117,8 +122,8 @@ def _gauss_zero(x):
 
 
 # -- built-in: double well ----------------------------------------------------
-# Raw well: (x-1)^2 (x+1)^2 inside |x| <= 1, 4x^2 - 8|x| + 4 outside, plus an
-# additive constant fitted at import time so that exp(-V) integrates to one.
+# Raw well: (x-1)^2 (x+1)^2 inside |x| <= 1, 4x^2 - 8|x| + 4 outside; the
+# constant that makes exp(-V) integrate to one is fitted at construction.
 
 
 def _dw_raw_v(x):
@@ -154,21 +159,6 @@ def _dw_d3(x):
 def _dw_d4(x):
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(x) <= 1.0, 24.0, 0.0)
-
-
-@lru_cache(maxsize=1)
-def _dw_shift() -> float:
-    val = 0.0
-    for lo, hi in ((-np.inf, -1.0), (-1.0, 1.0), (1.0, np.inf)):
-        part, _ = integrate.quad(
-            lambda x: math.exp(-float(_dw_raw_v(x))), lo, hi, epsabs=1e-13, limit=200
-        )
-        val += part
-    return math.log(val)
-
-
-def _dw_v(x):
-    return _dw_raw_v(x) + _dw_shift()
 
 
 def _validate_potential(p: Potential) -> None:
@@ -221,25 +211,31 @@ def _check_derivatives(p: Potential, tol: float = 1e-5) -> None:
             raise DomainError(f"derivative mismatch for {p.name}")
 
 
-def _with_fisher(p: Potential) -> Potential:
-    i_fisher = integrate_against_density(p, lambda x: float(p.d1(x)) ** 2)
-    return replace(p, i_fisher=i_fisher)
+def _shifted(eval_v, shift, x):
+    # a normalized V; module-level, so its partial pickles as eval_v does
+    return eval_v(x) + shift
+
+
+def custom_potential(name, eval_v, d1, d2, d3, d4, breakpoints=(), normalize=False) -> Potential:
+    """Wrap user-supplied closures as a Potential.
+
+    With ``normalize=True`` an additive constant is fitted so exp(-V)
+    integrates to one.  The construction checks then run on every potential
+    (slow: several quadratures).  The result pickles if the closures do.
+    """
+    p = Potential(name, eval_v, d1, d2, d3, d4, breakpoints=tuple(breakpoints))
+    if normalize:
+        mass = integrate_against_density(p, lambda x: 1.0, epsabs=1e-12)
+        p = replace(p, eval_v=partial(_shifted, eval_v, math.log(mass)))
+    p = replace(p, i_fisher=integrate_against_density(p, lambda x: float(p.d1(x)) ** 2))
+    _validate_potential(p)
+    return p
 
 
 @lru_cache(maxsize=1)
 def gaussian_potential() -> Potential:
     """Standard Gaussian target, V(x) = x^2/2 + log(2 pi)/2."""
-    p = Potential(
-        name="gaussian",
-        eval_v=_gauss_v,
-        d1=_gauss_d1,
-        d2=_gauss_d2,
-        d3=_gauss_zero,
-        d4=_gauss_zero,
-    )
-    p = _with_fisher(p)
-    _validate_potential(p)
-    return p
+    return custom_potential("gaussian", _gauss_v, _gauss_d1, _gauss_d2, _gauss_zero, _gauss_zero)
 
 
 @lru_cache(maxsize=1)
@@ -250,54 +246,8 @@ def double_well_potential() -> Potential:
     continuous across |x| = 1, V''' and V'''' jump there.  The additive
     normalization constant is computed numerically at construction.
     """
-    p = Potential(
-        name="double-well",
-        eval_v=_dw_v,
-        d1=_dw_d1,
-        d2=_dw_d2,
-        d3=_dw_d3,
-        d4=_dw_d4,
-        breakpoints=(-1.0, 1.0),
-    )
-    p = _with_fisher(p)
-    _validate_potential(p)
-    return p
-
-
-def custom_potential(
-    name,
-    eval_v,
-    d1,
-    d2,
-    d3,
-    d4,
-    breakpoints=(),
-    normalize=False,
-    trusted=False,
-) -> Potential:
-    """Wrap user-supplied closures as a Potential.
-
-    With ``normalize=True`` an additive constant is fitted so exp(-V)
-    integrates to one.  Unless ``trusted`` is set, the same construction
-    checks as for the built-ins run (slow: several quadratures).
-    """
-    p = Potential(
-        name=name,
-        eval_v=eval_v,
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        d4=d4,
-        breakpoints=tuple(breakpoints),
-    )
-    if normalize:
-        mass = integrate_against_density(p, lambda x: 1.0, epsabs=1e-12)
-        shift = math.log(mass)
-        p = replace(p, eval_v=lambda x, _v=eval_v, _s=shift: _v(x) + _s)
-    p = _with_fisher(p)
-    if not trusted:
-        _validate_potential(p)
-    return p
+    return custom_potential("double-well", _dw_raw_v, _dw_d1, _dw_d2, _dw_d3, _dw_d4,
+                            breakpoints=(-1.0, 1.0), normalize=True)
 
 
 # the built-in targets by CLI identifier
@@ -363,7 +313,13 @@ def _moment_means(p: Potential, x, d1, *more) -> np.ndarray:
 
 
 def empirical_moments(p: Potential, xs) -> MomentFunctionals:
-    """Sample averages of the moment functionals over a coordinate vector."""
+    """Sample averages of the moment functionals over a coordinate vector.
+
+    mala_m4 averages the classical combination only.  Where V''' jumps, the
+    stationary value (:func:`stationary_moments`) adds the point masses of
+    the weak V'''' at the breakpoints, which no sample sees: on the double
+    well a large equilibrium sample reads mala_m4 near 22.5, not 0.
+    """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if xs.size == 0:
         raise DomainError("empirical_moments requires a nonempty sample")

@@ -131,10 +131,16 @@ def _bracketed_root(fn, objective, guess: float) -> TuningResult:
     # of it, found by brentq in u = log ell to a relative tolerance.  The
     # bracket starts at guess * e^(+-1) and steps out by 1, 2, 4, ... in u,
     # the old outer end becoming the inner one; the steps count as
-    # iterations.  Where the rule's formulas over- or underflow, fn turns nan
-    # or keeps its sign to the ends of the floating-point range: a DomainError.
+    # iterations.  Each value of fn is kept, so brentq and the search share
+    # the bracket ends, and objective(root, fn(root)) is the rule's value.
+    # Where the rule's formulas over- or underflow, fn turns nan or keeps its
+    # sign to the ends of the floating-point range: a DomainError.
+    values = {}
+
     def g(u: float) -> float:
-        return fn(math.exp(u))
+        if u not in values:
+            values[u] = fn(math.exp(u))
+        return values[u]
 
     lo = math.log(guess) - 1.0
     hi = min(lo + 2.0, _LOG_MAX)
@@ -146,12 +152,12 @@ def _bracketed_root(fn, objective, guess: float) -> TuningResult:
         lo, hi = hi, min(hi + step, _LOG_MAX)
         step, expansions = 2.0 * step, expansions + 1
     try:
-        root, info = optimize.brentq(g, lo, hi, xtol=_U_TOL, full_output=True)
+        root_u, info = optimize.brentq(g, lo, hi, xtol=_U_TOL, full_output=True)
     except ValueError:
         raise DomainError(f"no step scale in [{math.exp(lo):g}, {math.exp(hi):g}] solves "
                           "the rule in floating point; the moments are too extreme") from None
-    root = math.exp(root)
-    value = objective(root)
+    root = math.exp(root_u)
+    value = objective(root, g(root_u))
     if not math.isfinite(value):
         raise DomainError(f"the rule's objective is {value!r} at its root {root!r}; "
                           "the moments are too extreme")
@@ -162,7 +168,7 @@ def ell_star(s: float) -> TuningResult:
     """Unique maximizer of ell -> f1(s, ell) on (0, inf)."""
     if s < 0.0 or math.isnan(s):
         raise DomainError(f"moment ratio s must be >= 0, got {s!r}")
-    return _bracketed_root(lambda ell: _d_f1_d_ell(s, ell), lambda ell: f1(s, ell), _guess(s))
+    return _bracketed_root(lambda ell: _d_f1_d_ell(s, ell), lambda ell, _: f1(s, ell), _guess(s))
 
 
 def ell_star_ab(a: float, b: float) -> TuningResult:
@@ -189,8 +195,10 @@ def ell_alpha(s: float, alpha: float) -> TuningResult:
         raise DomainError(f"moment ratio s must be > 0, got {s!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"target acceptance alpha must lie in (0, 1), got {alpha!r}")
+    # the acceptance at the root is alpha plus the residual there, exactly:
+    # it lies within a factor 2 of alpha, so the residual took no rounding
     return _bracketed_root(
-        lambda ell: j_curve(s, ell) - alpha, lambda ell: j_curve(s, ell), _guess(s)
+        lambda ell: j_curve(s, ell) - alpha, lambda _, residual: alpha + residual, _guess(s)
     )
 
 
@@ -264,5 +272,5 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
         return drift_weight * _d_drift_d_ell(s, ell) - f1_weight * _d_f1_d_ell(s, ell)
 
     return _bracketed_root(
-        descent, lambda ell: _entropy_derivative_objective(m, s, ell), _guess(s)
+        descent, lambda ell, _: _entropy_derivative_objective(m, s, ell), _guess(s)
     )

@@ -16,16 +16,26 @@ def run_cli(argv):
     return cli.main(argv)
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs most of a cold start and only the AR(1) limit uses it
+def loaded_by_cli_import(module):
+    # whether a fresh interpreter has ``module`` loaded after importing the CLI
     package_root = os.path.dirname(os.path.dirname(mhscaling.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mhscaling.cli; print('scipy.signal' in sys.modules)"],
+         f"import sys, mhscaling.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs most of a cold start and only the AR(1) limit uses it
+    assert not loaded_by_cli_import("scipy.signal")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the quadratures of targets use it; they import it when first run
+    assert not loaded_by_cli_import("scipy.integrate")
 
 
 def test_tune_star_reference(capsys):
@@ -74,6 +84,15 @@ def test_simulate_ode_reaches_equilibrium(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["outputs"] == ["limit.csv"]
+
+
+def test_simulate_ode_from_a_tiny_variance(tmp_path):
+    # s - m^2 = 1e-17 rounds to -1 as variance - 1; the entropy is still finite
+    argv = ["simulate", "--kind", "ode", "--m0", "0", "--s0", "1e-17", "--t-max", "0.01"]
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    header, first, *_ = (tmp_path / "limit.csv").read_text().splitlines()
+    entropy = float(first.split(",")[header.split(",").index("H")])
+    assert entropy == pytest.approx(0.5 * (1e-17 - 1.0 + 17.0 * math.log(10.0)), rel=1e-15)
 
 
 def test_simulate_ar1_variance(tmp_path):
@@ -237,6 +256,8 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["tune", "--mode", "star", "--s", "1e308"],
     ["simulate", "--kind", "ode", "--dt", "5e-324"],
     ["simulate", "--kind", "particles", "--t-max", "1e308"],
+    ["simulate", "--kind", "ar1", "--y0", "nan", "--steps", "5"],
+    ["simulate", "--kind", "ar1", "--y0", "inf", "--steps", "5"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

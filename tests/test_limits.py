@@ -31,7 +31,7 @@ from mhscaling.limits import (
     mala_z_stationary,
     meanfield_particle_step,
 )
-from mhscaling.targets import custom_potential, gaussian_potential
+from mhscaling.targets import Potential, custom_potential, gaussian_potential
 
 
 def wiggly_potential():
@@ -70,6 +70,14 @@ def test_entropy_values():
     assert gaussian_entropy(1.0, 2.0) == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(DomainError):
         gaussian_entropy(1.0, 1.0)
+
+
+@pytest.mark.parametrize("v", [1e-300, 1e-17, 1e-16, 1e-10, 0.3])
+def test_entropy_at_small_variance_matches_mpmath(v):
+    # s - 1 - log(s) at m = 0; 1 + (v - 1) rounds v away below 1.1e-16
+    with mpmath.workdps(50):
+        exact = (mpmath.mpf(v) - 1 - mpmath.log(mpmath.mpf(v))) / 2
+    assert gaussian_entropy(0.0, v) == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_ode_fixed_point():
@@ -174,9 +182,8 @@ def test_meanfield_pure_diffusion_with_flat_potential():
     def zeros(x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    flat = custom_potential(
-        "flat", eval_v=zeros, d1=zeros, d2=zeros, d3=zeros, d4=zeros, trusted=True
-    )
+    # V = 0 has infinite mass, so no construction check would pass it
+    flat = Potential("flat", eval_v=zeros, d1=zeros, d2=zeros, d3=zeros, d4=zeros)
     ell, dt = 1.3, 1e-2
     pe = make_ensemble(np.zeros(50_000), dt=dt, rng=chain_rng(8))
     meanfield_particle_step(pe, flat, ell)
@@ -198,9 +205,9 @@ def test_particle_step_evaluates_each_derivative_once():
     base = gaussian_potential()
     p = custom_potential(
         "counted-gaussian", base.eval_v,
-        **{name: counted(name, getattr(base, name)) for name in calls}, trusted=True,
+        **{name: counted(name, getattr(base, name)) for name in calls},
     )
-    calls.update(d1=0, d2=0, d3=0, d4=0)  # construction evaluates d1 for i_fisher
+    calls.update(d1=0, d2=0, d3=0, d4=0)  # construction evaluates them to check them
     meanfield_particle_step(make_ensemble(np.ones(100), dt=1e-2, rng=chain_rng(3)), p, 1.2)
     assert calls == {"d1": 1, "d2": 1, "d3": 0, "d4": 0}
 
@@ -438,6 +445,9 @@ def test_ar1_variance_and_recursion():
         mala_ar1_limit(2.0, 10, rng=chain_rng(0))
     with pytest.raises(DomainError):
         mala_ar1_limit(0.0, 10, rng=chain_rng(0))
+    for y0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            mala_ar1_limit(1.0, 5, y0=y0, rng=chain_rng(0))
 
 
 def test_limit_csv_format(tmp_path):

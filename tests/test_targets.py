@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -110,6 +111,35 @@ def test_empirical_moments_mala_combination():
     assert em.b == 1.0
 
 
+def _mala_terms(p, x):
+    d1, d2 = p.d1(x), p.d2(x)
+    return d1 * d1 * d2 + p.d4(x) - 2.0 * p.d3(x) * d1 - d2 * d2
+
+
+def test_empirical_mala_m4_at_equilibrium_gaussian():
+    # a 10^6-draw sample mean of the steering combination is 0 within 4 SE
+    p = gaussian_potential()
+    xs = sample_stationary(p, 1_000_000, np.random.default_rng(11))
+    se = float(np.std(_mala_terms(p, xs))) / math.sqrt(xs.size)
+    assert abs(empirical_moments(p, xs).mala_m4) < 4.0 * se
+
+
+def test_empirical_mala_m4_at_equilibrium_double_well():
+    # V''' jumps by -24 at x = -1 and at x = 1, so the weak V'''' holds two
+    # point masses a sample never sees: the sample mean estimates only the
+    # classical integral (about 22.5), while the stationary moment, which
+    # adds the masses -24 exp(-V(+-1)), is 0
+    p = double_well_potential()
+    xs = sample_stationary(p, 1_000_000, np.random.default_rng(12))
+    se = float(np.std(_mala_terms(p, xs))) / math.sqrt(xs.size)
+    classical = integrate_against_density(p, lambda x: float(_mala_terms(p, x)))
+    assert classical == pytest.approx(22.5, abs=0.1)
+    assert abs(empirical_moments(p, xs).mala_m4 - classical) < 4.0 * se
+    masses = -24.0 * (math.exp(-float(p.eval_v(-1.0))) + math.exp(-float(p.eval_v(1.0))))
+    assert stationary_moments(p).mala_m4 == pytest.approx(classical + masses, abs=1e-8)
+    assert stationary_moments(p).mala_m4 == pytest.approx(0.0, abs=1e-8)
+
+
 def test_empirical_moments_empty():
     with pytest.raises(DomainError):
         empirical_moments(gaussian_potential(), [])
@@ -156,6 +186,28 @@ def test_custom_potential_normalize_and_trusted():
     )
     assert integrate_against_density(p, lambda x: 1.0) == pytest.approx(1.0, abs=1e-9)
     assert float(p.eval_v(0.0)) == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-9)
+    # every potential is checked: there is no option to skip the checks
+    with pytest.raises(TypeError):
+        custom_potential("unchecked", p.eval_v, p.d1, p.d2, p.d3, p.d4, trusted=True)
+
+
+@pytest.mark.parametrize("build", [gaussian_potential, double_well_potential])
+def test_builtin_potentials_pickle(build):
+    p = build()
+    q = pickle.loads(pickle.dumps(p))
+    xs = np.linspace(-4.0, 4.0, 33)
+    assert q.name == p.name and q.breakpoints == p.breakpoints
+    assert np.array_equal(q.eval_v(xs), p.eval_v(xs))
+    assert np.array_equal(q.d1(xs), p.d1(xs))
+    assert q.i_fisher == p.i_fisher
+
+
+def test_builtin_constants_are_pinned():
+    # the double well's normalizing constant is V(1), where the raw well is 0
+    p = double_well_potential()
+    assert repr(float(p.eval_v(1.0))) == "0.7576747894170736"
+    assert repr(p.i_fisher) == "4.049556503944826"
+    assert repr(gaussian_potential().i_fisher) == "1.0"
 
 
 def test_custom_potential_with_constant_curvature():
@@ -165,7 +217,7 @@ def test_custom_potential_with_constant_curvature():
     from mhscaling.chains import ConstantEll, chain_rng, run_chain
     from mhscaling.limits import integrate_particles, make_ensemble
 
-    def wide_gaussian(d2, trusted):
+    def wide_gaussian(d2):
         return custom_potential(
             "wide-gaussian",
             eval_v=lambda x: np.asarray(x, float) ** 2 / 8.0 + 0.5 * math.log(8.0 * math.pi),
@@ -173,11 +225,10 @@ def test_custom_potential_with_constant_curvature():
             d2=d2,
             d3=lambda x: np.zeros_like(np.asarray(x, float)),
             d4=lambda x: np.zeros_like(np.asarray(x, float)),
-            trusted=trusted,
         )
 
-    scalar = wide_gaussian(lambda x: 0.25, trusted=False)
-    array = wide_gaussian(lambda x: np.full(np.shape(x), 0.25), trusted=True)
+    scalar = wide_gaussian(lambda x: 0.25)
+    array = wide_gaussian(lambda x: np.full(np.shape(x), 0.25))
     xs = np.linspace(-3.0, 5.0, 7)
     assert empirical_moments(scalar, xs) == empirical_moments(array, xs)
     particles, chains = [], []

@@ -325,3 +325,32 @@ def test_rules_return_a_finite_scale_or_refuse(m, s, alpha):
         except DomainError:
             continue
         assert 0.0 < res.ell < math.inf and math.isfinite(res.objective_value)
+
+
+def test_solves_evaluate_each_ell_once(monkeypatch):
+    # the bracket search and brentq share the values at the bracket ends, and
+    # the acceptance reported by ell_alpha is the residual's at its root
+    from mhscaling import tuning
+
+    seen = []
+
+    def recording(fn):
+        def wrapped(s, ell):
+            seen.append(ell)
+            return fn(s, ell)
+        return wrapped
+
+    monkeypatch.setattr(tuning, "_d_f1_d_ell", recording(tuning._d_f1_d_ell))
+    monkeypatch.setattr(tuning, "j_curve", recording(tuning.j_curve))
+    for solve in (lambda: ell_star(4.0), lambda: ell_alpha(4.0, 0.27),
+                  lambda: ell_ent_gaussian(2.0, 6.0)):
+        seen.clear()
+        solve()
+        assert seen and len(seen) == len(set(seen))
+
+
+def test_ell_alpha_reports_the_acceptance_at_its_root():
+    for s in np.geomspace(1e-6, 1e6, 61):
+        for alpha in (0.01, 0.27, 0.574, 0.99):
+            res = ell_alpha(float(s), alpha)
+            assert res.objective_value == j_curve(float(s), res.ell)
