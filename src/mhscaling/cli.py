@@ -317,8 +317,9 @@ def tuning_checks(rng):
 
 
 def _cmd_validate(args) -> int:
-    if not 2 <= args.samples < math.inf:  # fewer make the Monte Carlo check vacuous
-        raise DomainError(f"--samples must be a finite count >= 2, got {args.samples:g}")
+    # fewer make the Monte Carlo check vacuous; more than numpy can draw at once
+    if not 2 <= args.samples <= 1e8:
+        raise DomainError(f"--samples must be a count from 2 to 1e8, got {args.samples:g}")
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)

@@ -11,13 +11,13 @@ here:
 * ``f1``         f_rate with b normalized to 1, in closed form
 * ``j_curve``    acceptance rate as a function of the moment ratio s = a/b
 
-They are built on two special functions, the normal CDF ``phi`` and the
-exp-scaled product ``f_helper(x) = exp(x**2 / 2) * phi(x)``, both taken from
-``scipy.special``.
+All are made of the two terms of the limiting acceptance probability that
+``_accept_terms`` evaluates, on the normal CDF ``phi`` and the exp-scaled
+``f_helper(x) = exp(x**2 / 2) * phi(x)``, both from ``scipy.special``.
 
 All functions are scalar, pure and thread-safe.  The argument ``a`` may be
-``math.inf`` (the chain degenerates to a pure diffusion); that case is an
-exact branch, not an approximation.
+``math.inf`` (the chain degenerates to a pure diffusion) or 0; both are exact
+limits inside ``_accept_terms``, not approximations.
 """
 
 from __future__ import annotations
@@ -66,13 +66,18 @@ def f_helper(x: float) -> float:
     return 0.5 * float(erfcx(-x / _SQRT2))
 
 
+def _check_ell(ell: float) -> None:
+    # past about 1.3e154, ell^2 is inf and every coefficient nan
+    if not ell > 0.0 or not math.isfinite(ell * ell):
+        raise DomainError(f"step scale ell must be > 0 with a finite square, got {ell!r}")
+
+
 def _check_ab(a: float, b: float, ell: float) -> None:
     if a < 0.0 or math.isnan(a):
         raise DomainError(f"moment a must be >= 0 (or inf), got {a!r}")
     if not math.isfinite(b):
         raise DomainError(f"moment b must be finite, got {b!r}")
-    if not ell > 0.0 or not math.isfinite(ell):
-        raise DomainError(f"step scale ell must be finite and > 0, got {ell!r}")
+    _check_ell(ell)
 
 
 def _exp_phi_term(a: float, b: float, ell: float) -> float:
@@ -94,33 +99,27 @@ def _exp_phi_term(a: float, b: float, ell: float) -> float:
 
 
 def _accept_terms(a: float, b: float, ell: float) -> tuple[float, float]:
-    # The two summands of the limiting acceptance probability for 0 < a < inf.
-    first = phi(-ell * b / (2.0 * math.sqrt(a)))
-    return first, _exp_phi_term(a, b, ell)
+    # The two summands Phi(-ell b/(2 sqrt a)) and E = _exp_phi_term(a, b, ell)
+    # of the limiting acceptance probability, with their limits at a = 0 and
+    # a = inf: every coefficient here is made of them, g_drift is ell^2 E.
+    if a == math.inf:
+        return 0.5, 0.0
+    if a == 0.0:
+        return (0.0, math.exp(-0.5 * (ell * ell) * b)) if b > 0.0 else (1.0, 0.0)
+    return phi(-ell * b / (2.0 * math.sqrt(a))), _exp_phi_term(a, b, ell)
 
 
 def gamma(a: float, b: float, ell: float) -> float:
     """Limiting diffusion coefficient; lies in (0, ell**2]."""
     _check_ab(a, b, ell)
-    ell2 = ell * ell
-    if a == math.inf:
-        return 0.5 * ell2
-    if a == 0.0:
-        return ell2 * math.exp(-0.5 * ell2 * max(b, 0.0))
     first, second = _accept_terms(a, b, ell)
-    return ell2 * (first + second)
+    return ell * ell * (first + second)
 
 
 def g_drift(a: float, b: float, ell: float) -> float:
     """Limiting drift coefficient; satisfies 0 <= g_drift <= gamma."""
     _check_ab(a, b, ell)
-    ell2 = ell * ell
-    if a == math.inf:
-        return 0.0
-    if a == 0.0:
-        return ell2 * math.exp(-0.5 * ell2 * b) if b > 0.0 else 0.0
-    _, second = _accept_terms(a, b, ell)
-    return ell2 * second
+    return ell * ell * _accept_terms(a, b, ell)[1]
 
 
 def acc_rate(a: float, b: float, ell: float) -> float:
@@ -131,15 +130,8 @@ def acc_rate(a: float, b: float, ell: float) -> float:
 def _f_diagonal(c: float, ell: float) -> float:
     # Closed form of f_rate on the diagonal a == b == c.
     root_c = math.sqrt(c)
-    return (
-        2.0
-        * ell
-        * ell
-        * (
-            (1.0 + 0.25 * ell * ell * c) * phi(-0.5 * ell * root_c)
-            - ell * root_c / (2.0 * _SQRT_2PI) * math.exp(-0.125 * ell * ell * c)
-        )
-    )
+    return 2.0 * ell * ell * ((1.0 + 0.25 * ell * ell * c) * phi(-0.5 * ell * root_c)
+                              - ell * root_c / (2.0 * _SQRT_2PI) * math.exp(-0.125 * ell * ell * c))
 
 
 def f_rate(a: float, b: float, ell: float) -> float:
@@ -154,36 +146,39 @@ def f_rate(a: float, b: float, ell: float) -> float:
         raise DomainError("f_rate requires a finite moment a")
     if abs(a - b) < _DIAGONAL_BAND * max(1.0, abs(a), abs(b)):
         return _f_diagonal(0.5 * (a + b), ell)
-    return (b * gamma(a, b, ell) - 2.0 * a * g_drift(a, b, ell)) / (b - a)
+    first, second = _accept_terms(a, b, ell)
+    ell2 = ell * ell
+    return (b * (ell2 * (first + second)) - 2.0 * a * (ell2 * second)) / (b - a)
 
 
 def f1(s: float, ell: float) -> float:
     """Entropy production rate at unit curvature, f_rate(s, 1, ell).
 
-    Evaluated through its own closed form in the moment ratio s, so it acts
-    as an independent route to f_rate; the two are tied together by the
-    scaling identity f_rate(a, b, ell) == f1(a/b, ell*sqrt(b)) / b for b > 0.
+    It is f_rate's formula at b = 1, written in the moment ratio s and built
+    from the same acceptance terms, so it is no independent check of
+    f_rate; the scaling identity f_rate(a, b, ell) == f1(a/b, ell*sqrt(b)) / b
+    (b > 0) ties the two together.  The independent oracles are the Monte
+    Carlo means of acceptance criterion 02 and the quadrature and mpmath
+    references in tests/oracles.py.
     """
-    return _f1_and_drift(s, ell)[0]
+    return _f1_and_terms(s, ell)[0]
+
+
+def _f1_and_terms(s: float, ell: float) -> tuple[float, float, float]:
+    # (f1(s, ell), first, second), with (first, second) = _accept_terms(s, 1, ell)
+    if s < 0.0 or not math.isfinite(s):
+        raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
+    _check_ell(ell)
+    first, second = _accept_terms(s, 1.0, ell)
+    if abs(s - 1.0) < _DIAGONAL_BAND:
+        return _f_diagonal(1.0, ell), first, second
+    return ell * ell / (1.0 - s) * (first + (1.0 - 2.0 * s) * second), first, second
 
 
 def _f1_and_drift(s: float, ell: float) -> tuple[float, float]:
-    # (f1(s, ell), g_drift(s, 1, ell)), sharing the exp-Phi term both need;
-    # equal bit for bit to the two separate calls for finite ell.
-    if s < 0.0 or not math.isfinite(s):
-        raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
-    if not ell > 0.0:
-        raise DomainError(f"step scale ell must be > 0, got {ell!r}")
-    ell2 = ell * ell
-    if s == 0.0:
-        value = ell2 * math.exp(-0.5 * ell2)
-        return value, value
-    second = _exp_phi_term(s, 1.0, ell)
-    if abs(s - 1.0) < _DIAGONAL_BAND:
-        return _f_diagonal(1.0, ell), ell2 * second
-    root_s = math.sqrt(s)
-    value = ell2 / (1.0 - s) * (phi(-0.5 * ell / root_s) + (1.0 - 2.0 * s) * second)
-    return value, ell2 * second
+    # (f1(s, ell), g_drift(s, 1, ell)) from one evaluation of their terms
+    value, _, second = _f1_and_terms(s, ell)
+    return value, ell * ell * second
 
 
 def j_curve(s: float, ell: float) -> float:
@@ -195,8 +190,8 @@ def j_curve(s: float, ell: float) -> float:
     """
     if not s > 0.0 or not math.isfinite(s):
         raise DomainError(f"moment ratio s must be finite and > 0, got {s!r}")
-    if ell < 0.0 or math.isnan(ell):
-        raise DomainError(f"step scale ell must be >= 0, got {ell!r}")
     if ell == 0.0:
         return 1.0
-    return phi(-0.5 * ell / math.sqrt(s)) + _exp_phi_term(s, 1.0, ell)
+    _check_ell(ell)
+    first, second = _accept_terms(s, 1.0, ell)
+    return first + second

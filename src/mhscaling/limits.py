@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .chains import Strategy
-from .coefficients import _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
+from .coefficients import _check_ell, _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
 from .errors import DomainError
 from .targets import Potential, _moment_means, integrate_against_density
 # empirical_moments, f1 and the ell_* solvers are not called here (the MALA
@@ -211,6 +211,7 @@ def integrate_particles(pe: ParticleEnsemble, p: Potential, ell: float,
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     _check_horizon(t_max, pe.t)
+    _check_ell(ell)  # also where t_max allows no step
     ts = [pe.t]
     ms = [float(np.mean(pe.xs))]
     ss = [float(np.mean(pe.xs**2))]

@@ -12,10 +12,12 @@ standard deviation ``ell / sqrt(n)``) from the current moments:
 
 Each rule is one bracketed root: of the analytic ell-derivative of its
 objective (``ell_star``, ``ell_ent_gaussian``) or of the acceptance residual
-(``ell_alpha``).  A value-only search resolves a smooth optimum only to about
-sqrt(eps), as nearly equal values drown in roundoff.  All three share one
-solve, brentq in u = log ell from one guess sqrt(2 + x_star^2 s): a tolerance
-relative in ell, as an acceptance target above 1/2 has its root near 1/sqrt s.
+(``ell_alpha``); a value-only search resolves a smooth optimum only to
+sqrt(eps).  ``_slopes`` gives the ell-derivatives of f1 and g_drift(s, 1, .)
+from one evaluation of f1 and the acceptance terms it is made of.  All three
+share one solve, brentq in u = log ell from one guess sqrt(2 + x_star^2 s):
+a tolerance relative in ell, as a target acceptance above 1/2 has its root
+near 1/sqrt s.
 
 ``matched_alpha`` returns the acceptance target that makes the constant-
 acceptance rule coincide with the rate-optimal one in each asymptotic regime.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 
 from scipy import optimize
 
-from .coefficients import _SQRT_2PI, _exp_phi_term, _f1_and_drift, f1, f_rate, j_curve, phi
+from .coefficients import _SQRT_2PI, _f1_and_drift, _f1_and_terms, f1, f_rate, j_curve, phi
 # g_drift is not called here; it stays importable as tuning.g_drift, a name
 # the per-layer trace of perfbench/ wraps
 from .coefficients import g_drift  # noqa: F401
@@ -77,31 +79,29 @@ def _scaled_mills_gap(t: float) -> float:
     return 1.0 - 3.0 * u * (1.0 - 5.0 * u * (1.0 - 7.0 * u))
 
 
-def _d_f1_d_ell(s: float, ell: float) -> float:
-    # Partial derivative of f1 with respect to ell; vanishes exactly once on
-    # (0, inf), at the maximizer.
+def _slopes(s: float, ell: float) -> tuple[float, float]:
+    # The ell-derivatives of f1(s, .) and of g_drift(s, 1, .) = ell^2 E, from
+    # one evaluation of f1 and its terms Phi(-ell/(2 sqrt s)) and
+    # E = density M(t).  The first vanishes once on (0, inf), at the maximizer.
     if s == 0.0:
-        return (2.0 * ell - ell**3) * math.exp(-0.5 * ell * ell)
+        # there f1 and g_drift are both ell^2 e^{-ell^2/2}
+        slope = (2.0 * ell - ell**3) * math.exp(-0.5 * ell * ell)
+        return slope, slope
+    value, first, second = _f1_and_terms(s, ell)
     root_s = math.sqrt(s)
-    value = f1(s, ell)
+    gauss = math.exp(-ell * ell / 8.0 / s)
+    density = gauss / _SQRT_2PI
     t = ell * ((s - 0.5) / root_s)
     if t > _GAP_T:
-        density = math.exp(-ell * ell / 8.0 / s) / _SQRT_2PI
-        return 2.0 * value / ell - 2.0 * root_s * density * (ell / t) ** 2 * _scaled_mills_gap(t)
-    tail = -math.sqrt(2.0 * s / math.pi) * math.exp(-ell * ell / 8.0 / s) + ell * phi(
-        -0.5 * ell / root_s
-    )
-    return (2.0 / ell - ell * (1.0 - s)) * value + ell * ell * tail
-
-
-def _d_drift_d_ell(s: float, ell: float) -> float:
-    # ell-derivative of g_drift(s, 1, ell) = ell^2 E, E = _exp_phi_term(s, 1, ell)
-    # = density * M(t): ell ((2 - ell^2/(4s)) E - t density (1 - t M(t)))
-    density = math.exp(-ell * ell / 8.0 / s) / _SQRT_2PI
-    term = _exp_phi_term(s, 1.0, ell)
-    t = ell * ((s - 0.5) / math.sqrt(s))
-    t_gap = density * _scaled_mills_gap(t) / t if t > _GAP_T else t * (density - t * term)
-    return ell * ((2.0 - ell * ell / 4.0 / s) * term - t_gap)
+        gap = _scaled_mills_gap(t)
+        f1_slope = 2.0 * value / ell - 2.0 * root_s * density * (ell / t) ** 2 * gap
+        t_gap = density * gap / t
+    else:
+        tail = -math.sqrt(2.0 * s / math.pi) * gauss + ell * first
+        f1_slope = (2.0 / ell - ell * (1.0 - s)) * value + ell * ell * tail
+        t_gap = t * (density - t * second)
+    # d(ell^2 E)/d ell = ell ((2 - ell^2/(4s)) E - t density (1 - t M(t)))
+    return f1_slope, ell * ((2.0 - ell * ell / 4.0 / s) * second - t_gap)
 
 
 _X_STAR = 1.2240063619249615
@@ -168,7 +168,7 @@ def ell_star(s: float) -> TuningResult:
     """Unique maximizer of ell -> f1(s, ell) on (0, inf)."""
     if s < 0.0 or math.isnan(s):
         raise DomainError(f"moment ratio s must be >= 0, got {s!r}")
-    return _bracketed_root(lambda ell: _d_f1_d_ell(s, ell), lambda ell, _: f1(s, ell), _guess(s))
+    return _bracketed_root(lambda ell: _slopes(s, ell)[0], lambda ell, _: f1(s, ell), _guess(s))
 
 
 def ell_star_ab(a: float, b: float) -> TuningResult:
@@ -269,7 +269,8 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
 
     def descent(ell: float) -> float:
         # -(s - m^2) 2^(-2e) times the ell-derivative of the objective
-        return drift_weight * _d_drift_d_ell(s, ell) - f1_weight * _d_f1_d_ell(s, ell)
+        f1_slope, drift_slope = _slopes(s, ell)
+        return drift_weight * drift_slope - f1_weight * f1_slope
 
     return _bracketed_root(
         descent, lambda ell, _: _entropy_derivative_objective(m, s, ell), _guess(s)

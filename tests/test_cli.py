@@ -258,6 +258,9 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["simulate", "--kind", "particles", "--t-max", "1e308"],
     ["simulate", "--kind", "ar1", "--y0", "nan", "--steps", "5"],
     ["simulate", "--kind", "ar1", "--y0", "inf", "--steps", "5"],
+    ["simulate", "--kind", "particles", "--n", "100", "--ell", "1e160", "--t-max", "0.001"],
+    ["simulate", "--kind", "ode", "--strategy", "constant:1e200"],
+    ["simulate", "--kind", "particles", "--ell", "-1", "--t-max", "0"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -390,7 +393,7 @@ def test_validate_reports_a_failing_check(monkeypatch, capsys):
     assert lines[-1] == f"{n - 1}/{n} checks passed"
 
 
-@pytest.mark.parametrize("samples", ["0", "1", "nan"])
+@pytest.mark.parametrize("samples", ["0", "1", "nan", "1e9", "1e300"])
 def test_validate_refuses_too_few_samples(capsys, samples):
     # empty-sample means are nan, and "nan > 4 se" is False: a vacuous pass
     assert run_cli(["validate", "--samples", samples]) == 2

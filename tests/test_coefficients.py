@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -324,3 +325,31 @@ def test_j_monotone_property(s, ell1, ell2):
     if hi - lo < 1e-9:
         return
     assert j_curve(s, hi) < j_curve(s, lo)
+
+
+def test_coefficients_are_pinned():
+    # The digest of every coefficient on a grid that takes in a = 0, a = inf,
+    # a tiny and a huge a, the band around the diagonal and b <= 0; a raised
+    # error enters by its type name.  It moves if the arithmetic of any
+    # coefficient changes, and such a change must be recorded; it is also
+    # tied to the scipy in use, whose special functions they call.
+    moments = (0.0, 1e-300, 1e-8, 0.3, 0.5, 1.0, 1.0 + 5e-8, 1.0 + 1e-6, 2.0, 37.0,
+               1e8, 1e300, math.inf)
+    curvatures = (-5.0, 0.0, 1e-3, 0.5, 1.0, 3.0, 1e4)
+    ells = np.geomspace(1e-5, 100.0, 15).tolist()
+
+    def value(fn, *args):
+        try:
+            return repr(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - the error is part of the pin
+            return type(exc).__name__
+
+    digest = hashlib.sha256()
+    for ell in ells:
+        for a in moments:
+            for b in curvatures:
+                for fn in (gamma, g_drift, acc_rate, f_rate):
+                    digest.update(value(fn, a, b, ell).encode())
+            for fn in (f1, j_curve, _f1_and_drift):
+                digest.update(value(fn, a, ell).encode())
+    assert digest.hexdigest() == "8998fc91ca8d58110d32856ce2d893ad6c7ce4188b2552d9bd89f647aafe2d8e"

@@ -340,13 +340,48 @@ def test_solves_evaluate_each_ell_once(monkeypatch):
             return fn(s, ell)
         return wrapped
 
-    monkeypatch.setattr(tuning, "_d_f1_d_ell", recording(tuning._d_f1_d_ell))
+    monkeypatch.setattr(tuning, "_slopes", recording(tuning._slopes))
     monkeypatch.setattr(tuning, "j_curve", recording(tuning.j_curve))
     for solve in (lambda: ell_star(4.0), lambda: ell_alpha(4.0, 0.27),
                   lambda: ell_ent_gaussian(2.0, 6.0)):
         seen.clear()
         solve()
         assert seen and len(seen) == len(set(seen))
+
+
+def test_solves_evaluate_the_special_functions_once_per_ell(monkeypatch):
+    # Each ell a rate-optimal or entropy solve tries costs one Phi and one
+    # f_helper call, for f1 and both ell-derivatives together (s > 1/2, where
+    # the second acceptance term goes through f_helper), and so does the
+    # objective at the root.
+    from mhscaling import coefficients, tuning
+
+    calls, ells = {"phi": 0, "f_helper": 0}, []
+
+    def counting(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    root = tuning._bracketed_root
+
+    def recording_root(fn, objective, guess):
+        def recorded(ell):
+            ells.append(ell)
+            return fn(ell)
+        return root(recorded, objective, guess)
+
+    phi = coefficients.phi
+    for module in (coefficients, tuning):  # Phi as each module binds it
+        monkeypatch.setattr(module, "phi", counting("phi", phi))
+    monkeypatch.setattr(coefficients, "f_helper", counting("f_helper", coefficients.f_helper))
+    monkeypatch.setattr(tuning, "_bracketed_root", recording_root)
+    for solve in (lambda: ell_star(4.0), lambda: ell_ent_gaussian(1.0, 6.0)):
+        calls.update(phi=0, f_helper=0)
+        ells.clear()
+        solve()
+        assert ells and calls == {"phi": len(ells) + 1, "f_helper": len(ells) + 1}
 
 
 def test_ell_alpha_reports_the_acceptance_at_its_root():
