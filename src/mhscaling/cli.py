@@ -214,12 +214,10 @@ def _cmd_experiment(args) -> int:
                 raise DomainError(f"{args.config} is not JSON: {exc}") from None
         cfg = experiments.ExperimentConfig.from_dict(
             raw.get("config", raw) if isinstance(raw, dict) else raw)
-    elif args.preset == "desk":
-        cfg = experiments.desk_config(target=args.target, seed=args.seed)
-    elif args.preset == "paper":
-        cfg = experiments.paper_config(target=args.target, seed=args.seed)
+    elif args.preset:
+        cfg = experiments.preset_config(args.preset, args.target, args.seed)
     else:
-        raise DomainError("give --preset desk|paper or --config FILE")
+        raise DomainError(f"give --preset {'|'.join(experiments.PRESETS)} or --config FILE")
 
     curves = experiments.square_bias_sweep(cfg)
     # one CSV per strategy; each list is filled here, before any file is written
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="square-bias sweeps / robustness surface", **fmt)
     p_exp.add_argument("--kind", choices=("bias", "loss"), default="bias",
                        help="square-bias sweep or relative-loss surface")
-    p_exp.add_argument("--preset", choices=("desk", "paper"), help="built-in config")
+    p_exp.add_argument("--preset", choices=tuple(experiments.PRESETS), help="built-in config")
     p_exp.add_argument("--config", help="JSON config or manifest to re-run")
     p_exp.add_argument("--target", choices=("gaussian", "double-well"),
                        default="gaussian", help="target potential for presets")

@@ -38,6 +38,8 @@ from .tuning import ell_alpha_ab, ell_star_ab
 __all__ = [
     "ExperimentConfig",
     "BiasCurve",
+    "PRESETS",
+    "preset_config",
     "desk_config",
     "paper_config",
     "estimator_s",
@@ -141,34 +143,29 @@ def _default_strategies(target: str):
     return (f"constant:{ell_const:.6g}", "star", "alpha:0.27", "alpha-adaptive:0.27")
 
 
-def desk_config(target="gaussian", seed=0, strategies=None) -> ExperimentConfig:
+# The built-in sweep shapes, in the form a --config file takes; a preset adds
+# the target, the seed and the target's default strategies.
+PRESETS = {
+    "desk": {"n": 50, "window": 500, "t0_grid": (0, 50, 100, 200, 400, 800), "replicates": 50},
+    "paper": {"n": 100, "window": 1500, "t0_grid": (0, 100, 250, 500, 1000, 2000, 4000),
+              "replicates": 200},
+}
+
+
+def preset_config(name: str, target="gaussian", seed=0) -> ExperimentConfig:
+    """The sweep of ``PRESETS[name]`` on ``target``, read as a config file is."""
+    return ExperimentConfig.from_dict({**PRESETS[name], "target": target, "seed": seed,
+                                       "strategies": _default_strategies(target)})
+
+
+def desk_config(target="gaussian", seed=0) -> ExperimentConfig:
     """CI-scale defaults; orderings survive the scale-down, exact values do not."""
-    if strategies is None:
-        strategies = _default_strategies(target)
-    return ExperimentConfig(
-        target=target,
-        n=50,
-        window=500,
-        t0_grid=(0, 50, 100, 200, 400, 800),
-        replicates=50,
-        strategies=tuple(strategy_from_label(s) for s in strategies),
-        seed=seed,
-    )
+    return preset_config("desk", target, seed)
 
 
-def paper_config(target="gaussian", seed=0, strategies=None) -> ExperimentConfig:
+def paper_config(target="gaussian", seed=0) -> ExperimentConfig:
     """Full-size preset matching the published experiments (slow)."""
-    if strategies is None:
-        strategies = _default_strategies(target)
-    return ExperimentConfig(
-        target=target,
-        n=100,
-        window=1500,
-        t0_grid=(0, 100, 250, 500, 1000, 2000, 4000),
-        replicates=200,
-        strategies=tuple(strategy_from_label(s) for s in strategies),
-        seed=seed,
-    )
+    return preset_config("paper", target, seed)
 
 
 def _window_mean(per_step, t0: int, window: int):

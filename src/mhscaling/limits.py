@@ -68,9 +68,14 @@ def _check_horizon(t_max: float, t_start: float) -> None:
         raise DomainError(f"t_max must be finite and >= {t_start!r}, got {t_max!r}")
 
 
+# far more steps than any run here takes (criterion 05 takes 60,000); a
+# larger count is a dt typed wrong, and would run for days
+_MAX_STEPS = 10**7
+
+
 def _step_count(span: float, dt: float) -> int:
-    if not math.isfinite(span / dt):
-        raise DomainError(f"{span!r} in steps of {dt!r} is too many steps to count")
+    if not span / dt <= _MAX_STEPS:  # inf and nan too
+        raise DomainError(f"{span!r} in steps of {dt!r} is more than {_MAX_STEPS:,} steps")
     return int(round(span / dt))
 
 
@@ -185,6 +190,10 @@ class ParticleEnsemble:
         if self.xs.size < 2:
             raise DomainError("ensemble needs at least 2 particles")
         _check_step(self.dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_square = float(np.mean(self.xs**2))
+        if not math.isfinite(mean_square):
+            raise DomainError(f"the particles' mean square is {mean_square!r}, not finite")
 
 
 def make_ensemble(xs, dt: float, *, rng: np.random.Generator) -> ParticleEnsemble:

@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy import optimize
-
-from .coefficients import _SQRT_2PI, _f1_and_drift, _f1_and_terms, f1, f_rate, j_curve, phi
+from .coefficients import (
+    _SQRT_2PI, _check_ell, _f1_and_drift, _f1_and_terms, f1, f_rate, j_curve, phi,
+)
 # g_drift is not called here; it stays importable as tuning.g_drift, a name
 # the per-layer trace of perfbench/ wraps
 from .coefficients import g_drift  # noqa: F401
@@ -151,8 +151,11 @@ def _bracketed_root(fn, objective, guess: float) -> TuningResult:
     while g(hi) > 0.0 and hi < _LOG_MAX:
         lo, hi = hi, min(hi + step, _LOG_MAX)
         step, expansions = 2.0 * step, expansions + 1
+    # imported here: scipy.optimize is slow to import and used nowhere else
+    from scipy.optimize import brentq
+
     try:
-        root_u, info = optimize.brentq(g, lo, hi, xtol=_U_TOL, full_output=True)
+        root_u, info = brentq(g, lo, hi, xtol=_U_TOL, full_output=True)
     except ValueError:
         raise DomainError(f"no step scale in [{math.exp(lo):g}, {math.exp(hi):g}] solves "
                           "the rule in floating point; the moments are too extreme") from None
@@ -182,6 +185,7 @@ def ell_star_ab(a: float, b: float) -> TuningResult:
         )
     base = ell_star(a / b)
     ell = base.ell / math.sqrt(b)
+    _check_ell(ell)
     return replace(base, ell=ell, objective_value=f_rate(a, b, ell))
 
 
@@ -212,7 +216,9 @@ def ell_alpha_ab(a: float, b: float, alpha: float) -> TuningResult:
     if not a > 0.0:
         raise DomainError(f"moment a must be > 0, got {a!r}")
     base = ell_alpha(a / b, alpha)
-    return replace(base, ell=base.ell / math.sqrt(b))
+    ell = base.ell / math.sqrt(b)
+    _check_ell(ell)
+    return replace(base, ell=ell)
 
 
 def matched_alpha(regime: str) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mhscaling
-from mhscaling import cli, experiments
+from mhscaling import cli, experiments, tuning
 from mhscaling.chains import strategy_from_label
 
 
@@ -38,6 +38,11 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert not loaded_by_cli_import("scipy.integrate")
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the tuning solve uses it (for brentq); it imports it when first run
+    assert not loaded_by_cli_import("scipy.optimize")
+
+
 def test_tune_star_reference(capsys):
     assert run_cli(["tune", "--mode", "star", "--s", "1"]) == 0
     out = capsys.readouterr().out
@@ -63,6 +68,26 @@ def test_tune_grid_and_output(tmp_path, capsys):
     assert (out / "tune.csv").exists()
     assert (out / "manifest.json").exists()
     assert len((out / "tune.csv").read_text().splitlines()) == 6
+
+
+def test_tune_ab_and_ent_write_the_rule_they_name(tmp_path, capsys):
+    # the --a/--b form and --mode ent, each row against its tuning rule
+    for i, (argv, label, res) in enumerate([
+        (["--mode", "star", "--a", "4", "--b", "2"], "a=4 b=2", tuning.ell_star_ab(4.0, 2.0)),
+        (["--mode", "alpha", "--a", "4", "--b", "2", "--alpha", "0.3"], "a=4 b=2",
+         tuning.ell_alpha_ab(4.0, 2.0, 0.3)),
+        (["--mode", "ent", "--m", "1", "--s", "6"], "s=6", tuning.ell_ent_gaussian(1.0, 6.0)),
+    ]):
+        out = tmp_path / str(i)
+        assert run_cli(["tune", *argv, "--out", str(out)]) == 0
+        assert (out / "tune.csv").read_text().splitlines() == [
+            "input,ell,objective,converged",
+            f"{label},{res.ell!r},{res.objective_value!r},{res.converged}",
+        ]
+    capsys.readouterr()
+    assert run_cli(["tune", "--mode", "ent", "--a", "1", "--b", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tune_domain_error_exit_code(capsys):
@@ -261,6 +286,14 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["simulate", "--kind", "particles", "--n", "100", "--ell", "1e160", "--t-max", "0.001"],
     ["simulate", "--kind", "ode", "--strategy", "constant:1e200"],
     ["simulate", "--kind", "particles", "--ell", "-1", "--t-max", "0"],
+    ["tune", "--mode", "alpha", "--a", "1", "--b", "1e-160"],
+    ["tune", "--mode", "star", "--a", "1", "--b", "1e-160"],
+    ["simulate", "--kind", "particles", "--n", "5", "--t-max", "0.01", "--dt", "1e-300"],
+    ["simulate", "--kind", "ode", "--dt", "1e-300"],
+    ["simulate", "--kind", "particles", "--n", "5", "--dt", "0.001", "--t-max", "0.01",
+     "--init", "point:1e200"],
+    ["simulate", "--kind", "particles", "--n", "5", "--dt", "0.001", "--t-max", "0.01",
+     "--init", "gaussian:0,inf"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -357,7 +357,7 @@ def test_limit_integrators_refuse_bad_horizon():
             integrate_particles(pe, gaussian_potential(), 1.0, t_max=t_max)
         with pytest.raises(DomainError):
             integrate_mala_second_moment(4.0, 1.4, dt=1e-3, t_max=t_max)
-    for dt in (0.0, -1e-3, math.inf, math.nan, 5e-324):
+    for dt in (0.0, -1e-3, math.inf, math.nan, 5e-324, 1e-300):
         with pytest.raises(DomainError):
             integrate_mala_second_moment(4.0, 1.4, dt=dt, t_max=1.0)
     # a step count that overflows a float
