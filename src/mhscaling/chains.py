@@ -12,8 +12,8 @@ log acceptance ratio; the batch draws the normals, decides, moves the
 accepted rows and counts the step, doing the O(R n) work on arrays and
 whatever sets a row's bits (its draws, scale and exp) row by row.
 :func:`run_chains` steps R random walk chains; :func:`run_chain` and
-:func:`run_mala` loop the same kernels on a batch of one, and
-:func:`rwm_step` and :func:`mala_step` are one-step runs of a given state.
+:func:`run_mala` loop the same kernels on a batch of one and return its
+records and end point, so a chain's state lives only in its batch.
 
 RNG discipline: each chain, or row, owns one counter-based generator
 (Philox) seeded from a master seed; replicate independence comes from
@@ -46,13 +46,11 @@ __all__ = [
     "RateOptimal",
     "EntropyOptimalGaussian",
     "strategy_from_label",
-    "ChainState",
     "StepRecord",
     "ChainRuns",
     "chain_rng",
     "adaptive_update",
     "rwm_step",
-    "mala_step",
     "run_chains",
     "run_chains_moments",
     "run_chain",
@@ -62,6 +60,11 @@ __all__ = [
 # Fallback scale when the estimated curvature is nonpositive and a numeric
 # rule has no finite optimum; a finite cap keeps the chain well defined.
 DEFAULT_ELL_CAP = 10.0
+
+# Far more steps than any run here takes (criterion 04's chain takes
+# 200,000 and criterion 05's ODE 60,000); a larger count is a typo and
+# would run for days.  Chains, the AR(1) limit and the integrators share it.
+_MAX_STEPS = 10**7
 
 # Moment ratios this small are indistinguishable from 0 and would break the
 # acceptance-matching solve; clamp instead.
@@ -225,22 +228,6 @@ def strategy_from_label(text: str) -> Strategy:
     if not math.isfinite(value):
         raise DomainError(f"strategy {text!r}: {arg!r} is not a finite number")
     return cls(value)
-
-
-@dataclass
-class ChainState:
-    """Position, generator and counters of one chain.
-
-    A hand step (:func:`rwm_step`, :func:`mala_step`) reads nothing but
-    these fields and advances them in place; ``coords`` is replaced by a new
-    array, never mutated in place.
-    """
-
-    coords: np.ndarray
-    rng: np.random.Generator
-    k: int = 0
-    theta: float | None = None
-    accept_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -427,24 +414,20 @@ def _mala_kernel(batch: _Batch, sigma: float):
     return [sigma] * len(acc_prob), acc_prob, accepted
 
 
-def _check_sigma(sigma) -> None:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
+def rwm_step(coords, p: Potential, strategy: Strategy, *, rng: np.random.Generator):
+    """One random walk Metropolis step from ``coords``: a one-step
+    :func:`run_chain`, returning the new coords and the step's record.
+
+    Nothing in the package steps a chain by hand; this one-step view stays
+    because ``perfbench/tracing.py`` wraps it to count chain steps.
+    """
+    records, coords = _run_one(coords, p, strategy, 1, 1, rng, _rwm_kernel)
+    return coords, records[0]
 
 
-def rwm_step(state: ChainState, p: Potential, strategy: Strategy):
-    """One random walk Metropolis step over all coordinates: a one-step
-    :func:`run_chain` of ``state``, which it advances and returns with the
-    step's record.  The moments in the record, and ell, are those of the
-    current coordinate vector."""
-    return state, _run_one(state, p, strategy, 1, 1, _rwm_kernel)[0]
-
-
-def mala_step(state: ChainState, p: Potential, sigma: float):
-    """One Langevin-adjusted step with proposal std sigma: a one-step
-    :func:`run_mala` of ``state``, laid out as :func:`rwm_step`."""
-    _check_sigma(sigma)
-    return state, _run_one(state, p, None, 1, 1, _mala_kernel, sigma)[0]
+def _check_steps(steps) -> None:
+    if not 0 <= steps <= _MAX_STEPS:
+        raise DomainError(f"steps must be from 0 to {_MAX_STEPS:,}, got {steps!r}")
 
 
 def _start(inits, p: Potential, strategies, steps: int, rngs) -> _Batch:
@@ -453,8 +436,7 @@ def _start(inits, p: Potential, strategies, steps: int, rngs) -> _Batch:
         raise DomainError(
             f"initial states must be R rows of n >= 1 coordinates, got shape {x.shape}"
         )
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps!r}")
+    _check_steps(steps)
     if not len(strategies) == len(rngs) == len(x):
         raise DomainError(
             f"need one strategy and one generator per chain: {len(x)} chains, "
@@ -498,43 +480,38 @@ def run_chains_moments(inits, p: Potential, strategies, steps: int, *, rngs):
     return m_hat, s_hat
 
 
-def _run_one(state: ChainState, p, strategy, steps, record_every, kernel, *args):
-    # advance ``state`` in place by ``steps`` kernel steps, as a batch of
-    # one; returns a StepRecord for every record_every-th step
+def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
+    # ``steps`` kernel steps of the chain from ``init``, as a batch of one;
+    # returns a StepRecord for every record_every-th step, and the end point
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    batch = _start(np.reshape(state.coords, (1, -1)), p, [strategy], steps, [state.rng])
-    batch.k, batch.theta[0] = state.k, state.theta
+    batch = _start(np.reshape(init, (1, -1)), p, [strategy], steps, [rng])
     records = []
     for i in range(1, steps + 1):
         # a record holds the moments of the point its step starts from
         here = batch.here(0) if i % record_every == 0 else None
         ell, acc_prob, accepted = kernel(batch, *args)
-        state.accept_count += accepted[0]
         if here is not None:
             records.append(StepRecord(batch.k, ell[0], accepted[0], acc_prob[0], *here))
-    state.coords, state.k, state.theta = batch.x[0], batch.k, batch.theta[0]
-    return records
+    return records, batch.x[0]
 
 
 def run_chain(init, p: Potential, strategy: Strategy, steps: int,
               record_every: int = 1, *, rng: np.random.Generator):
     """Run a random walk chain; deterministic for a given generator state.
 
-    Returns (records, final_state) where records holds every
-    ``record_every``-th StepRecord.  The chain is a batch of one stepped by
-    the kernel of :func:`run_chains`; its records equal those of the same
-    chain in a :func:`run_chains` batch or stepped by :func:`rwm_step`.
+    Returns (records, coords): every ``record_every``-th StepRecord and the
+    chain's end point.  The chain is a batch of one stepped by the kernel of
+    :func:`run_chains`; its records equal those of the same chain in a
+    :func:`run_chains` batch.
     """
-    state = ChainState(init, rng)
-    return _run_one(state, p, strategy, steps, record_every, _rwm_kernel), state
+    return _run_one(init, p, strategy, steps, record_every, rng, _rwm_kernel)
 
 
 def run_mala(init, p: Potential, sigma: float, steps: int,
              record_every: int = 1, *, rng: np.random.Generator):
     """Run a Langevin-adjusted chain at fixed proposal std sigma; laid out
-    as :func:`run_chain`, its records equal those of a :func:`mala_step`
-    loop."""
-    _check_sigma(sigma)
-    state = ChainState(init, rng)
-    return _run_one(state, p, None, steps, record_every, _mala_kernel, sigma), state
+    as :func:`run_chain`."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
+    return _run_one(init, p, None, steps, record_every, rng, _mala_kernel, sigma)

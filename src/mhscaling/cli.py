@@ -142,7 +142,12 @@ def _initial_coords(text: str, n: int, p, rng):
 
 
 def _cmd_simulate(args) -> int:
-    p = targets.potential_by_name(args.target)
+    if args.kind in ("ode", "ar1"):  # both limits are the Gaussian's
+        if args.target != "gaussian":
+            raise DomainError(f"--kind {args.kind} is for the Gaussian target, "
+                              f"not {args.target!r}")
+    else:
+        p = targets.potential_by_name(args.target)
     if args.kind in ("rwm", "mala"):
         rng = chains.chain_rng(args.seed)
         init = _initial_coords(args.init, args.n, p, rng)
@@ -408,7 +413,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, OSError) as exc:  # bad input, or a path that cannot be used
+    # bad input, a path that cannot be used, or a size too large to allocate
+    except (DomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

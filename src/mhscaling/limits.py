@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .chains import Strategy
+from .chains import _MAX_STEPS, Strategy, _check_steps
 from .coefficients import _check_ell, _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
 from .errors import DomainError
 from .targets import Potential, _moment_means, integrate_against_density
@@ -66,11 +66,6 @@ def _check_step(dt: float) -> None:
 def _check_horizon(t_max: float, t_start: float) -> None:
     if not (math.isfinite(t_max) and t_max >= t_start):
         raise DomainError(f"t_max must be finite and >= {t_start!r}, got {t_max!r}")
-
-
-# far more steps than any run here takes (criterion 05 takes 60,000); a
-# larger count is a dt typed wrong, and would run for days
-_MAX_STEPS = 10**7
 
 
 def _step_count(span: float, dt: float) -> int:
@@ -366,8 +361,7 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, *,
 
     if not 0.0 < ell < 2.0:
         raise DomainError(f"AR(1) limit requires 0 < ell < 2, got {ell!r}")
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps!r}")
+    _check_steps(steps)
     if not math.isfinite(y0):
         raise DomainError(f"AR(1) limit needs a finite y0, got {y0!r}")
     noise = rng.standard_normal(steps)

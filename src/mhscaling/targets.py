@@ -162,11 +162,6 @@ def _dw_d4(x):
 
 
 def _validate_potential(p: Potential) -> None:
-    mass = integrate_against_density(p, lambda x: 1.0)
-    if abs(mass - 1.0) > 1e-6:
-        raise DomainError(
-            f"exp(-V) must integrate to 1, got {mass!r} for {p.name}"
-        )
     # bounded curvature on a wide grid
     grid = np.linspace(-30.0, 30.0, 2001)
     if not (np.all(np.isfinite(p.d2(grid))) and np.all(np.isfinite(p.d3(grid)))):
@@ -219,14 +214,17 @@ def _shifted(eval_v, shift, x):
 def custom_potential(name, eval_v, d1, d2, d3, d4, breakpoints=(), normalize=False) -> Potential:
     """Wrap user-supplied closures as a Potential.
 
-    With ``normalize=True`` an additive constant is fitted so exp(-V)
-    integrates to one.  The construction checks then run on every potential
-    (slow: several quadratures).  The result pickles if the closures do.
+    One quadrature of exp(-V) either fits an additive constant so that it
+    integrates to one (``normalize=True``) or checks that it does; a second
+    gives ``i_fisher``, and the derivative checks run on every potential.
+    The result pickles if the closures do.
     """
     p = Potential(name, eval_v, d1, d2, d3, d4, breakpoints=tuple(breakpoints))
+    mass = integrate_against_density(p, lambda x: 1.0, epsabs=1e-12)
     if normalize:
-        mass = integrate_against_density(p, lambda x: 1.0, epsabs=1e-12)
         p = replace(p, eval_v=partial(_shifted, eval_v, math.log(mass)))
+    elif abs(mass - 1.0) > 1e-6:
+        raise DomainError(f"exp(-V) must integrate to 1, got {mass!r} for {p.name}")
     p = replace(p, i_fisher=integrate_against_density(p, lambda x: float(p.d1(x)) ** 2))
     _validate_potential(p)
     return p

@@ -233,8 +233,8 @@ def test_criterion_09_mala_gaussian_limits():
         for seed in range(30):
             rng = chain_rng(seed)
             init = 2.0 * rng.standard_normal(n)
-            _, state = run_mala(init, p, sigma=sigma, steps=steps, rng=rng)
-            fracs.append(state.accept_count / state.k)
+            recs, _ = run_mala(init, p, sigma=sigma, steps=steps, rng=rng)
+            fracs.append(sum(r.accepted for r in recs) / len(recs))
         frac = float(np.mean(fracs))
         frac_ok = frac >= 0.95
 

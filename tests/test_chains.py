@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 
@@ -9,7 +8,6 @@ from scipy import stats
 from mhscaling import tuning
 from mhscaling.chains import (
     DEFAULT_ELL_CAP,
-    ChainState,
     ConstantAccAdaptive,
     ConstantAccNumeric,
     ConstantEll,
@@ -18,7 +16,6 @@ from mhscaling.chains import (
     StepRecord,
     adaptive_update,
     chain_rng,
-    mala_step,
     run_chain,
     run_chains,
     run_chains_moments,
@@ -119,22 +116,9 @@ def test_rwm_step_zero_move_accepts():
         def random(self):
             return 0.999999
 
-    state = ChainState(coords=np.zeros(1), rng=ZeroNoise())
-    _, rec = rwm_step(state, p, ConstantEll(1.0))
+    _, rec = rwm_step(np.zeros(1), p, ConstantEll(1.0), rng=ZeroNoise())
     assert rec.acc_prob == 1.0
     assert rec.accepted
-
-
-def test_hand_steps_advance_the_state_they_are_given():
-    # a hand step is a one-step run of the state it is given: it advances
-    # that object in place and returns it
-    p = gaussian_potential()
-    for step in (lambda s: rwm_step(s, p, ConstantEll(1.0)), lambda s: mala_step(s, p, 0.5)):
-        state = ChainState(coords=np.ones(5), rng=chain_rng(2))
-        for k in range(1, 4):
-            returned, record = step(state)
-            assert returned is state
-            assert state.k == record.k == k
 
 
 def test_rwm_acc_prob_is_density_ratio():
@@ -151,8 +135,8 @@ def test_rwm_acc_prob_is_density_ratio():
             return 1.0
 
     y = 1.7
-    state = ChainState(coords=np.zeros(1), rng=FixedNoise(y))
-    _, rec = rwm_step(state, p, ConstantEll(1.0))  # n=1: proposal is exactly y
+    # n=1: the proposal is exactly y
+    _, rec = rwm_step(np.zeros(1), p, ConstantEll(1.0), rng=FixedNoise(y))
     assert rec.acc_prob == pytest.approx(math.exp(-0.5 * y * y), rel=1e-12)
 
 
@@ -169,11 +153,11 @@ def test_run_chain_deterministic_and_zero_steps():
     p = gaussian_potential()
     r1, s1 = run_chain(np.zeros(4), p, ConstantEll(1.0), steps=60, rng=chain_rng(5))
     r2, s2 = run_chain(np.zeros(4), p, ConstantEll(1.0), steps=60, rng=chain_rng(5))
-    assert np.array_equal(s1.coords, s2.coords)
+    assert np.array_equal(s1, s2)
     assert r1 == r2
     r0, s0 = run_chain(np.ones(4), p, ConstantEll(1.0), steps=0, rng=chain_rng(5))
     assert r0 == []
-    assert np.array_equal(s0.coords, np.ones(4))
+    assert np.array_equal(s0, np.ones(4))
 
 
 def test_run_chain_preserves_stationarity():
@@ -226,11 +210,10 @@ def test_acceptance_rate_tracks_limit_as_n_grows():
 def test_rwm_reversibility_goodness_of_fit():
     # n = 1 long run should be indistinguishable from the standard normal
     p = gaussian_potential()
-    state = ChainState(coords=np.zeros(1), rng=chain_rng(3))
-    xs = []
-    for _ in range(120_000):
-        state, _ = rwm_step(state, p, ConstantEll(2.38))
-        xs.append(state.coords[0])
+    records, end = run_chain(np.zeros(1), p, ConstantEll(2.38), 120_000, rng=chain_rng(3))
+    # at n = 1 a record's m_hat is the coordinate its step starts from, so
+    # the coordinate after step k is the m_hat of step k + 1
+    xs = [r.m_hat for r in records[1:]] + [end[0]]
     thinned = np.array(xs[2000::20])
     n_bins = 20
     edges = [-np.inf] + [phi_inv(i / n_bins) for i in range(1, n_bins)] + [np.inf]
@@ -260,7 +243,7 @@ def test_exchangeability_commutes_with_permutation():
 
     init = np.array([0.3, -1.2, 2.0])
     plain, _ = run_chain(init, p, ConstantEll(1.3), steps=40, rng=chain_rng(11))
-    permuted, state = run_chain(
+    permuted, end = run_chain(
         init[perm], p, ConstantEll(1.3), steps=40, rng=PermutedBlocks(11)
     )
     # same acceptance path and moment estimates; coordinates permuted
@@ -269,8 +252,8 @@ def test_exchangeability_commutes_with_permutation():
         assert a.acc_prob == pytest.approx(b.acc_prob, rel=1e-12)
         assert a.a_hat == pytest.approx(b.a_hat, rel=1e-12)
 
-    replay, state2 = run_chain(init, p, ConstantEll(1.3), steps=40, rng=chain_rng(11))
-    assert np.allclose(state.coords, state2.coords[perm])
+    replay, end2 = run_chain(init, p, ConstantEll(1.3), steps=40, rng=chain_rng(11))
+    assert np.allclose(end, end2[perm])
 
 
 def test_mala_exponent_matches_density_ratio():
@@ -323,16 +306,15 @@ def test_mala_gaussian_closed_form_exponent():
 
 def test_mala_small_sigma_accepts():
     p = gaussian_potential()
-    records, state = run_mala(np.full(20, 1.5), p, sigma=1e-4, steps=50, rng=chain_rng(1))
+    records, _ = run_mala(np.full(20, 1.5), p, sigma=1e-4, steps=50, rng=chain_rng(1))
     assert all(r.acc_prob > 0.999 for r in records)
-    assert state.accept_count == 50
+    assert len(records) == 50 and all(r.accepted for r in records)
 
 
 def test_mala_rejects_nonpositive_sigma():
     p = gaussian_potential()
-    state = ChainState(coords=np.zeros(3), rng=chain_rng(0))
     with pytest.raises(DomainError):
-        mala_step(state, p, 0.0)
+        run_mala(np.zeros(3), p, 0.0, 1, rng=chain_rng(0))
 
 
 def test_adaptive_strategy_reaches_target_rate():
@@ -364,55 +346,40 @@ def test_trajectory_csv_format(tmp_path):
     assert [float(v) for v in fields[1:]] == [r.ell_used, r.acc_prob, r.a_hat, r.b_hat]
 
 
-def _fresh_copy(state):
-    # Same position, stream and counters, in a new state.
-    rng = chain_rng(0)
-    rng.bit_generator.state = copy.deepcopy(state.rng.bit_generator.state)
-    return ChainState(coords=state.coords.copy(), rng=rng, k=state.k,
-                      theta=state.theta, accept_count=state.accept_count)
-
-
 def _bits(record):
     return np.array(dataclasses.astuple(record), dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("target, spec", [
-    *[("gaussian", s) for s in
-      ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "ent")],
-    *[("double-well", s) for s in
-      ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27")],
+    *[("gaussian", s) for s in ("constant:2.38", "star", "alpha:0.27", "ent")],
+    *[("double-well", s) for s in ("constant:2.38", "star", "alpha:0.27")],
     ("gaussian", "mala"),
     ("double-well", "mala"),
 ])
 def test_cached_summary_steps_like_a_fresh_state(target, spec):
-    # A chain that has stepped, through acceptances and rejections, must step
-    # bit-for-bit like a new state built from its position, stream and
-    # counters: a hand step keeps nothing outside those fields.
+    # A chain run again from its end point on the same generator must step
+    # bit for bit as it would have gone on: a run keeps nothing outside its
+    # position and its stream.  (An adaptive chain also carries theta, which
+    # a new run restarts; test_batch_rows_step_like_chains_alone checks it.)
     p = gaussian_potential() if target == "gaussian" else double_well_potential()
     if spec == "mala":
         sigma = 0.8 if target == "gaussian" else 0.3  # both accept and reject
 
-        def step(state):
-            return mala_step(state, p, sigma)
+        def run(init, steps, rng):
+            return run_mala(init, p, sigma, steps, rng=rng)
         init = chain_rng(9).standard_normal(50) + 1.0
     else:
-        strategy = strategy_from_label(spec)
-
-        def step(state):
-            return rwm_step(state, p, strategy)
+        def run(init, steps, rng):
+            return run_chain(init, p, strategy_from_label(spec), steps, rng=rng)
         init = np.full(50, 10.0)
-    state = ChainState(coords=init, rng=chain_rng(5))
-    for _ in range(300):
-        state, _ = step(state)
-    outcomes = set()
-    for _ in range(40):
-        fresh, fresh_record = step(_fresh_copy(state))
-        state, record = step(state)
-        assert _bits(record) == _bits(fresh_record)
-        assert state.coords.tobytes() == fresh.coords.tobytes()
-        assert (state.theta, state.accept_count) == (fresh.theta, fresh.accept_count)
-        outcomes.add(record.accepted)
-    assert outcomes == {True, False}
+    whole, whole_end = run(init, 340, chain_rng(5))
+    rng = chain_rng(5)
+    _, middle = run(init, 300, rng)
+    resumed, end = run(middle, 40, rng)
+    for record, alone in zip(resumed, whole[300:], strict=True):
+        assert _bits(dataclasses.replace(record, k=alone.k)) == _bits(alone)
+    assert end.tobytes() == whole_end.tobytes()
+    assert {r.accepted for r in resumed} == {True, False}
 
 
 def test_rate_optimal_solves_once_per_point(monkeypatch):
@@ -436,27 +403,23 @@ def test_rate_optimal_solves_once_per_point(monkeypatch):
 def test_steps_leave_the_callers_array_alone(kind):
     # The Gaussian's V' returns its argument, so a batch summary that kept
     # it would hold the chain's own coords and an accepted step would write
-    # the proposal into the caller's array.  Two states built on one array
-    # must step like two states on copies of it, and the array must not move.
+    # the proposal into the caller's array.  Two chains started from one
+    # array must run like two chains started from copies of it, and the
+    # array must not move.
     p = gaussian_potential()
 
-    def step(state):
+    def run(init, seed):
         if kind == "mala":
-            return mala_step(state, p, 0.5)
-        return rwm_step(state, p, ConstantEll(1.0))
+            return run_mala(init, p, 0.5, 30, rng=chain_rng(seed))
+        return run_chain(init, p, ConstantEll(1.0), 30, rng=chain_rng(seed))
 
     shared = np.full(20, 1.0)
-    states = [ChainState(coords=shared, rng=chain_rng(seed)) for seed in (3, 4)]
-    copies = [ChainState(coords=shared.copy(), rng=chain_rng(seed)) for seed in (3, 4)]
-    accepts = [0, 0]
-    for _ in range(30):
-        for i in range(2):
-            states[i], record = step(states[i])
-            copies[i], alone = step(copies[i])
-            assert _bits(record) == _bits(alone)
-            assert states[i].coords.tobytes() == copies[i].coords.tobytes()
-            accepts[i] += record.accepted
-    assert min(accepts) > 0
+    for seed in (3, 4):
+        records, end = run(shared, seed)
+        alone, alone_end = run(shared.copy(), seed)
+        assert [_bits(r) for r in records] == [_bits(r) for r in alone]
+        assert end.tobytes() == alone_end.tobytes()
+        assert any(r.accepted for r in records)
     assert np.all(shared == 1.0)
 
 
@@ -486,7 +449,7 @@ def _alone(init, p, strategy, steps, rng):
         if accepted:
             x, ell = y, None
             sum_v, here = summary(x)
-    return [np.array(column) for column in zip(*rows)], x
+    return [np.array(column) for column in zip(*rows)], x, theta
 
 
 RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(StepRecord))[1:]  # all but k
@@ -499,9 +462,9 @@ FIVE_SPECS = ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "ent
 ])
 def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
     # Each row of a mixed batch must give, bit for bit, the records and end
-    # point of the same chain run alone, by run_chain, stepped by hand with
-    # rwm_step, and by a whole-vector reference: a stream, exp or reduction
-    # that depended on the other rows, or on the route, would show here.
+    # point of the same chain run alone, by run_chain and by a whole-vector
+    # reference: a stream, exp or reduction that depended on the other rows,
+    # or on the route, would show here.
     from mhscaling.targets import initial_coords, potential_by_name
 
     p = potential_by_name(target)
@@ -533,25 +496,17 @@ def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
             assert batch_calls[i] == 1 + accepted[:-1].sum(), spec
 
         init, rng = start(i)
-        records, state = run_chain(init, p, strategy_from_label(spec), steps, rng=rng)
+        records, coords = run_chain(init, p, strategy_from_label(spec), steps, rng=rng)
         init, rng = start(i)
-        columns, end = _alone(init, p, strategy_from_label(spec), steps, rng)
-        init, rng = start(i)
-        hand, stepped = ChainState(coords=init, rng=rng), []
-        for _ in range(steps):
-            hand, record = rwm_step(hand, p, strategies[i])
-            stepped.append(record)
+        columns, end, theta = _alone(init, p, strategy_from_label(spec), steps, rng)
         for name, column in zip(RECORD_FIELDS, columns):
             got = getattr(runs, name)[i]
             assert got.tobytes() == column.tobytes(), (spec, name)
-            for route in (records, stepped):
-                alone = np.array([getattr(r, name) for r in route], dtype=got.dtype)
-                assert got.tobytes() == alone.tobytes(), (spec, name)
-        assert [r.k for r in records] == [r.k for r in stepped] == list(range(1, steps + 1))
-        assert (runs.coords[i].tobytes() == end.tobytes() == state.coords.tobytes()
-                == hand.coords.tobytes())
-        assert (state.k, state.accept_count, state.theta) == (
-            hand.k, hand.accept_count, hand.theta) == (steps, accepted.sum(), runs.theta[i])
+            alone = np.array([getattr(r, name) for r in records], dtype=got.dtype)
+            assert got.tobytes() == alone.tobytes(), (spec, name)
+        assert [r.k for r in records] == list(range(1, steps + 1))
+        assert runs.coords[i].tobytes() == end.tobytes() == coords.tobytes()
+        assert runs.theta[i] == theta, spec
 
     inits, rngs = zip(*(start(i) for i in range(len(cases))))
     m_hat, s_hat = run_chains_moments(inits, p, strategies, steps, rngs=rngs)
@@ -562,24 +517,19 @@ def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("target, sigma", [("gaussian", 0.8), ("double-well", 0.3)])
 def test_run_mala_steps_like_mala_step(target, sigma, record_every):
-    # run_mala loops the MALA kernel on its own batch of one; a mala_step
-    # loop on the same generator must give the same records and end state,
-    # bit for bit.
+    # Recording every r-th step must keep exactly those records of the
+    # chain that records every step, bit for bit, and end at its end point.
     from mhscaling.targets import potential_by_name
 
     p = potential_by_name(target)
     init, steps = chain_rng(9).standard_normal(50) + 1.0, 200
-    records, state = run_mala(init, p, sigma, steps, record_every, rng=chain_rng(5))
-    hand, stepped = ChainState(coords=init, rng=chain_rng(5)), []
-    for _ in range(steps):
-        hand, record = mala_step(hand, p, sigma)
-        stepped.append(record)
+    records, end = run_mala(init, p, sigma, steps, record_every, rng=chain_rng(5))
+    every, every_end = run_mala(init, p, sigma, steps, rng=chain_rng(5))
     assert len(records) == steps // record_every
-    assert [_bits(r) for r in records] == [_bits(r) for r in stepped[record_every - 1::record_every]]
-    assert state.coords.tobytes() == hand.coords.tobytes()
-    assert (state.k, state.accept_count) == (hand.k, hand.accept_count) == (
-        steps, sum(r.accepted for r in stepped))
-    assert 0 < state.accept_count < steps
+    assert [_bits(r) for r in records] == [_bits(r) for r in every[record_every - 1::record_every]]
+    assert end.tobytes() == every_end.tobytes()
+    assert [r.k for r in every] == list(range(1, steps + 1))
+    assert 0 < sum(r.accepted for r in every) < steps
 
 
 def test_chains_track_the_moment_ode_as_n_grows():
@@ -618,19 +568,15 @@ def test_chains_track_the_moment_ode_as_n_grows():
     assert 0.3 <= gap_large / gap_small <= 0.8
 
 
-@pytest.mark.parametrize("route", ["run_chain", "rwm_step", "swap", "run_chains_moments"])
+@pytest.mark.parametrize("route", ["run_chain", "rwm_step", "run_chains_moments"])
 def test_entropy_strategy_is_refused_off_the_gaussian(route):
     # ent minimizes the Gaussian entropy derivative; on another target it
     # would run on without a word
     p, ent = double_well_potential(), EntropyOptimalGaussian()
-    state = ChainState(coords=np.zeros(5), rng=chain_rng(0))
     with pytest.raises(DomainError, match="Gaussian"):
         if route == "run_chain":
             run_chain(np.zeros(5), p, ent, steps=2, rng=chain_rng(0))
         elif route == "rwm_step":
-            rwm_step(state, p, ent)
-        elif route == "swap":
-            rwm_step(state, p, RateOptimal())
-            rwm_step(state, p, ent)
+            rwm_step(np.zeros(5), p, ent, rng=chain_rng(0))
         else:
             run_chains_moments([np.zeros(5)], p, [ent], 2, rngs=[chain_rng(0)])

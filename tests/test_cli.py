@@ -16,13 +16,15 @@ def run_cli(argv):
     return cli.main(argv)
 
 
-def loaded_by_cli_import(module):
-    # whether a fresh interpreter has ``module`` loaded after importing the CLI
+def loaded_by_cli_import(module, argv=None):
+    # whether a fresh interpreter has ``module`` loaded after importing the
+    # CLI and, if ``argv`` is given, running it
     package_root = os.path.dirname(os.path.dirname(mhscaling.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
+    run = "" if argv is None else f"assert mhscaling.cli.main({argv!r}) == 0; "
     done = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, mhscaling.cli; print({module!r} in sys.modules)"],
+         f"import sys, mhscaling.cli; {run}print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return done.stdout.strip() == "True"
@@ -36,6 +38,13 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # only the quadratures of targets use it; they import it when first run
     assert not loaded_by_cli_import("scipy.integrate")
+
+
+def test_simulate_ode_leaves_scipy_integrate_unloaded(tmp_path):
+    # the moment ODE builds no potential, so it runs no quadrature
+    assert not loaded_by_cli_import("scipy.integrate", [
+        "simulate", "--kind", "ode", "--strategy", "constant:2.38", "--t-max", "0.01",
+        "--out", str(tmp_path)])
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -294,6 +303,13 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
      "--init", "point:1e200"],
     ["simulate", "--kind", "particles", "--n", "5", "--dt", "0.001", "--t-max", "0.01",
      "--init", "gaussian:0,inf"],
+    ["simulate", "--kind", "ode", "--target", "double-well", "--t-max", "0.01"],
+    ["simulate", "--kind", "ar1", "--target", "double-well", "--steps", "5"],
+    ["simulate", "--kind", "rwm", "--n", "1000000000000000"],
+    ["simulate", "--kind", "particles", "--n", "1000000000000000"],
+    ["simulate", "--kind", "ar1", "--steps", "1000000000000000"],
+    ["simulate", "--kind", "rwm", "--n", "5", "--steps", "1000000000000"],
+    ["simulate", "--kind", "mala", "--n", "5", "--steps", "100000000"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -191,6 +191,19 @@ def test_custom_potential_normalize_and_trusted():
         custom_potential("unchecked", p.eval_v, p.d1, p.d2, p.d3, p.d4, trusted=True)
 
 
+def test_custom_potential_refuses_an_unnormalized_density():
+    # x^2/2 without its constant: exp(-V) integrates to sqrt(2 pi)
+    with pytest.raises(DomainError, match="integrate to 1"):
+        custom_potential(
+            "unnormalized-gaussian",
+            eval_v=lambda x: 0.5 * np.asarray(x, float) ** 2,
+            d1=lambda x: np.asarray(x, float),
+            d2=lambda x: np.ones_like(np.asarray(x, float)),
+            d3=lambda x: np.zeros_like(np.asarray(x, float)),
+            d4=lambda x: np.zeros_like(np.asarray(x, float)),
+        )
+
+
 @pytest.mark.parametrize("build", [gaussian_potential, double_well_potential])
 def test_builtin_potentials_pickle(build):
     p = build()
