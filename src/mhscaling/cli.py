@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="chains, moment ODE, particles, AR(1)", **fmt)
     p_sim.add_argument("--kind", choices=("rwm", "mala", "ode", "particles", "ar1"),
                        required=True, help="what to simulate")
-    p_sim.add_argument("--target", choices=("gaussian", "double-well"),
+    p_sim.add_argument("--target", choices=tuple(targets._BUILTIN_TARGETS),
                        default="gaussian", help="target potential")
     p_sim.add_argument("--n", type=int, default=100, help="dimension / particle count")
     p_sim.add_argument("--steps", type=int, default=10000, help="chain steps")
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="square-bias sweep or relative-loss surface")
     p_exp.add_argument("--preset", choices=tuple(experiments.PRESETS), help="built-in config")
     p_exp.add_argument("--config", help="JSON config or manifest to re-run")
-    p_exp.add_argument("--target", choices=("gaussian", "double-well"),
+    p_exp.add_argument("--target", choices=tuple(targets._BUILTIN_TARGETS),
                        default="gaussian", help="target potential for presets")
     p_exp.add_argument("--seed", type=int, default=0, help="master seed for presets")
     p_exp.add_argument("--out", required=True, help="output directory")

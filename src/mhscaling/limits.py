@@ -68,6 +68,13 @@ def _check_horizon(t_max: float, t_start: float) -> None:
         raise DomainError(f"t_max must be finite and >= {t_start!r}, got {t_max!r}")
 
 
+def _check_finite(what: str, value: float, lower: float = -math.inf) -> None:
+    # nan and +-inf fail too
+    if not (math.isfinite(value) and value >= lower):
+        bound = "" if lower == -math.inf else f" and >= {lower!r}"
+        raise DomainError(f"{what} must be finite{bound}, got {value!r}")
+
+
 def _step_count(span: float, dt: float) -> int:
     if not span / dt <= _MAX_STEPS:  # inf and nan too
         raise DomainError(f"{span!r} in steps of {dt!r} is more than {_MAX_STEPS:,} steps")
@@ -231,8 +238,7 @@ def integrate_particles(pe: ParticleEnsemble, p: Potential, ell: float,
 
 def entropy_rate_bound(a: float, b: float, ell: float, fisher: float) -> float:
     """Upper bound on the entropy time-derivative, -f_rate(a,b,ell)/2 * fisher."""
-    if fisher < 0.0:
-        raise DomainError(f"Fisher information must be >= 0, got {fisher!r}")
+    _check_finite("Fisher information", fisher, 0.0)
     return -0.5 * f_rate(a, b, ell) * fisher
 
 
@@ -252,10 +258,10 @@ class MalaRegime:
 
 def mala_regime(moment: float, eps: float | None = None) -> MalaRegime:
     """Classify the steering moment with a dead band around zero."""
+    _check_finite("moment", moment)
     if eps is None:
         eps = 1e-8 * max(1.0, abs(moment))
-    if eps < 0.0:
-        raise DomainError(f"dead band must be >= 0, got {eps!r}")
+    _check_finite("dead band", eps, 0.0)
     if moment < -eps:
         tag = "negative_moment"
     elif moment > eps:
@@ -266,10 +272,17 @@ def mala_regime(moment: float, eps: float | None = None) -> MalaRegime:
 
 
 def mala_w(moment: float, ell: float) -> float:
-    """Transient MALA speed, ell^2 * (exp(ell^4 / 8 * moment) ^ 1)."""
-    if not ell > 0.0:
-        raise DomainError(f"ell must be > 0, got {ell!r}")
-    exponent = 0.125 * ell**4 * moment
+    """Transient MALA speed, ell^2 * (exp(ell^4 / 8 * moment) ^ 1).
+
+    Where ell^4 overflows (ell above about 1.2e77) this is its limit: 0 for
+    a negative moment, ell^2 otherwise.
+    """
+    _check_ell(ell)
+    _check_finite("moment", moment)
+    try:
+        exponent = 0.125 * ell**4 * moment
+    except OverflowError:
+        return 0.0 if moment < 0.0 else ell * ell
     return ell * ell * math.exp(min(exponent, 0.0))
 
 
@@ -279,6 +292,8 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
     Gaussian target, stepped as the moment system with m = 0; returns (t, s)."""
     _check_step(dt)
     _check_horizon(t_max, 0.0)
+    _check_ell(ell)
+    _check_finite("s0", s0)
 
     def field(m, s):
         return 0.0, mala_w(s - 1.0, ell) * (1.0 - s)
@@ -292,12 +307,9 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
 
 
 def _z_moment(p: Potential) -> float:
-    # Roberts & Rosenthal's 5 g'''^2 - 3 g''^3 with g = log density = -V
-    raw = integrate_against_density(
-        p, lambda x: 5.0 * float(p.d3(x)) ** 2 + 3.0 * float(p.d2(x)) ** 3
-    )
-    mass = integrate_against_density(p, lambda x: 1.0)
-    return raw / mass
+    # Roberts & Rosenthal's 5 g'''^2 - 3 g''^3 with g = log density = -V,
+    # against exp(-V), which custom_potential makes integrate to one
+    return integrate_against_density(p, lambda x: 5.0 * p.d3(x) ** 2 + 3.0 * p.d2(x) ** 3)
 
 
 def mala_z_stationary(p: Potential, ell: float) -> float:
@@ -308,15 +320,18 @@ def mala_z_stationary(p: Potential, ell: float) -> float:
     ell * n^(-1/6).  The Gaussian target has K = 3, hence speed
     2 ell^2 Phi(-ell^3 / 8).  A target with K < 0 raises DomainError.
     """
-    if not ell > 0.0:
-        raise DomainError(f"ell must be > 0, got {ell!r}")
+    _check_ell(ell)
     k_moment = _z_moment(p)
     if k_moment < 0.0:
         raise DomainError(
             f"stationary moment K={k_moment:.6g} is negative for {p.name}; "
             "the speed formula requires K >= 0"
         )
-    return 2.0 * ell * ell * phi(-(ell**3) * math.sqrt(k_moment / 3.0) / 8.0)
+    try:
+        u = ell**3 * math.sqrt(k_moment / 3.0) / 8.0
+    except OverflowError:  # ell^3 past the largest double
+        u = math.inf if k_moment > 0.0 else 0.0
+    return 2.0 * ell * ell * phi(-u)
 
 
 @dataclass(frozen=True)

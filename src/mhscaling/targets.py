@@ -77,7 +77,12 @@ class MomentFunctionals:
 
 
 def integrate_against_density(p: Potential, fn, epsabs: float = 1e-10) -> float:
-    """Integral of fn(x) * exp(-V(x)) over the line by adaptive quadrature."""
+    """Integral of fn(x) * exp(-V(x)) over the line by adaptive quadrature.
+
+    fn takes one float and may return a 0-d array; the float is taken here.
+    A result that is not finite, or an error estimate over budget (or nan),
+    raises QuadratureError.
+    """
     # imported here, its one user: the CLI starts without loading it
     from scipy import integrate
 
@@ -86,7 +91,7 @@ def integrate_against_density(p: Potential, fn, epsabs: float = 1e-10) -> float:
     err_total = 0.0
     for lo, hi in zip(edges, edges[1:]):
         val, err = integrate.quad(
-            lambda x: fn(x) * math.exp(-float(p.eval_v(x))),
+            lambda x: float(fn(x)) * math.exp(-float(p.eval_v(x))),
             lo,
             hi,
             epsabs=epsabs / max(len(edges) - 1, 1),
@@ -95,9 +100,9 @@ def integrate_against_density(p: Potential, fn, epsabs: float = 1e-10) -> float:
         )
         total += val
         err_total += err
-    if err_total > 100.0 * epsabs:
+    if not (math.isfinite(total) and err_total <= 100.0 * epsabs):  # nan fails too
         raise QuadratureError(
-            f"quadrature error estimate {err_total:.2e} exceeds budget for {p.name}"
+            f"quadrature of {p.name} gave {total!r} with error estimate {err_total:.2e}"
         )
     return total
 
@@ -122,32 +127,24 @@ def _gauss_zero(x):
 
 
 # -- built-in: double well ----------------------------------------------------
-# Raw well: (x-1)^2 (x+1)^2 inside |x| <= 1, 4x^2 - 8|x| + 4 outside; the
-# constant that makes exp(-V) integrate to one is fitted at construction.
+# Raw well: ((x-1)(x+1))^2 inside |x| <= 1, 4(|x|-1)^2 outside, factored so
+# that no digits cancel near 0 and +-1; the constant that makes exp(-V)
+# integrate to one is fitted at construction.
 
 
 def _dw_raw_v(x):
     x = np.asarray(x, dtype=float)
-    inside = (x - 1.0) ** 2 * (x + 1.0) ** 2
-    outside = 4.0 * x**2 - 8.0 * np.abs(x) + 4.0
-    return np.where(np.abs(x) <= 1.0, inside, outside)
+    return np.where(np.abs(x) <= 1.0, ((x - 1.0) * (x + 1.0)) ** 2, 4.0 * (np.abs(x) - 1.0) ** 2)
 
 
 def _dw_d1(x):
     x = np.asarray(x, dtype=float)
-    inside = 2.0 * (x - 1.0) * (x + 1.0) ** 2 + 2.0 * (x - 1.0) ** 2 * (x + 1.0)
-    outside = 8.0 * x - 8.0 * np.sign(x)
-    return np.where(np.abs(x) <= 1.0, inside, outside)
+    return np.where(np.abs(x) <= 1.0, 4.0 * x * (x - 1.0) * (x + 1.0), 8.0 * (x - np.sign(x)))
 
 
 def _dw_d2(x):
     x = np.asarray(x, dtype=float)
-    inside = (
-        2.0 * (x + 1.0) ** 2
-        + 8.0 * (x - 1.0) * (x + 1.0)
-        + 2.0 * (x - 1.0) ** 2
-    )
-    return np.where(np.abs(x) <= 1.0, inside, 8.0)
+    return np.where(np.abs(x) <= 1.0, 12.0 * x**2 - 4.0, 8.0)
 
 
 def _dw_d3(x):
@@ -159,14 +156,6 @@ def _dw_d3(x):
 def _dw_d4(x):
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(x) <= 1.0, 24.0, 0.0)
-
-
-def _validate_potential(p: Potential) -> None:
-    # bounded curvature on a wide grid
-    grid = np.linspace(-30.0, 30.0, 2001)
-    if not (np.all(np.isfinite(p.d2(grid))) and np.all(np.isfinite(p.d3(grid)))):
-        raise DomainError(f"second/third derivatives must be bounded for {p.name}")
-    _check_derivatives(p)
 
 
 def _stencil_d1(fn, grid, h):
@@ -185,9 +174,13 @@ def _stencil_d2(fn, grid, h):
     ) / (12 * h * h)
 
 
-def _check_derivatives(p: Potential, tol: float = 1e-5) -> None:
-    # Fourth-order stencils, chained (d3 against d1, d4 against d2) so the
-    # truncation error stays below tol for any reasonably smooth potential.
+def _check_derivatives(p: Potential) -> None:
+    # V'' and V''' finite on a wide grid, then fourth-order stencils, chained
+    # (d3 against d1, d4 against d2) so the truncation error stays below
+    # 1e-5 for any reasonably smooth potential.  nan fails every check.
+    wide = np.linspace(-30.0, 30.0, 2001)
+    if not (np.all(np.isfinite(p.d2(wide))) and np.all(np.isfinite(p.d3(wide)))):
+        raise DomainError(f"second/third derivatives must be bounded for {p.name}")
     h = 1e-2
     grid = np.linspace(-3.0, 3.0, 241)
     if p.breakpoints:
@@ -202,7 +195,7 @@ def _check_derivatives(p: Potential, tol: float = 1e-5) -> None:
         (_stencil_d2(p.d2, grid, h), p.d4(grid)),
     )
     for got, want in pairs:
-        if np.max(np.abs(got - want)) > tol:
+        if not np.max(np.abs(got - want)) <= 1e-5:
             raise DomainError(f"derivative mismatch for {p.name}")
 
 
@@ -214,20 +207,19 @@ def _shifted(eval_v, shift, x):
 def custom_potential(name, eval_v, d1, d2, d3, d4, breakpoints=(), normalize=False) -> Potential:
     """Wrap user-supplied closures as a Potential.
 
-    One quadrature of exp(-V) either fits an additive constant so that it
-    integrates to one (``normalize=True``) or checks that it does; a second
-    gives ``i_fisher``, and the derivative checks run on every potential.
-    The result pickles if the closures do.
+    The derivative checks run first, on every potential.  Then one
+    quadrature of exp(-V) either fits an additive constant so that it
+    integrates to one (``normalize=True``) or checks that it does, and a
+    second gives ``i_fisher``.  The result pickles if the closures do.
     """
     p = Potential(name, eval_v, d1, d2, d3, d4, breakpoints=tuple(breakpoints))
+    _check_derivatives(p)
     mass = integrate_against_density(p, lambda x: 1.0, epsabs=1e-12)
     if normalize:
         p = replace(p, eval_v=partial(_shifted, eval_v, math.log(mass)))
-    elif abs(mass - 1.0) > 1e-6:
+    elif not abs(mass - 1.0) <= 1e-6:
         raise DomainError(f"exp(-V) must integrate to 1, got {mass!r} for {p.name}")
-    p = replace(p, i_fisher=integrate_against_density(p, lambda x: float(p.d1(x)) ** 2))
-    _validate_potential(p)
-    return p
+    return replace(p, i_fisher=integrate_against_density(p, lambda x: d1(x) ** 2))
 
 
 @lru_cache(maxsize=1)
@@ -283,9 +275,9 @@ def stationary_moments(p: Potential) -> MomentFunctionals:
     breakpoints; they are added to the classical integral, which is what
     makes the mala_m4 == 0 identity hold for the double well.
     """
-    a = integrate_against_density(p, lambda x: float(p.d1(x)) ** 2)
-    b = integrate_against_density(p, lambda x: float(p.d2(x)))
-    m4 = integrate_against_density(p, lambda x: float(_mala_combination(p, x)))
+    a = integrate_against_density(p, lambda x: p.d1(x) ** 2)
+    b = integrate_against_density(p, p.d2)
+    m4 = integrate_against_density(p, partial(_mala_combination, p))
     eps = 1e-12
     for c in p.breakpoints:
         jump = float(p.d3(c + eps)) - float(p.d3(c - eps))

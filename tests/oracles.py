@@ -100,3 +100,38 @@ def bisect_on(fn, target, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mp_double_well(x):
+    """(V, V', V'') of the raw double well at the double x, in 50 digits.
+
+    The raw well is (x^2 - 1)^2 inside |x| <= 1 and 4 (|x| - 1)^2 outside,
+    before the constant that normalizes exp(-V) is added.
+    """
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        if abs(x) <= 1:
+            return (x * x - 1) ** 2, 4 * x**3 - 4 * x, 12 * x * x - 4
+        return 4 * (abs(x) - 1) ** 2, 8 * (x - mpmath.sign(x)), mpmath.mpf(8)
+
+
+def mp_double_well_constants():
+    """(shift, i_fisher, K) of the double well as 50-digit mpf values.
+
+    shift = log of the integral of exp(-raw V), the constant added to the
+    raw well; i_fisher = E V'^2 and K = E[5 V'''^2 + 3 V''^3] under the
+    normalized density, with V''' = 24 x inside |x| <= 1 and 0 outside.
+    """
+    with mpmath.workdps(50):
+        pieces = [-mpmath.inf, -1, 0, 1, mpmath.inf]
+
+        def against_density(fn):
+            return mpmath.quad(lambda x: fn(x) * mpmath.exp(-mp_double_well(x)[0]), pieces)
+
+        def k_integrand(x):
+            d3 = 24 * x if abs(x) <= 1 else 0
+            return 5 * d3**2 + 3 * mp_double_well(x)[2] ** 3
+
+        mass = against_density(lambda x: 1)
+        fisher = against_density(lambda x: mp_double_well(x)[1] ** 2) / mass
+        return mpmath.log(mass), fisher, against_density(k_integrand) / mass

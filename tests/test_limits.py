@@ -275,6 +275,33 @@ def test_mala_w_values():
         mala_w(0.0, 0.0)
 
 
+@pytest.mark.parametrize("call, expected", [
+    (lambda: mala_w(-1.0, math.inf), DomainError),
+    (lambda: mala_w(math.nan, 1.0), DomainError),
+    (lambda: mala_z_stationary(gaussian_potential(), math.inf), DomainError),
+    (lambda: mala_regime(math.inf), DomainError),
+    (lambda: mala_regime(-math.inf), DomainError),
+    (lambda: mala_regime(1.0, eps=math.nan), DomainError),
+    (lambda: integrate_mala_second_moment(math.nan, 1.0), DomainError),
+    (lambda: integrate_mala_second_moment(2.0, math.inf), DomainError),
+    (lambda: entropy_rate_bound(1.0, 1.0, 1.0, fisher=math.nan), DomainError),
+    # past ell^4 = inf, the limit of ell^2 (exp(ell^4 moment / 8) ^ 1)
+    (lambda: mala_w(-1.0, 1e100), 0.0),
+    (lambda: mala_w(0.0, 1e100), 1e200),
+    (lambda: mala_w(1.0, 1e100), 1e200),
+    # past ell^3 = inf, 2 ell^2 Phi(-inf)
+    (lambda: mala_z_stationary(gaussian_potential(), 1e120), 0.0),
+], ids=["w-inf-ell", "w-nan-moment", "z-inf-ell", "regime-inf", "regime-minus-inf",
+        "regime-nan-eps", "flow-nan-s0", "flow-inf-ell", "bound-nan-fisher",
+        "w-huge-ell-negative", "w-huge-ell-zero", "w-huge-ell-positive", "z-huge-ell"])
+def test_mala_limit_objects_at_non_finite_or_huge_input(call, expected):
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            call()
+    else:
+        assert call() == expected
+
+
 def test_mala_second_moment_ode_monotone_to_one():
     ts, ss = integrate_mala_second_moment(4.0, 1.4, dt=1e-3, t_max=8.0)
     assert np.all(np.diff(ss) < 0)

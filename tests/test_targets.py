@@ -1,10 +1,13 @@
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
+from oracles import mp_double_well, mp_double_well_constants
 
-from mhscaling.errors import DomainError
+from mhscaling import limits, targets
+from mhscaling.errors import DomainError, QuadratureError
 from mhscaling.targets import (
     custom_potential,
     double_well_potential,
@@ -219,8 +222,73 @@ def test_builtin_constants_are_pinned():
     # the double well's normalizing constant is V(1), where the raw well is 0
     p = double_well_potential()
     assert repr(float(p.eval_v(1.0))) == "0.7576747894170736"
-    assert repr(p.i_fisher) == "4.049556503944826"
+    assert repr(p.i_fisher) == "4.049556503944827"
     assert repr(gaussian_potential().i_fisher) == "1.0"
+
+
+def _ulps_off(got, exact):
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(got) - exact) / math.ulp(got))
+
+
+def test_double_well_matches_a_50_digit_oracle():
+    # V and V' to 2^-50 relative and V'' to 2e-15 absolute, also where the
+    # expanded polynomials cancel: at tiny x and next to the wells
+    xs = np.concatenate((
+        np.linspace(-3.0, 3.0, 6001),
+        [1e-300, 1e-8, -1e-8, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 1.0 - 1e-9, -(1.0 - 1e-9), 1.0 + 1e-9],
+    ))
+    p = double_well_potential()
+    got = (targets._dw_raw_v(xs), p.d1(xs), p.d2(xs))
+    with mpmath.workdps(50):
+        for k, x in enumerate(xs):
+            v, d1, d2 = mp_double_well(x)
+            assert abs(got[0][k] - v) <= 2.0**-50 * abs(v), x
+            assert abs(got[1][k] - d1) <= 2.0**-50 * abs(d1), x
+            assert abs(got[2][k] - d2) <= 2e-15, x
+
+
+def test_double_well_constants_match_a_50_digit_oracle():
+    # i_fisher is the double nearest its 50-digit value.  The shift, a log of
+    # a quadrature in doubles, is 0.97 ulp above its value (the nearest
+    # double is 0.7576747894170734); it is pinned, as every double-well data
+    # file depends on it, so it is held to within one ulp.
+    shift, fisher, k_moment = mp_double_well_constants()
+    p = double_well_potential()
+    assert _ulps_off(float(p.eval_v(1.0)), shift) <= 1.0
+    assert _ulps_off(p.i_fisher, fisher) <= 0.5
+    with mpmath.workdps(50):
+        assert abs(limits._z_moment(p) - k_moment) <= 1e-13 * k_moment
+    assert limits._z_moment(gaussian_potential()) == 3.0
+
+
+def _gaussian_with(**overrides):
+    g = gaussian_potential()
+    closures = dict(eval_v=g.eval_v, d1=g.d1, d2=g.d2, d3=g.d3, d4=g.d4)
+    return custom_potential("gaussian-variant", **{**closures, **overrides})
+
+
+def _nan_outside(fn, edge):
+    return lambda x: np.where(np.abs(x) <= edge, fn(x), np.nan)
+
+
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+@pytest.mark.parametrize("case, error", [
+    ("d1-nan-off-2", DomainError),
+    ("v-nan-off-5", QuadratureError),
+    ("nan-integrand", QuadratureError),
+])
+def test_nan_is_refused_by_construction_and_quadrature(case, error):
+    # every check is written so that nan fails it: none of these builds a
+    # potential or returns a number
+    gauss = gaussian_potential()
+    with pytest.raises(error):
+        if case == "d1-nan-off-2":
+            _gaussian_with(d1=_nan_outside(gauss.d1, 2.0))
+        elif case == "v-nan-off-5":
+            _gaussian_with(eval_v=_nan_outside(gauss.eval_v, 5.0))
+        else:
+            integrate_against_density(gauss, lambda x: math.nan)
 
 
 def test_custom_potential_with_constant_curvature():
