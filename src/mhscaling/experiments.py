@@ -8,9 +8,11 @@ rate-optimal one across a grid of moment pairs.
 
 Every (strategy, replicate) chain of a sweep is a row of one batch stepped
 by :func:`mhscaling.chains.run_chains_moments` in this process; each row
-draws only from its own generator, and aggregation is a deterministic
-reduction ordered by replicate index, so runs with the same config (seed
-included) are byte-identical.
+draws only from its own generator.  The statistics are one array pass:
+:func:`window_mean` gives each chain's estimate at each burn-in, and one
+:func:`square_bias` call reduces the (moment, strategy, t0, replicate)
+stack over its contiguous replicate axis, a deterministic reduction, so
+runs with the same config (seed included) are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ __all__ = [
     "BiasCurve",
     "PRESETS",
     "preset_config",
-    "desk_config",
-    "paper_config",
-    "estimator_s",
-    "estimator_m",
-    "aggregate_bias",
+    "window_mean",
+    "square_bias",
     "square_bias_sweep",
     "LossPoint",
+    "robustness_grid",
     "relative_loss_surface",
     "mean_relative_loss",
 ]
@@ -104,9 +104,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d) -> ExperimentConfig:
         """The config :meth:`to_dict` wrote; a key with a default may be
-        left out.  Anything malformed raises DomainError."""
+        left out.  Anything malformed, a misspelled key included, raises
+        DomainError."""
         if not isinstance(d, dict):
             raise DomainError(f"config must be a JSON object, got {type(d).__name__}")
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+            raise DomainError(f"config has unknown keys {unknown}")
         d = {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **d}
         try:
             return cls(
@@ -153,47 +156,43 @@ PRESETS = {
 
 
 def preset_config(name: str, target="gaussian", seed=0) -> ExperimentConfig:
-    """The sweep of ``PRESETS[name]`` on ``target``, read as a config file is."""
+    """The sweep of ``PRESETS[name]`` on ``target``, read as a config file is.  ``desk``
+    is CI-scale (orderings survive, exact values do not); ``paper`` is full size (slow)."""
     return ExperimentConfig.from_dict({**PRESETS[name], "target": target, "seed": seed,
                                        "strategies": _default_strategies(target)})
 
 
-def desk_config(target="gaussian", seed=0) -> ExperimentConfig:
-    """CI-scale defaults; orderings survive the scale-down, exact values do not."""
-    return preset_config("desk", target, seed)
+def window_mean(per_step, t0: int, window: int):
+    """Average over steps (t0, t0+T]: over ``s_hat`` the estimator of the
+    second moment, over ``m_hat`` that of the mean.
 
-
-def paper_config(target="gaussian", seed=0) -> ExperimentConfig:
-    """Full-size preset matching the published experiments (slow)."""
-    return preset_config("paper", target, seed)
-
-
-def _window_mean(per_step, t0: int, window: int):
+    ``per_step`` holds entry k - 1 for step k along its last axis: one
+    trajectory (a float is returned) or a (rows, steps) array (one per row).
+    """
     per_step = np.asarray(per_step, dtype=float)
     if t0 < 0:  # a negative slice start would average the wrong window
         raise DomainError(f"burn-in t0 must be >= 0, got {t0}")
+    if window < 1:  # an empty window averages to nan, a negative one the wrong steps
+        raise DomainError(f"window length T must be >= 1, got {window}")
     if per_step.shape[-1] < t0 + window:
-        raise DomainError(
-            f"trajectory of length {per_step.shape[-1]} too short for t0={t0}, T={window}"
-        )
+        raise DomainError(f"{per_step.shape[-1]} steps are too few for t0={t0}, T={window}")
     mean = per_step[..., t0 : t0 + window].mean(axis=-1)
     return float(mean) if mean.ndim == 0 else mean
 
 
-def estimator_s(s_hat, t0: int, window: int):
-    """Time-and-coordinate average of squared coordinates over (t0, t0+T].
+def square_bias(samples, ref):
+    """Squared bias b^2 of the replicate mean against ``ref``, and its
+    delta-method standard error 2|b| se + se^2 (se: replicate spread / sqrt R).
 
-    ``s_hat`` holds per-step values along its last axis, entry k - 1 for
-    step k: one trajectory (a float is returned) or a (rows, steps) array
-    (one value per row).
+    Replicates lie along the last axis; both are arrays over the leading axes.
     """
-    return _window_mean(s_hat, t0, window)
-
-
-def estimator_m(m_hat, t0: int, window: int):
-    """Time-and-coordinate average of coordinates over (t0, t0+T]; laid
-    out as :func:`estimator_s`."""
-    return _window_mean(m_hat, t0, window)
+    samples = np.asarray(samples, dtype=float)
+    n_rep = samples.shape[-1] if samples.ndim else 1
+    if n_rep < 2:  # one replicate has no spread to give an error from
+        raise DomainError(f"need at least 2 replicates, got {n_rep}")
+    bias = samples.mean(axis=-1) - ref
+    se = samples.std(axis=-1, ddof=1) / math.sqrt(n_rep)
+    return bias * bias, 2.0 * np.abs(bias) * se + se * se
 
 
 @dataclass(frozen=True)
@@ -206,29 +205,8 @@ class BiasCurve:
     strategy: str = ""
 
 
-def aggregate_bias(samples_s, samples_m, ref_s, ref_m, t0: int = 0,
-                   strategy: str = "") -> BiasCurve:
-    """Squared bias of the replicate-averaged estimators, with delta-method
-    standard errors from the replicate spread."""
-    samples_s = np.asarray(samples_s, dtype=float)
-    samples_m = np.asarray(samples_m, dtype=float)
-    n_rep = samples_s.size
-    mean_s, mean_m = float(samples_s.mean()), float(samples_m.mean())
-    se_s = float(samples_s.std(ddof=1)) / math.sqrt(n_rep)
-    se_m = float(samples_m.std(ddof=1)) / math.sqrt(n_rep)
-    bias_s, bias_m = mean_s - ref_s, mean_m - ref_m
-    return BiasCurve(
-        t0=t0,
-        sq_bias_s=bias_s**2,
-        sq_bias_m=bias_m**2,
-        stderr_s=2.0 * abs(bias_s) * se_s + se_s**2,
-        stderr_m=2.0 * abs(bias_m) * se_m + se_m**2,
-        strategy=strategy,
-    )
-
-
 def square_bias_sweep(cfg: ExperimentConfig, workers: int | None = None):
-    """Run the full sweep; returns a list of BiasCurve rows.
+    """Run the full sweep; returns a list of BiasCurve rows, strategy-major.
 
     One chain of length max(t0) + T serves every burn-in value of a
     replicate (the per-t0 estimator laws are unchanged; only their coupling
@@ -243,31 +221,21 @@ def square_bias_sweep(cfg: ExperimentConfig, workers: int | None = None):
     """
     p = potential_by_name(cfg.target)
     ref_m, ref_s = stationary_coordinate_moments(p)
-    per_strategy = cfg.replicates
-    children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.strategies) * per_strategy)
+    shape = (len(cfg.strategies), cfg.replicates)
+    children = np.random.SeedSequence(cfg.seed).spawn(shape[0] * shape[1])
     rngs = [chain_rng(child) for child in children]
     inits = [initial_coords(cfg.init_kind, cfg.init_params, cfg.n, p, rng) for rng in rngs]
-    strategies = [s for s in cfg.strategies for _ in range(per_strategy)]
+    strategies = [s for s in cfg.strategies for _ in range(cfg.replicates)]
     steps = max(cfg.t0_grid) + cfg.window
     m_hat, s_hat = run_chains_moments(inits, p, strategies, steps, rngs=rngs)
-    # (chain, t0) estimator values
-    all_s = np.stack([estimator_s(s_hat, t0, cfg.window) for t0 in cfg.t0_grid], axis=1)
-    all_m = np.stack([estimator_m(m_hat, t0, cfg.window) for t0 in cfg.t0_grid], axis=1)
-    curves = []
-    for i, strategy in enumerate(cfg.strategies):
-        block = slice(i * per_strategy, (i + 1) * per_strategy)
-        for j, t0 in enumerate(cfg.t0_grid):
-            curves.append(
-                aggregate_bias(
-                    all_s[block, j],
-                    all_m[block, j],
-                    ref_s,
-                    ref_m,
-                    t0=t0,
-                    strategy=strategy.label(),
-                )
-            )
-    return curves
+    # estimates[k, i, j, r]: moment k (s, then m), strategy i, burn-in t0_grid[j], replicate r
+    estimates = np.stack([
+        np.stack([window_mean(x, t0, cfg.window).reshape(shape) for t0 in cfg.t0_grid], axis=1)
+        for x in (s_hat, m_hat)
+    ])
+    sq, se = (a.tolist() for a in square_bias(estimates, np.reshape((ref_s, ref_m), (2, 1, 1))))
+    return [BiasCurve(t0, sq[0][i][j], sq[1][i][j], se[0][i][j], se[1][i][j], strategy.label())
+            for i, strategy in enumerate(cfg.strategies) for j, t0 in enumerate(cfg.t0_grid)]
 
 
 @dataclass(frozen=True)
@@ -314,9 +282,7 @@ def relative_loss_surface(b_values, a_grid, alphas):
 
 def mean_relative_loss(rows) -> dict:
     """Average loss per alpha over the swept (a, b) grid."""
-    sums: dict = {}
-    counts: dict = {}
+    losses: dict = {}
     for row in rows:
-        sums[row.alpha] = sums.get(row.alpha, 0.0) + row.loss
-        counts[row.alpha] = counts.get(row.alpha, 0) + 1
-    return {alpha: sums[alpha] / counts[alpha] for alpha in sums}
+        losses.setdefault(row.alpha, []).append(row.loss)
+    return {alpha: sum(values) / len(values) for alpha, values in losses.items()}

@@ -216,6 +216,8 @@ def custom_potential(name, eval_v, d1, d2, d3, d4, breakpoints=(), normalize=Fal
     _check_derivatives(p)
     mass = integrate_against_density(p, lambda x: 1.0, epsabs=1e-12)
     if normalize:
+        if not mass > 0.0:  # exp(-V) underflowed everywhere
+            raise DomainError(f"exp(-V) has no mass to normalize, got {mass!r} for {p.name}")
         p = replace(p, eval_v=partial(_shifted, eval_v, math.log(mass)))
     elif not abs(mass - 1.0) <= 1e-6:
         raise DomainError(f"exp(-V) must integrate to 1, got {mass!r} for {p.name}")

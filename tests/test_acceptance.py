@@ -171,7 +171,7 @@ def test_criterion_06_chaos_consistency():
 def test_criterion_07_square_bias_orderings_desk_scale():
     budget = 600.0
     with _Timer() as t:
-        cfg = experiments.desk_config(seed=0)
+        cfg = experiments.preset_config("desk", seed=0)
         workers = min(os.cpu_count() or 1, 8)
         curves = experiments.square_bias_sweep(cfg, workers=workers)
         by = {}

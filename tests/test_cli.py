@@ -371,11 +371,13 @@ def test_acceptance_matching_solves_at_extreme_moments(tmp_path, argv, name):
     '"replicates": 3, "strategies": ["star"]}',
     '{"target": {"a": 1}, "n": 10, "window": 40, "t0_grid": [0], '
     '"replicates": 3, "strategies": ["star"]}',
+    '{"target": "gaussian", "n": 10, "window": 40, "t0_grid": [0], '
+    '"replicates": 3, "strategies": ["star"], "sed": 5, "init_knd": "gaussian"}',
 ], ids=["missing-key", "list", "config-list", "not-json", "text-n", "gaussian-init-10",
         "t0-before-start", "t0-negative-inside", "t0-grid-empty", "no-strategies",
         "seed-negative", "n-fractional", "window-fractional", "t0-fractional",
         "replicates-fractional", "seed-fractional", "ent-double-well", "n-infinite",
-        "target-list", "target-object"])
+        "target-list", "target-object", "misspelled-keys"])
 def test_malformed_config_exits_2(tmp_path, capsys, text):
     config = tmp_path / "bad.json"
     config.write_text(text)

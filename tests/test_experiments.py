@@ -1,5 +1,7 @@
 import copy
 import hashlib
+import importlib
+import inspect
 import json
 import math
 
@@ -16,15 +18,13 @@ from mhscaling.chains import (
 from mhscaling.errors import DomainError
 from mhscaling.experiments import (
     ExperimentConfig,
-    aggregate_bias,
-    desk_config,
-    estimator_m,
-    estimator_s,
     mean_relative_loss,
-    paper_config,
+    preset_config,
     relative_loss_surface,
     robustness_grid,
+    square_bias,
     square_bias_sweep,
+    window_mean,
 )
 from mhscaling.targets import gaussian_potential
 
@@ -36,37 +36,50 @@ def _const_m(value, count):
 
 def test_estimators_on_constant_trajectories():
     m = _const_m(0.0, 50)
-    assert estimator_s(m * m, 0, 50) == 0.0
-    assert estimator_m(m, 0, 50) == 0.0
+    assert window_mean(m * m, 0, 50) == 0.0
+    assert window_mean(m, 0, 50) == 0.0
     m = _const_m(3.0, 80)
-    assert estimator_s(m * m, 20, 60) == pytest.approx(9.0)
-    assert estimator_m(m, 20, 60) == pytest.approx(3.0)
+    assert window_mean(m * m, 20, 60) == pytest.approx(9.0)
+    assert window_mean(m, 20, 60) == pytest.approx(3.0)
 
 
 def test_estimators_take_one_window_per_row():
     per_step = np.arange(12.0).reshape(3, 4)
-    assert estimator_s(per_step, 1, 2).tolist() == [1.5, 5.5, 9.5]
-    assert estimator_m(per_step, 0, 4).tolist() == [1.5, 5.5, 9.5]
-    assert estimator_m(per_step[0], 1, 2) == 1.5
+    assert window_mean(per_step, 1, 2).tolist() == [1.5, 5.5, 9.5]
+    assert window_mean(per_step, 0, 4).tolist() == [1.5, 5.5, 9.5]
+    assert window_mean(per_step[0], 1, 2) == 1.5
 
 
 def test_estimator_antisymmetric_average():
     m = np.concatenate([_const_m(2.0, 10), _const_m(-2.0, 10)])
-    assert estimator_m(m, 0, 20) == 0.0
+    assert window_mean(m, 0, 20) == 0.0
 
 
 def test_estimators_length_guard():
     m = _const_m(1.0, 10)
     with pytest.raises(DomainError):
-        estimator_s(m, 5, 10)
+        window_mean(m, 5, 10)
     with pytest.raises(DomainError):
-        estimator_m(m, 0, 11)
+        window_mean(m, 0, 11)
     with pytest.raises(DomainError):
-        estimator_m(np.ones((3, 10)), 0, 11)
+        window_mean(np.ones((3, 10)), 0, 11)
     with pytest.raises(DomainError):  # numpy would slice steps 61-160
-        estimator_s(np.arange(200.0), -140, 100)
+        window_mean(np.arange(200.0), -140, 100)
     with pytest.raises(DomainError):
-        estimator_m(np.ones((3, 10)), -1, 5)
+        window_mean(np.ones((3, 10)), -1, 5)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_window_mean_refuses_an_empty_or_negative_window(window):
+    # an empty window averaged to nan; a negative one averaged steps 1-7
+    with pytest.raises(DomainError, match="window length"):
+        window_mean(np.ones(10), 0, window)
+
+
+def test_square_bias_refuses_one_replicate():
+    # one replicate has no spread, so its stderr was nan
+    with pytest.raises(DomainError, match="2 replicates"):
+        square_bias([[1.25], [0.25]], 1.0)
 
 
 def test_estimator_stationary_chain_near_one():
@@ -77,30 +90,28 @@ def test_estimator_stationary_chain_near_one():
     s_hat = [r.s_hat for r in records]
     m_hat = [r.m_hat for r in records]
     t0, window, n_batches = 500, 8000, 16
-    est = estimator_s(s_hat, t0, window)
+    est = window_mean(s_hat, t0, window)
     # batch-means standard error accounts for the chain autocorrelation
     batch = window // n_batches
     batch_means_s = [
-        estimator_s(s_hat, t0 + i * batch, batch) for i in range(n_batches)
+        window_mean(s_hat, t0 + i * batch, batch) for i in range(n_batches)
     ]
     se_s = float(np.std(batch_means_s, ddof=1)) / math.sqrt(n_batches)
     assert abs(est - 1.0) <= 3.0 * se_s
     batch_means_m = [
-        estimator_m(m_hat, t0 + i * batch, batch) for i in range(n_batches)
+        window_mean(m_hat, t0 + i * batch, batch) for i in range(n_batches)
     ]
     se_m = float(np.std(batch_means_m, ddof=1)) / math.sqrt(n_batches)
-    assert abs(estimator_m(m_hat, t0, window)) <= 3.0 * se_m
+    assert abs(window_mean(m_hat, t0, window)) <= 3.0 * se_m
 
 
 def test_aggregate_bias_identical_replicates_zero_stderr():
-    curve = aggregate_bias(
-        [1.25, 1.25, 1.25], [0.25, 0.25, 0.25], 1.0, 0.0, t0=7, strategy="x"
-    )
-    assert curve.stderr_s == 0.0
-    assert curve.stderr_m == 0.0
-    assert curve.sq_bias_s == pytest.approx(0.0625)
-    assert curve.sq_bias_m == pytest.approx(0.0625)
-    assert curve.t0 == 7 and curve.strategy == "x"
+    sq_bias_s, stderr_s = square_bias([1.25, 1.25, 1.25], 1.0)
+    sq_bias_m, stderr_m = square_bias([0.25, 0.25, 0.25], 0.0)
+    assert stderr_s == 0.0
+    assert stderr_m == 0.0
+    assert sq_bias_s == pytest.approx(0.0625)
+    assert sq_bias_m == pytest.approx(0.0625)
 
 
 def test_config_validation():
@@ -121,9 +132,9 @@ def test_config_validation():
 
 
 def test_presets():
-    desk = desk_config()
+    desk = preset_config("desk")
     assert desk.n == 50 and desk.window == 500 and desk.replicates == 50
-    paper = paper_config()
+    paper = preset_config("paper")
     assert paper.n == 100 and paper.window == 1500 and paper.replicates == 200
 
 
@@ -243,11 +254,11 @@ def test_ordering_from_below_equilibrium():
 
 
 def test_default_strategies_scale_constant_by_target():
-    desk = desk_config(target="double-well")
+    desk = preset_config("desk", target="double-well")
     labels = [s.label() for s in desk.strategies]
     assert labels[0].startswith("constant-1.18")
     assert "entropy-gaussian" not in labels
-    assert desk_config(target="gaussian").strategies[0].label() == "constant-2.38"
+    assert preset_config("desk", target="gaussian").strategies[0].label() == "constant-2.38"
 
 
 def test_bias_falls_below_noise_floor_for_large_burn_in():
@@ -306,6 +317,23 @@ def test_sweep_stream_layout_is_pinned():
     )
 
 
+def test_sweep_reduction_over_many_replicates_is_pinned():
+    # As test_sweep_stream_layout_is_pinned, at R = 12: numpy sums eight or
+    # more replicates pairwise, so this digest also pins the order in which
+    # the bias and stderr reduce over replicates.  It is tied to the numpy
+    # and scipy in use as that one is.
+    cfg = ExperimentConfig(
+        target="double-well", n=10, window=60, t0_grid=(0, 10, 30), replicates=12,
+        strategies=tuple(strategy_from_label(s) for s in
+                         ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27")),
+        init_kind="gaussian", init_params=(0.0, 1.0), seed=3,
+    )
+    rows = "\n".join(repr(row) for row in square_bias_sweep(cfg))
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "7e480e863778d2f0a26eecc5a13a3891a5c506b2be76ee9eb91f8775b81b764c"
+    )
+
+
 def test_sweep_rows_draw_from_their_own_children(monkeypatch):
     # Row i * R + r (strategy i, replicate r) of the sweep's batch draws from
     # child i * R + r of SeedSequence(seed).spawn(S * R): its start
@@ -341,3 +369,14 @@ def test_sweep_rows_draw_from_their_own_children(monkeypatch):
             acc_prob = math.exp(min(float(np.sum(p.eval_v(x)) - np.sum(p.eval_v(y))), 0.0))
             after = y if fresh.uniform() <= acc_prob else x
             assert m_hat[j, 1] == pytest.approx(np.mean(after), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["chains", "coefficients", "experiments", "limits",
+                                  "targets", "tuning"])
+def test_all_lists_exactly_the_public_names(name):
+    module = importlib.import_module(f"mhscaling.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    defined = {n for n, obj in vars(module).items()
+               if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__}
+    assert sorted(defined - set(module.__all__)) == []

@@ -207,6 +207,21 @@ def test_custom_potential_refuses_an_unnormalized_density():
         )
 
 
+def test_custom_potential_refuses_a_mass_that_underflows():
+    # exp(-x^2/2 - 800) is below the smallest double everywhere, so there is
+    # no constant to fit: normalizing takes the log of a zero mass
+    with pytest.raises(DomainError, match="no mass"):
+        custom_potential(
+            "sunk-gaussian",
+            eval_v=lambda x: 0.5 * np.asarray(x, float) ** 2 + 800.0,
+            d1=lambda x: np.asarray(x, float),
+            d2=lambda x: np.ones_like(np.asarray(x, float)),
+            d3=lambda x: np.zeros_like(np.asarray(x, float)),
+            d4=lambda x: np.zeros_like(np.asarray(x, float)),
+            normalize=True,
+        )
+
+
 @pytest.mark.parametrize("build", [gaussian_potential, double_well_potential])
 def test_builtin_potentials_pickle(build):
     p = build()
