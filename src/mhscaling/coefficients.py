@@ -170,9 +170,36 @@ def _f1_and_terms(s: float, ell: float) -> tuple[float, float, float]:
         raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
     _check_ell(ell)
     first, second = _accept_terms(s, 1.0, ell)
-    if abs(s - 1.0) < _DIAGONAL_BAND:
-        return _f_diagonal(1.0, ell), first, second
+    if abs(s - 1.0) < _SERIES_BAND:
+        return _f1_near_one(s, ell, second), first, second
     return ell * ell / (1.0 - s) * (first + (1.0 - 2.0 * s) * second), first, second
+
+
+# Half-width of the band around s == 1 inside which f1 is summed as a series
+# in s - 1: the generic form divides the difference of two nearly equal terms
+# by 1 - s, a relative error of about eps / |1 - s| (5.8e-10 at 1 - s = 1e-6).
+_SERIES_BAND = 1e-3
+
+
+def _f1_near_one(s: float, ell: float, second: float) -> float:
+    # f1 = ell^2 ((first - second) / (1 - s) + 2 second).  With the Mills ratio
+    # M(x) = Phi(-x) / pdf(x), d = pdf(A), A = ell / (2 sqrt s) and
+    # t = ell (s - 1/2) / sqrt s, the terms are first = d M(A) and
+    # second = d M(t), so (first - second) / (1 - s) = ell / sqrt s times the
+    # divided difference d M[A, t], summed as the Taylor series of M about t in
+    # h = t - A = ell (s - 1) / sqrt s.  D_k = d M^(k)(t) follows from
+    # M' = x M - 1 as D_{k+1} = t D_k + k D_{k-1}; the terms fall by about
+    # 2 |s - 1| each, so seven leave 1e-19 at the edge of the band.
+    root_s = math.sqrt(s)
+    t = ell * ((s - 0.5) / root_s)
+    h = ell * ((s - 1.0) / root_s)
+    prev, cur = second, t * second - math.exp(-ell * ell / 8.0 / s) / _SQRT_2PI
+    total, weight = cur, 1.0
+    for k in range(1, 7):
+        prev, cur = cur, t * cur + k * prev
+        weight *= -h / (k + 1)
+        total += weight * cur
+    return ell * ell * (2.0 * second + ell / root_s * total)
 
 
 def _f1_and_drift(s: float, ell: float) -> tuple[float, float]:

@@ -271,13 +271,14 @@ def stationary_moments(p: Potential) -> MomentFunctionals:
     """Moments under the stationary density exp(-V), by quadrature.
 
     In exact arithmetic a == b == i_fisher and mala_m4 == 0 (integration by
-    parts); each field is integrated independently so the identities double
-    as a quadrature self-test.  Where the third derivative jumps (piecewise
-    potentials), the weak fourth derivative carries point masses at the
-    breakpoints; they are added to the classical integral, which is what
-    makes the mala_m4 == 0 identity hold for the double well.
+    parts).  a = E V'^2 is the potential's i_fisher, the same quadrature;
+    b and mala_m4 are integrated independently, so b == a and mala_m4 == 0
+    double as a quadrature self-test.  Where the third derivative jumps
+    (piecewise potentials), the weak fourth derivative carries point masses
+    at the breakpoints; they are added to the classical integral, which is
+    what makes the mala_m4 == 0 identity hold for the double well.
     """
-    a = integrate_against_density(p, lambda x: p.d1(x) ** 2)
+    a = p.i_fisher
     b = integrate_against_density(p, p.d2)
     m4 = integrate_against_density(p, partial(_mala_combination, p))
     eps = 1e-12

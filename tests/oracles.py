@@ -44,6 +44,31 @@ def mp_h_helper(x):
     return x * mp_f_helper(x)
 
 
+def mp_acceptance_terms(s, ell):
+    """(Phi(-ell / (2 sqrt s)), E) of the acceptance at unit curvature, as
+    mpmath numbers at the working precision, with
+    E = exp(ell^2 (s - 1) / 2) Phi(ell (1 / (2 sqrt s) - sqrt s))."""
+    s, ell = mpmath.mpf(s), mpmath.mpf(ell)
+    root_s = mpmath.sqrt(s)
+    return (mpmath.ncdf(-ell / (2 * root_s)),
+            mpmath.exp(ell**2 * (s - 1) / 2) * mpmath.ncdf(ell * (1 / (2 * root_s) - root_s)))
+
+
+def mp_f1(s, ell):
+    """f1(s, ell) as an mpmath number at the working precision.
+
+    The closed form ell^2 (Phi(-ell / (2 sqrt s)) + (1 - 2s) E) / (1 - s); at
+    50 digits the division by 1 - s costs nothing for |1 - s| >= 1e-20, and
+    s == 1 takes the diagonal form 2 ell^2 ((1 + ell^2 / 4) Phi(-ell / 2)
+    - ell pdf(ell / 2) / 2).
+    """
+    first, e = mp_acceptance_terms(s, ell)
+    ell = mpmath.mpf(ell)
+    if s == 1:
+        return 2 * ell**2 * ((1 + ell**2 / 4) * first - ell / 2 * mpmath.npdf(ell / 2))
+    return ell**2 * (first + (1 - 2 * mpmath.mpf(s)) * e) / (1 - mpmath.mpf(s))
+
+
 def mills_bounds(x):
     """Two-sided Mills-ratio bounds (lower, upper) on Phi(x) for x < 0."""
     density_part = math.exp(-0.5 * x * x)

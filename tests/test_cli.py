@@ -48,8 +48,16 @@ def test_simulate_ode_leaves_scipy_integrate_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the tuning solve uses it (for brentq); it imports it when first run
+    # the package calls nothing in it; scipy.integrate loads it, so only the
+    # quadratures of targets bring it in
     assert not loaded_by_cli_import("scipy.optimize")
+
+
+def test_simulate_ode_with_a_tuned_rule_leaves_scipy_optimize_unloaded(tmp_path):
+    # the tuning solves take their own Newton steps, with no brentq
+    assert not loaded_by_cli_import("scipy.optimize", [
+        "simulate", "--kind", "ode", "--strategy", "star", "--t-max", "0.01",
+        "--out", str(tmp_path)])
 
 
 def test_tune_star_reference(capsys):

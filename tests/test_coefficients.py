@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from mhscaling.coefficients import (
 )
 from mhscaling.errors import DomainError
 
-from oracles import mc_gamma_gdrift, mp_h_helper
+from oracles import mc_gamma_gdrift, mp_f1, mp_h_helper
 
 
 def test_gamma_on_diagonal_matches_acceptance_form():
@@ -232,6 +233,20 @@ def test_f1_branches():
     assert f1(4.0, 1.0) == pytest.approx(f_rate(4.0, 1.0, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("gap", [1e-3, -1e-3, 1e-5, -1e-5, 1e-6, -1e-6, 1.01e-7, -1.01e-7])
+def test_f1_near_one_matches_a_50_digit_oracle(gap):
+    # The generic form divides by 1 - s and lost about eps / |1 - s| (5.8e-10
+    # at 1 - s = 1e-6); inside |s - 1| < 1e-3 the series in s - 1 holds f1 to
+    # rounding.  1 - s = 1e-3 rounds to just outside the band, where the
+    # generic form is within 1e-12.
+    s = 1.0 - gap
+    tol = 1e-14 if abs(s - 1.0) < 1e-3 else 1e-12
+    for ell in (0.3, 1.5, 1.85, 2.38):
+        with mpmath.workdps(50):
+            oracle = float(mp_f1(s, ell))
+        assert f1(s, ell) == pytest.approx(oracle, rel=tol), ell
+
+
 @pytest.mark.parametrize("s", [
     0.0, 1e-8, 1e-3, 0.5, 1.0 - 2e-7, 1.0 - 5e-8, 1.0, 1.0 + 5e-8, 1.0 + 2e-7,
     2.0, 1e3, 1e8,
@@ -352,4 +367,4 @@ def test_coefficients_are_pinned():
                     digest.update(value(fn, a, b, ell).encode())
             for fn in (f1, j_curve, _f1_and_drift):
                 digest.update(value(fn, a, ell).encode())
-    assert digest.hexdigest() == "8998fc91ca8d58110d32856ce2d893ad6c7ce4188b2552d9bd89f647aafe2d8e"
+    assert digest.hexdigest() == "237deb9aff1ec25d4a4a478dcf374168ae84c6a95bce44beda9cdcccbfd05d97"

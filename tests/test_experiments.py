@@ -307,13 +307,13 @@ def test_sweep_stream_layout_is_pinned():
     # The digest of a small five-strategy sweep, taken before its chains ran
     # as one batch.  It moves if the stream layout (see the README) or the
     # arithmetic of a step changes, and such a change must be recorded; it
-    # is also tied to the numpy and scipy in use (their normals, root solves
-    # and sums), so an upgrade of either may move it without any change
-    # here.  test_sweep_rows_draw_from_their_own_children checks the layout
+    # is also tied to the numpy and scipy in use (their normals, special
+    # functions and sums), so an upgrade of either may move it without any
+    # change here.  test_sweep_rows_draw_from_their_own_children checks the layout
     # alone.
     rows = "\n".join(repr(row) for row in square_bias_sweep(_layout_config("point", (10.0,))))
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "13266153a1f482705926bd1f224e1f6dae25bcd41f8981be7539a967b2180ce4"
+        "99938de268718e0a856283ce946d4138285f709c39bf6d3b1ac379d5e69262f5"
     )
 
 
@@ -330,7 +330,7 @@ def test_sweep_reduction_over_many_replicates_is_pinned():
     )
     rows = "\n".join(repr(row) for row in square_bias_sweep(cfg))
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "7e480e863778d2f0a26eecc5a13a3891a5c506b2be76ee9eb91f8775b81b764c"
+        "258829d0c12bb95cbf1db1b31555ea210ba1ae4bacc46ba1f25908877b464868"
     )
 
 

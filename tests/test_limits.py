@@ -336,7 +336,7 @@ def test_limit_flows_are_pinned():
         for column in integrate_mala_second_moment(s0, 1.4, dt=1e-3, t_max=2.0):
             digest.update(column.tobytes())
     assert digest.hexdigest() == (
-        "0c9423c490d390682cee9f30f390b28991afcd1e24e258c9f8fa0b32c103fb76"
+        "b1886c0b2ff0886222b8aa9f6304ad1a9648316b06cbc2647fabbe20192eb452"
     )
 
 

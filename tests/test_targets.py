@@ -63,10 +63,13 @@ def test_double_well_fisher_matches_reported_scale():
 
 
 def test_stationary_moments_identities():
-    for p in (gaussian_potential(), double_well_potential()):
+    # a is the potential's i_fisher; b and mala_m4 are integrated on their own
+    with mpmath.workdps(50):
+        fisher = float(mp_double_well_constants()[1])
+    for p, a in ((gaussian_potential(), 1.0), (double_well_potential(), fisher)):
         sm = stationary_moments(p)
-        assert sm.a == pytest.approx(sm.b, abs=1e-7)
-        assert sm.a == pytest.approx(sm.i_fisher, abs=1e-7)
+        assert sm.a == pytest.approx(a, rel=1e-14)
+        assert sm.b == pytest.approx(sm.i_fisher, abs=1e-7)
         assert sm.mala_m4 == pytest.approx(0.0, abs=1e-6)
 
 

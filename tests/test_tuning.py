@@ -18,7 +18,7 @@ from mhscaling.tuning import (
     x_star,
 )
 
-from oracles import golden_max, phi_inv
+from oracles import golden_max, mp_acceptance_terms, mp_f1, phi_inv
 
 
 def test_x_star_value():
@@ -139,11 +139,85 @@ def test_ell_alpha_at_huge_s_takes_few_iterations():
 
 
 def test_star_and_alpha_solve_cost_canary():
-    # total solver iterations over a wide grid of s; a bracket that starts
-    # far from the root shows here first
+    # total solver iterations over a wide grid of s, 400 solves; a seed that
+    # starts far from the root shows here first.  The Chebyshev seeds and
+    # Newton steps take 650 here, 1.6 a solve.
     grid = [float(s) for s in np.geomspace(1e-6, 1e12, 200)]
     total = sum(ell_star(s).iterations + ell_alpha(s, 0.27).iterations for s in grid)
-    assert total <= 4000
+    assert total <= 700
+
+
+def _brentq_root(fn, ell):
+    # scipy's brentq on fn in u = log ell, to the last bits, within e^(+-1/2)
+    # of ell: the oracle of the Newton solves (a root outside that bracket
+    # fails it, as brentq then raises)
+    from scipy.optimize import brentq
+
+    u = math.log(ell)
+    return math.exp(brentq(lambda v: fn(math.exp(v)), u - 0.5, u + 0.5,
+                           xtol=1e-15, rtol=8.9e-16, maxiter=200))
+
+
+def test_rules_match_a_brentq_oracle_on_a_fixed_grid():
+    # 10^4 (m, s, alpha) points: 2,000 s log-spaced over [1e-8, 1e8] and 500
+    # with |s - 1| < 1e-3, each with the four acceptance targets; the k-th
+    # target of each s goes with m^2 = (0, 0.3, 0.9, 0.999)[k] s, of either
+    # sign, for the entropy rule.  ell_star is solved once per s.
+    from mhscaling import tuning
+
+    ss = np.concatenate((np.geomspace(1e-8, 1e8, 2000),
+                         1.0 + np.linspace(-9.99e-4, 9.99e-4, 500)))
+    worst = {}
+
+    def check(rule, got, fn):
+        gap = abs(got / _brentq_root(fn, got) - 1.0)
+        worst[rule] = max(worst.get(rule, 0.0), gap)
+
+    for i, s in enumerate(ss.tolist()):
+        check("star", ell_star(s).ell, lambda ell: tuning._slopes(s, ell)[0])
+        for k, alpha in enumerate((0.01, 0.27, 0.574, 0.99)):
+            check(alpha, ell_alpha(s, alpha).ell, lambda ell: j_curve(s, ell) - alpha)
+            m = (-1.0) ** i * math.sqrt((0.0, 0.3, 0.9, 0.999)[k] * s)
+            m2 = m * m
+
+            def descent(ell):
+                # -(s - m^2) times the ell-derivative of the entropy objective
+                f1_slope, drift_slope, _, _ = tuning._slopes(s, ell)
+                return 2.0 * m2 * drift_slope - (1.0 - s) * (s - m2 - 1.0) * f1_slope
+
+            check("ent", ell_ent_gaussian(m, s).ell, descent)
+    assert max(worst.values()) <= 1e-12, worst
+
+
+@pytest.mark.parametrize("s", [1e-8, 0.3, 0.5, 0.9995, 1.0, 4.0, 80.0, 1e6, 1e12])
+def test_slopes_match_50_digit_derivatives(s):
+    # _slopes' first and second ell-derivatives of f1 and g_drift(s, 1, .) and
+    # _acceptance_and_slope's of j_curve, against mpmath's numerical
+    # derivatives of the closed forms, around each rule's root
+    from mhscaling import tuning
+
+    def mp_rate(ell):
+        return mp_f1(s, ell)
+
+    def mp_drift(ell):
+        return ell * ell * mp_acceptance_terms(s, ell)[1]
+
+    def mp_accept(ell):
+        return sum(mp_acceptance_terms(s, ell))
+
+    for factor in (0.5, 1.0, 2.0):
+        ell = factor * math.hypot(math.sqrt(2.0), x_star() * math.sqrt(s))
+        with mpmath.workdps(50):
+            oracle = [mpmath.diff(mp_rate, ell), mpmath.diff(mp_drift, ell),
+                      mpmath.diff(mp_rate, ell, 2), mpmath.diff(mp_drift, ell, 2),
+                      mpmath.diff(mp_accept, ell)]
+            scale = [abs(mp_rate(ell)) / ell, abs(mp_drift(ell)) / ell]
+        got = [*tuning._slopes(s, ell), tuning._acceptance_and_slope(s, ell)[1]]
+        # the first derivatives vanish at a root: there they are held to
+        # the scale of the function's own value
+        floor = [1e-13 * scale[0], 1e-13 * scale[1], 0.0, 0.0, 0.0]
+        for g, o, f in zip(got, oracle, floor):
+            assert abs(g - float(o)) <= 1e-7 * abs(float(o)) + f, (factor, got, oracle)
 
 
 def test_ell_alpha_domain():
@@ -328,8 +402,7 @@ def test_rules_return_a_finite_scale_or_refuse(m, s, alpha):
 
 
 def test_solves_evaluate_each_ell_once(monkeypatch):
-    # the bracket search and brentq share the values at the bracket ends, and
-    # the acceptance reported by ell_alpha is the residual's at its root
+    # no solve evaluates its rule twice at one ell
     from mhscaling import tuning
 
     seen = []
@@ -340,8 +413,9 @@ def test_solves_evaluate_each_ell_once(monkeypatch):
             return fn(s, ell)
         return wrapped
 
-    monkeypatch.setattr(tuning, "_slopes", recording(tuning._slopes))
-    monkeypatch.setattr(tuning, "j_curve", recording(tuning.j_curve))
+    tuning._star_series(), tuning._alpha_series(0.27)  # built once, not counted
+    for name in ("_slopes", "_acceptance_and_slope", "j_curve"):
+        monkeypatch.setattr(tuning, name, recording(getattr(tuning, name)))
     for solve in (lambda: ell_star(4.0), lambda: ell_alpha(4.0, 0.27),
                   lambda: ell_ent_gaussian(2.0, 6.0)):
         seen.clear()
@@ -364,19 +438,20 @@ def test_solves_evaluate_the_special_functions_once_per_ell(monkeypatch):
             return fn(x)
         return wrapped
 
-    root = tuning._bracketed_root
+    root = tuning._newton_root
 
-    def recording_root(fn, objective, guess):
+    def recording_root(fn, objective, seed):
         def recorded(ell):
             ells.append(ell)
             return fn(ell)
-        return root(recorded, objective, guess)
+        return root(recorded, objective, seed)
 
+    tuning._star_series()  # built once, at the first solve: not counted here
     phi = coefficients.phi
     for module in (coefficients, tuning):  # Phi as each module binds it
         monkeypatch.setattr(module, "phi", counting("phi", phi))
     monkeypatch.setattr(coefficients, "f_helper", counting("f_helper", coefficients.f_helper))
-    monkeypatch.setattr(tuning, "_bracketed_root", recording_root)
+    monkeypatch.setattr(tuning, "_newton_root", recording_root)
     for solve in (lambda: ell_star(4.0), lambda: ell_ent_gaussian(1.0, 6.0)):
         calls.update(phi=0, f_helper=0)
         ells.clear()
