@@ -7,7 +7,8 @@ and drift coefficient ``g_drift(a, b, ell)``.  The derived quantities exposed
 here:
 
 * ``acc_rate``   limiting mean acceptance probability, gamma / ell**2
-* ``f_rate``     entropy production rate (b*gamma - 2*a*g_drift) / (b - a)
+* ``f_rate``     entropy production rate (b*gamma - 2*a*g_drift) / (b - a),
+                 taken through f1 for b > 0
 * ``f1``         f_rate with b normalized to 1, in closed form
 * ``j_curve``    acceptance rate as a function of the moment ratio s = a/b
 
@@ -44,10 +45,6 @@ A_INFINITE = math.inf
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Relative half-width of the band around a == b inside which f_rate switches
-# to the diagonal closed form (the generic branch divides by b - a).
-_DIAGONAL_BAND = 1e-7
 
 
 # The float() calls keep numpy scalars out of the scalar solvers built on
@@ -127,25 +124,21 @@ def acc_rate(a: float, b: float, ell: float) -> float:
     return gamma(a, b, ell) / (ell * ell)
 
 
-def _f_diagonal(c: float, ell: float) -> float:
-    # Closed form of f_rate on the diagonal a == b == c.
-    root_c = math.sqrt(c)
-    return 2.0 * ell * ell * ((1.0 + 0.25 * ell * ell * c) * phi(-0.5 * ell * root_c)
-                              - ell * root_c / (2.0 * _SQRT_2PI) * math.exp(-0.125 * ell * ell * c))
-
-
 def f_rate(a: float, b: float, ell: float) -> float:
     """Entropy production rate (b*gamma - 2*a*g_drift) / (b - a).
 
-    Continuous across a == b (the quotient is replaced by its closed-form
-    limit inside a narrow band around the diagonal) and strictly positive on
-    compact moment sets.
+    For b > 0 it is f1(a/b, ell*sqrt(b)) / b, accurate to rounding across
+    a == b, and a DomainError where a/b or ell**2 * b overflows.  For b <= 0,
+    b - a is negative unless a == b == 0, whose limit is ell**2, so the
+    quotient is taken as written.  Strictly positive on compact moment sets.
     """
     _check_ab(a, b, ell)
     if a == math.inf:
         raise DomainError("f_rate requires a finite moment a")
-    if abs(a - b) < _DIAGONAL_BAND * max(1.0, abs(a), abs(b)):
-        return _f_diagonal(0.5 * (a + b), ell)
+    if b > 0.0:
+        return f1(a / b, ell * math.sqrt(b)) / b
+    if a == 0.0 and b == 0.0:
+        return ell * ell
     first, second = _accept_terms(a, b, ell)
     ell2 = ell * ell
     return (b * (ell2 * (first + second)) - 2.0 * a * (ell2 * second)) / (b - a)
@@ -154,12 +147,12 @@ def f_rate(a: float, b: float, ell: float) -> float:
 def f1(s: float, ell: float) -> float:
     """Entropy production rate at unit curvature, f_rate(s, 1, ell).
 
-    It is f_rate's formula at b = 1, written in the moment ratio s and built
-    from the same acceptance terms, so it is no independent check of
-    f_rate; the scaling identity f_rate(a, b, ell) == f1(a/b, ell*sqrt(b)) / b
-    (b > 0) ties the two together.  The independent oracles are the Monte
-    Carlo means of acceptance criterion 02 and the quadrature and mpmath
-    references in tests/oracles.py.
+    Written in the moment ratio s and built from the acceptance terms at unit
+    curvature; f_rate is f1 rescaled for b > 0, through the scaling identity
+    f_rate(a, b, ell) == f1(a/b, ell*sqrt(b)) / b, so neither checks the
+    other.  The independent oracles are the Monte Carlo means of acceptance
+    criterion 02 and the quadrature and mpmath references in
+    tests/oracles.py.
     """
     return _f1_and_terms(s, ell)[0]
 

@@ -272,7 +272,7 @@ def relative_loss_surface(b_values, a_grid, alphas):
                         f"need a >= 0, b > 0, alpha in (0,1); got {(a, b, alpha)}"
                     )
                 a, b, alpha = float(a), float(b), float(alpha)
-                best = f_rate(a, b, ell_star_ab(a, b).ell)
+                best = ell_star_ab(a, b).objective_value
                 matched = f_rate(a, b, ell_alpha_ab(max(a, 1e-12), b, alpha).ell)
                 rows.append(
                     LossPoint(alpha=alpha, b=b, a=a, loss=(best - matched) / best)

@@ -33,16 +33,15 @@ optimal and a ``ConcaveRegionError`` is raised (callers apply a cap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .coefficients import (
-    _SQRT_2PI, _accept_terms, _check_ell, _f1_and_drift, _f1_and_terms, f1, f_rate, j_curve,
-    phi,
+    _SQRT_2PI, _accept_terms, _check_ell, _f1_and_drift, _f1_and_terms, f1, j_curve, phi,
 )
-# g_drift is not called here; it stays importable as tuning.g_drift, a name
-# the per-layer trace of perfbench/ wraps
-from .coefficients import g_drift  # noqa: F401
+# f_rate and g_drift are not called here; they stay importable as
+# tuning.<name>, names the per-layer trace of perfbench/ wraps
+from .coefficients import f_rate, g_drift  # noqa: F401
 from .errors import ConcaveRegionError, DomainError
 
 __all__ = [
@@ -180,7 +179,7 @@ def _newton_root(fn, objective, seed: float) -> TuningResult:
     # the sign points to, or is longer than _MAX_STEP, becomes a step of
     # _MAX_STEP toward it.  The values seen so far bracket the root, at first
     # with the ends of the floating-point range, and an iterate outside the
-    # bracket is replaced by its midpoint.  Each evaluation of fn counts as an
+    # bracket moves to its midpoint.  Each evaluation of fn counts as an
     # iteration; objective(root) is the rule's value.  Where the rule's
     # formulas over- or underflow, fn turns nan or keeps its sign to an end
     # of the floating-point range: a DomainError.
@@ -301,7 +300,10 @@ def ell_star(s: float) -> TuningResult:
 
 
 def ell_star_ab(a: float, b: float) -> TuningResult:
-    """Maximizer of ell -> f_rate(a, b, ell); equals ell_star(a/b) / sqrt(b)."""
+    """Maximizer of ell -> f_rate(a, b, ell); equals ell_star(a/b) / sqrt(b).
+
+    Its objective is ell_star(a/b)'s divided by b, as f_rate is f1 rescaled.
+    """
     if a < 0.0 or math.isnan(a):
         raise DomainError(f"moment a must be >= 0, got {a!r}")
     if not b > 0.0:
@@ -312,7 +314,7 @@ def ell_star_ab(a: float, b: float) -> TuningResult:
     base = ell_star(a / b)
     ell = base.ell / math.sqrt(b)
     _check_ell(ell)
-    return replace(base, ell=ell, objective_value=f_rate(a, b, ell))
+    return TuningResult(ell, base.objective_value / b, base.iterations, base.converged)
 
 
 def ell_alpha(s: float, alpha: float) -> TuningResult:
@@ -340,7 +342,7 @@ def ell_alpha_ab(a: float, b: float, alpha: float) -> TuningResult:
     base = ell_alpha(a / b, alpha)
     ell = base.ell / math.sqrt(b)
     _check_ell(ell)
-    return replace(base, ell=ell)
+    return TuningResult(ell, base.objective_value, base.iterations, base.converged)
 
 
 def matched_alpha(regime: str) -> float:
@@ -387,7 +389,8 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
             f"second moment must exceed squared mean, got s={s!r}, m={m!r}"
         )
     if m2 == 0.0 and s == 1.0:
-        return replace(ell_star(1.0), objective_value=0.0)
+        base = ell_star(1.0)
+        return TuningResult(base.ell, 0.0, base.iterations, base.converged)
 
     # for s = f 2^e >= 1 both weights carry a factor 2^(-2e): the f1 weight
     # overflows once s^2 does, and a power of two changes no rounding

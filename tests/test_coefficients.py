@@ -151,7 +151,8 @@ def test_equilibrium_identity_high_precision():
 
 
 def test_f_rate_zero_a_is_gamma():
-    for b in (0.5, 1.0, 3.0):
+    # b = 0 and b = +-1e-8 are the diagonal a == b and points next to it
+    for b in (-2.0, -1e-8, 0.0, 1e-8, 0.5, 1.0, 3.0):
         for ell in (0.7, 2.0):
             assert f_rate(0.0, b, ell) == pytest.approx(
                 gamma(0.0, b, ell), rel=1e-13
@@ -171,22 +172,20 @@ def test_f_rate_diagonal_closed_form():
     assert f_rate(1.0, 1.0, ell) == pytest.approx(expected, rel=1e-14)
 
 
-def test_f_rate_continuous_across_diagonal():
-    # spacing inside the switch band
-    for a in (0.3, 1.0, 4.0):
-        for ell in (0.8, 2.0):
-            assert f_rate(a, a + 1e-8, ell) == pytest.approx(
-                f_rate(a, a, ell), abs=1e-5
-            )
-            assert f_rate(a, a - 1e-8, ell) == pytest.approx(
-                f_rate(a, a, ell), abs=1e-5
-            )
-    # spacing just above the band, exercising the generic branch
-    for a in (0.3, 1.0, 4.0):
-        delta = 2e-7 * max(1.0, a)
-        assert f_rate(a, a + delta, 1.3) == pytest.approx(
-            f_rate(a, a, 1.3), abs=1e-5
-        )
+def test_f_rate_across_the_diagonal_matches_a_50_digit_oracle():
+    # f_rate is f1 rescaled for b > 0; the reference is mp_f1 through the
+    # scaling identity, with a/b and ell sqrt(b) formed in 50 digits, on
+    # both sides of a == b out to a relative gap of 1.01e-7.  A form first
+    # order in a - b would be off by up to 7e-7 here.
+    for b in (0.5, 1.0, 2.0, 7.3):
+        for ell in (0.7, 1.5, 2.38):
+            for delta in (0.0, 1e-8, -1e-8, 5e-8, -5e-8, 9.9e-8, -9.9e-8, 1.01e-7, -1.01e-7):
+                a = b * (1.0 + delta)
+                with mpmath.workdps(50):
+                    big_b = mpmath.mpf(b)
+                    oracle = float(mp_f1(mpmath.mpf(a) / big_b,
+                                         mpmath.mpf(ell) * mpmath.sqrt(big_b)) / big_b)
+                assert f_rate(a, b, ell) == pytest.approx(oracle, rel=1e-13), (a, b, ell)
 
 
 def test_f_rate_positive_on_compacts():
@@ -252,22 +251,11 @@ def test_f1_near_one_matches_a_50_digit_oracle(gap):
     2.0, 1e3, 1e8,
 ])
 def test_f1_and_drift_equals_separate_calls(s):
-    # the fused helper is bit-for-bit f1 and g_drift at unit curvature,
-    # inside and just outside the diagonal band |s - 1| < 1e-7
+    # the fused helper is bit-for-bit f1 and g_drift at unit curvature, at
+    # s = 1, inside f1's series band |s - 1| < 1e-3 and outside it
     for ell in np.logspace(-4.0, 3.0, 57):
         ell = float(ell)
         assert _f1_and_drift(s, ell) == (f1(s, ell), g_drift(s, 1.0, ell))
-
-
-def test_f1_scaling_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        a = float(rng.uniform(0.0, 8.0))
-        b = float(rng.uniform(0.05, 5.0))
-        ell = float(rng.uniform(0.1, 4.0))
-        assert f_rate(a, b, ell) == pytest.approx(
-            f1(a / b, ell * math.sqrt(b)) / b, abs=1e-12, rel=1e-10
-        )
 
 
 def test_j_curve_at_zero_and_reference():
@@ -344,9 +332,9 @@ def test_j_monotone_property(s, ell1, ell2):
 
 def test_coefficients_are_pinned():
     # The digest of every coefficient on a grid that takes in a = 0, a = inf,
-    # a tiny and a huge a, the band around the diagonal and b <= 0; a raised
-    # error enters by its type name.  It moves if the arithmetic of any
-    # coefficient changes, and such a change must be recorded; it is also
+    # a tiny and a huge a, points next to the diagonal a == b and b <= 0; a
+    # raised error enters by its type name.  It moves if the arithmetic of
+    # any coefficient changes, and such a change must be recorded; it is also
     # tied to the scipy in use, whose special functions they call.
     moments = (0.0, 1e-300, 1e-8, 0.3, 0.5, 1.0, 1.0 + 5e-8, 1.0 + 1e-6, 2.0, 37.0,
                1e8, 1e300, math.inf)
@@ -367,4 +355,4 @@ def test_coefficients_are_pinned():
                     digest.update(value(fn, a, b, ell).encode())
             for fn in (f1, j_curve, _f1_and_drift):
                 digest.update(value(fn, a, ell).encode())
-    assert digest.hexdigest() == "237deb9aff1ec25d4a4a478dcf374168ae84c6a95bce44beda9cdcccbfd05d97"
+    assert digest.hexdigest() == "aa8e981eff40a5d97833405df531386c7d9fe758eeadfbfdb1a0cb9c289b8542"

@@ -142,6 +142,27 @@ def test_ode_policies_follow_tuning_rules():
     assert policy_ell(ConstantEll(1.1), 5.0, 30.0) == 1.1
 
 
+def test_time_to_equilibrium_against_the_target_acceptance():
+    # The paper's practical rule: a constant acceptance between 1/4 and 1/3
+    # brings the Gaussian limit to equilibrium nearly as fast as the
+    # rate-optimal scale, and targets well outside it do not.  T is the first
+    # time the entropy is below 1e-4.  Observed: alpha in [1/4, 1/3] within
+    # +7.0 % of star, alpha = 0.15 +34 to +36 %, alpha = 1/2 +10.4 % or more;
+    # at dt = 1e-3 none of them moves by more than 0.1 points.
+    def reach(m, s, spec, t_max):
+        traj = integrate_gaussian_ode(m, s, strategy_from_label(spec), dt=1e-2, t_max=t_max)
+        below = np.flatnonzero(traj.entropy < 1e-4)
+        return traj.t[below[0]] if below.size else math.inf
+
+    for m, s in ((0.0, 100.0), (0.0, 0.01), (2.0, 6.0)):
+        best = reach(m, s, "star", 40.0)
+        t_max = 1.5 * best  # later than that is slower than every bound below
+        for alpha in (0.25, 0.27, 0.3, 1.0 / 3.0):
+            assert reach(m, s, f"alpha:{alpha}", t_max) <= 1.08 * best, (m, s, alpha)
+        assert reach(m, s, "alpha:0.15", t_max) >= 1.25 * best, (m, s)
+        assert reach(m, s, "alpha:0.5", t_max) >= 1.09 * best, (m, s)
+
+
 def test_ode_solves_the_policy_once_per_refresh():
     calls = []
 

@@ -24,6 +24,7 @@ def test_tracer_install_and_uninstall_restore_every_hook(monkeypatch):
         tracer.uninstall()
     names = {_name(owner, attr) for owner, attr, _ in patched}
     assert {"mhscaling.limits.policy_ell", "mhscaling.limits.ell_star",
-            "mhscaling.chains.rwm_step", "mhscaling.chains.tuning"} <= names
+            "mhscaling.chains.rwm_step", "mhscaling.chains.tuning",
+            "mhscaling.tuning.f_rate"} <= names
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, _name(owner, attr)

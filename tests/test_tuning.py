@@ -427,7 +427,7 @@ def test_solves_evaluate_the_special_functions_once_per_ell(monkeypatch):
     # Each ell a rate-optimal or entropy solve tries costs one Phi and one
     # f_helper call, for f1 and both ell-derivatives together (s > 1/2, where
     # the second acceptance term goes through f_helper), and so does the
-    # objective at the root.
+    # objective at the root; the (a, b) form rescales that objective.
     from mhscaling import coefficients, tuning
 
     calls, ells = {"phi": 0, "f_helper": 0}, []
@@ -452,7 +452,8 @@ def test_solves_evaluate_the_special_functions_once_per_ell(monkeypatch):
         monkeypatch.setattr(module, "phi", counting("phi", phi))
     monkeypatch.setattr(coefficients, "f_helper", counting("f_helper", coefficients.f_helper))
     monkeypatch.setattr(tuning, "_newton_root", recording_root)
-    for solve in (lambda: ell_star(4.0), lambda: ell_ent_gaussian(1.0, 6.0)):
+    for solve in (lambda: ell_star(4.0), lambda: ell_star_ab(4.0, 1.3),
+                  lambda: ell_ent_gaussian(1.0, 6.0)):
         calls.update(phi=0, f_helper=0)
         ells.clear()
         solve()
