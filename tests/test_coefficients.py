@@ -172,6 +172,23 @@ def test_f_rate_diagonal_closed_form():
     assert f_rate(1.0, 1.0, ell) == pytest.approx(expected, rel=1e-14)
 
 
+def test_f_rate_continuous_across_diagonal():
+    # f_rate at a == b and a relative gap of 1e-8 and 2e-7 either side
+    for a in (0.3, 1.0, 4.0):
+        for ell in (0.8, 2.0):
+            assert f_rate(a, a + 1e-8, ell) == pytest.approx(
+                f_rate(a, a, ell), abs=1e-5
+            )
+            assert f_rate(a, a - 1e-8, ell) == pytest.approx(
+                f_rate(a, a, ell), abs=1e-5
+            )
+    for a in (0.3, 1.0, 4.0):
+        delta = 2e-7 * max(1.0, a)
+        assert f_rate(a, a + delta, 1.3) == pytest.approx(
+            f_rate(a, a, 1.3), abs=1e-5
+        )
+
+
 def test_f_rate_across_the_diagonal_matches_a_50_digit_oracle():
     # f_rate is f1 rescaled for b > 0; the reference is mp_f1 through the
     # scaling identity, with a/b and ell sqrt(b) formed in 50 digits, on
@@ -256,6 +273,17 @@ def test_f1_and_drift_equals_separate_calls(s):
     for ell in np.logspace(-4.0, 3.0, 57):
         ell = float(ell)
         assert _f1_and_drift(s, ell) == (f1(s, ell), g_drift(s, 1.0, ell))
+
+
+def test_f1_scaling_identity():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        a = float(rng.uniform(0.0, 8.0))
+        b = float(rng.uniform(0.05, 5.0))
+        ell = float(rng.uniform(0.1, 4.0))
+        assert f_rate(a, b, ell) == pytest.approx(
+            f1(a / b, ell * math.sqrt(b)) / b, abs=1e-12, rel=1e-10
+        )
 
 
 def test_j_curve_at_zero_and_reference():
