@@ -10,7 +10,10 @@ Every chain is a row of a batch: an ``(R, n)`` array stepped by one kernel
 per chain kind.  A kernel chooses its scale, builds the proposal and its
 log acceptance ratio; the batch draws the normals, decides, moves the
 accepted rows and counts the step, doing the O(R n) work on arrays and
-whatever sets a row's bits (its draws, scale and exp) row by row.
+whatever sets a row's bits (its draws, scale and exp) row by row.  The
+batch summarises each row's point by the sum of V, V' and a column of one
+(4, R) ``moments`` array (a_hat, b_hat, m_hat, s_hat), which the scales and
+records read; an adaptive row's theta starts when the batch is built.
 :func:`run_chains` steps R random walk chains; :func:`run_chain` and
 :func:`run_mala` loop the same kernels on a batch of one and return its
 records and end point, so a chain's state lives only in its batch.
@@ -277,15 +280,7 @@ def adaptive_update(theta, acc_prob, alpha_target, k) -> float:
     return theta + float(k + 1) ** -0.6 * (acc_prob - alpha_target)
 
 
-def _summarise(p: Potential, x: np.ndarray, v: np.ndarray, d1: np.ndarray):
-    # sum V, V', a_hat = mean V'^2, b_hat = mean V'', m_hat = mean x and
-    # s_hat = mean x^2 of each row of the points x.  Each row is reduced as np.sum and np.mean
-    # reduce it alone, so a row's values do not depend on the other rows.
-    return (np.add.reduce(v, axis=-1), d1, *_moment_means(p, x, d1, x, x * x))
-
-
-_SUMMARY = ("sum_v", "d1", "a_hat", "b_hat", "m_hat", "s_hat")
-_MOMENTS = _SUMMARY[2:]
+_MOMENTS = ("a_hat", "b_hat", "m_hat", "s_hat")  # the rows of _Batch.moments
 _OUTCOME = ("ell_used", "acc_prob", "accepted")  # what the kernels return, in order
 
 
@@ -293,34 +288,36 @@ class _Batch:
     """R chains in dimension n under one potential, stepped together.
 
     Row r has its own generator ``rngs[r]``, strategy ``strategies[r]`` and
-    adaptive ``theta[r]`` (None until an adaptive strategy first steps it),
-    and the summary of its current point (see ``_summarise``).  ``ell[r]``
-    is the scale row r's strategy chose at that point, None until chosen.
-    ``x`` is replaced, never written into, when rows move, so a row of it
-    can serve as a chain's coords, and ``x`` may be a view of a caller's
-    array.  The summary arrays are the batch's own and are refreshed in
-    place; ``d1`` is copied because ``p.d1`` may return its argument (the
-    Gaussian's does).  All rows have made ``k`` steps.
+    adaptive ``theta[r]``: log(2.38 / sqrt(n)) from construction on an
+    adaptive row, None on the others.  The summary of row r's current point
+    is ``sum_v[r]``, the sum of V, ``d1[r]``, V', and the column
+    ``moments[:, r]``, holding a_hat = mean V'^2, b_hat = mean V'',
+    m_hat = mean x and s_hat = mean x^2.  Each row is reduced as np.sum and
+    np.mean reduce it alone, so a row's values do not depend on the other
+    rows.  ``ell[r]`` is the scale row r's strategy chose at that point, None
+    until chosen.  ``x`` is replaced, never written into, when rows move, so
+    a row of it can serve as a chain's coords, and ``x`` may be a view of a
+    caller's array.  The summary arrays are the batch's own and are
+    refreshed in place; ``d1`` is copied because ``p.d1`` may return its
+    argument (the Gaussian's does).  All rows have made ``k`` steps.
     """
 
-    def __init__(self, p: Potential, x: np.ndarray, rngs, strategies, theta):
+    def __init__(self, p: Potential, x: np.ndarray, rngs, strategies):
         if p.name != "gaussian" and any(isinstance(s, EntropyOptimalGaussian)
                                         for s in strategies):
             raise DomainError(f"strategy 'ent' is for the Gaussian target, not {p.name!r}")
         self.p, self.x, self.k = p, x, 0
-        self.rngs, self.strategies, self.theta = list(rngs), list(strategies), list(theta)
+        self.rngs, self.strategies = list(rngs), list(strategies)
+        theta = math.log(2.38 / math.sqrt(x.shape[1]))  # the classic stationary-phase scale
+        self.theta = [theta if isinstance(s, ConstantAccAdaptive) else None
+                      for s in self.strategies]
         self.ell = [None] * len(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            summary = _summarise(p, x, p.eval_v(x), np.array(p.d1(x), dtype=float))
-        for name, values in zip(_SUMMARY, summary):
-            setattr(self, name, values)
-        if not (np.all(np.isfinite(self.sum_v)) and np.all(np.isfinite(self.a_hat))):
+            self.sum_v = np.add.reduce(p.eval_v(x), axis=-1)
+            self.d1 = np.array(p.d1(x), dtype=float)
+            self.moments = _moment_means(p, x, self.d1, x, x * x)
+        if not (np.all(np.isfinite(self.sum_v)) and np.all(np.isfinite(self.moments[0]))):
             raise DomainError("sum of V or mean V'^2 is not finite at the chain's state")
-
-    def here(self, r: int) -> tuple:
-        """(a_hat, b_hat, m_hat, s_hat) of row r's point, as floats."""
-        return (float(self.a_hat[r]), float(self.b_hat[r]), float(self.m_hat[r]),
-                float(self.s_hat[r]))
 
     def normals(self) -> np.ndarray:
         """Each row's block of n proposal normals, drawn from its own generator."""
@@ -347,9 +344,10 @@ class _Batch:
             d1 = None if d1 is None else d1[rows]
         else:
             self.x, rows = proposal, slice(None)
-        summary = _summarise(self.p, proposal, v, self.p.d1(proposal) if d1 is None else d1)
-        for name, values in zip(_SUMMARY, summary):
-            getattr(self, name)[rows] = values
+        d1 = self.p.d1(proposal) if d1 is None else d1
+        self.sum_v[rows] = np.add.reduce(v, axis=-1)
+        self.d1[rows] = d1
+        self.moments[:, rows] = _moment_means(self.p, proposal, d1, proposal, proposal * proposal)
         return acc_prob, accepted
 
 
@@ -369,23 +367,18 @@ def _rwm_kernel(batch: _Batch):
     n = batch.x.shape[1]
     root_n = math.sqrt(n)
     ell, theta = batch.ell, batch.theta
-    adaptive = []
     for r, strategy in enumerate(batch.strategies):
-        if isinstance(strategy, ConstantAccAdaptive):
-            adaptive.append(r)
-            if theta[r] is None:  # the classic stationary-phase scale
-                theta[r] = math.log(2.38 / root_n)
-        elif ell[r] is not None:
-            continue
-        ell[r] = strategy.scale(*batch.here(r), n, theta[r])
+        if ell[r] is None or theta[r] is not None:  # no scale here yet, or adaptive
+            ell[r] = strategy.scale(*batch.moments[:, r].tolist(), n, theta[r])
     ell_used = ell.copy()
 
     proposal = batch.x + np.array([[e / root_n] for e in ell_used]) * batch.normals()
     v = batch.p.eval_v(proposal)
     k = batch.k  # theta_k moves with the index of the step it closes
     acc_prob, accepted = batch.decide(batch.sum_v - np.add.reduce(v, axis=-1), proposal, v)
-    for r in adaptive:
-        theta[r] = adaptive_update(theta[r], acc_prob[r], batch.strategies[r].alpha, k)
+    for r, strategy in enumerate(batch.strategies):
+        if theta[r] is not None:
+            theta[r] = adaptive_update(theta[r], acc_prob[r], strategy.alpha, k)
     return ell_used, acc_prob, accepted
 
 
@@ -442,7 +435,7 @@ def _start(inits, p: Potential, strategies, steps: int, rngs) -> _Batch:
             f"need one strategy and one generator per chain: {len(x)} chains, "
             f"{len(strategies)} strategies, {len(rngs)} generators"
         )
-    return _Batch(p, x, rngs, strategies, [None] * len(x))
+    return _Batch(p, x, rngs, strategies)
 
 
 def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRuns:
@@ -459,8 +452,8 @@ def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRun
            for name in _MOMENTS + _OUTCOME}
     for k in range(steps):
         # the moments recorded at a step are those of the point it starts from
-        for name in _MOMENTS:
-            out[name][:, k] = getattr(batch, name)
+        for name, values in zip(_MOMENTS, batch.moments):
+            out[name][:, k] = values
         for name, values in zip(_OUTCOME, _rwm_kernel(batch)):
             out[name][:, k] = values
     return ChainRuns(**out, coords=batch.x, theta=batch.theta)
@@ -475,7 +468,7 @@ def run_chains_moments(inits, p: Potential, strategies, steps: int, *, rngs):
     batch = _start(inits, p, strategies, steps, rngs)
     m_hat, s_hat = np.empty((len(batch.x), steps)), np.empty((len(batch.x), steps))
     for k in range(steps):
-        m_hat[:, k], s_hat[:, k] = batch.m_hat, batch.s_hat
+        m_hat[:, k], s_hat[:, k] = batch.moments[2:]
         _rwm_kernel(batch)
     return m_hat, s_hat
 
@@ -489,7 +482,7 @@ def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
     records = []
     for i in range(1, steps + 1):
         # a record holds the moments of the point its step starts from
-        here = batch.here(0) if i % record_every == 0 else None
+        here = batch.moments[:, 0].tolist() if i % record_every == 0 else None
         ell, acc_prob, accepted = kernel(batch, *args)
         if here is not None:
             records.append(StepRecord(batch.k, ell[0], accepted[0], acc_prob[0], *here))

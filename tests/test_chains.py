@@ -160,6 +160,16 @@ def test_run_chain_deterministic_and_zero_steps():
     assert np.array_equal(s0, np.ones(4))
 
 
+def test_adaptive_theta_starts_with_the_batch():
+    # An adaptive row holds theta = log(2.38 / sqrt(n)) before its first step;
+    # the other rows have none.
+    p, n = gaussian_potential(), 16
+    runs = run_chains(np.ones((2, n)), p, [ConstantAccAdaptive(0.3), ConstantEll(1.0)], 0,
+                      rngs=[chain_rng(0), chain_rng(1)])
+    assert runs.theta == [math.log(2.38 / math.sqrt(n)), None]
+    assert runs.a_hat.shape == (2, 0)
+
+
 def test_run_chain_preserves_stationarity():
     p = gaussian_potential()
     rng = chain_rng(7)
