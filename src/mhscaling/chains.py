@@ -38,6 +38,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import tuning
+from .coefficients import _check_ell
 from .errors import ConcaveRegionError, DomainError
 from .targets import Potential, _moment_means
 
@@ -114,8 +115,7 @@ class ConstantEll(Strategy):
     ell: float = 2.38
 
     def __post_init__(self):
-        if not self.ell > 0.0:
-            raise DomainError(f"constant ell must be > 0, got {self.ell!r}")
+        _check_ell(self.ell)
 
     def label(self) -> str:
         return f"constant-{self.ell:g}"
@@ -373,9 +373,11 @@ def _rwm_kernel(batch: _Batch):
     ell_used = ell.copy()
 
     proposal = batch.x + np.array([[e / root_n] for e in ell_used]) * batch.normals()
-    v = batch.p.eval_v(proposal)
+    with np.errstate(over="ignore"):  # V = inf is a plain rejection
+        v = batch.p.eval_v(proposal)
+        log_ratio = batch.sum_v - np.add.reduce(v, axis=-1)
     k = batch.k  # theta_k moves with the index of the step it closes
-    acc_prob, accepted = batch.decide(batch.sum_v - np.add.reduce(v, axis=-1), proposal, v)
+    acc_prob, accepted = batch.decide(log_ratio, proposal, v)
     for r, strategy in enumerate(batch.strategies):
         if theta[r] is not None:
             theta[r] = adaptive_update(theta[r], acc_prob[r], strategy.alpha, k)
@@ -395,14 +397,16 @@ def _mala_kernel(batch: _Batch, sigma: float):
     """
     d1_here, noise = batch.d1, batch.normals()
     proposal = batch.x + (sigma * noise - 0.5 * sigma * sigma * d1_here)
-    d1 = batch.p.d1(proposal)
-    reverse = noise - 0.5 * sigma * (d1_here + d1)
-    v = batch.p.eval_v(proposal)
-    exponent = (
-        batch.sum_v
-        - np.add.reduce(v, axis=-1)
-        + 0.5 * (np.add.reduce(noise * noise, axis=-1) - np.add.reduce(reverse * reverse, axis=-1))
-    )
+    with np.errstate(over="ignore"):  # an overflow is a plain rejection
+        d1 = batch.p.d1(proposal)
+        reverse = noise - 0.5 * sigma * (d1_here + d1)
+        v = batch.p.eval_v(proposal)
+        exponent = (
+            batch.sum_v
+            - np.add.reduce(v, axis=-1)
+            + 0.5 * (np.add.reduce(noise * noise, axis=-1)
+                     - np.add.reduce(reverse * reverse, axis=-1))
+        )
     acc_prob, accepted = batch.decide(exponent, proposal, v, d1)
     return [sigma] * len(acc_prob), acc_prob, accepted
 
@@ -505,6 +509,6 @@ def run_mala(init, p: Potential, sigma: float, steps: int,
              record_every: int = 1, *, rng: np.random.Generator):
     """Run a Langevin-adjusted chain at fixed proposal std sigma; laid out
     as :func:`run_chain`."""
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
+    if not (sigma > 0.0 and math.isfinite(sigma * sigma)):
+        raise DomainError(f"sigma must be > 0 with a finite square, got {sigma!r}")
     return _run_one(init, p, None, steps, record_every, rng, _mala_kernel, sigma)

@@ -69,12 +69,24 @@ def _check_ell(ell: float) -> None:
         raise DomainError(f"step scale ell must be > 0 with a finite square, got {ell!r}")
 
 
+def _check_b(b: float) -> None:
+    if not math.isfinite(b):
+        raise DomainError(f"moment b must be finite, got {b!r}")
+
+
 def _check_ab(a: float, b: float, ell: float) -> None:
     if a < 0.0 or math.isnan(a):
         raise DomainError(f"moment a must be >= 0 (or inf), got {a!r}")
-    if not math.isfinite(b):
-        raise DomainError(f"moment b must be finite, got {b!r}")
+    _check_b(b)
     _check_ell(ell)
+
+
+def _ratio(a: float, b: float) -> float:
+    # a/b of an (a, b) form at finite b > 0, refused in the caller's terms
+    s = a / b
+    if s == math.inf:
+        raise DomainError(f"moment ratio a/b overflows at a={a!r}, b={b!r}")
+    return s
 
 
 def _exp_phi_term(a: float, b: float, ell: float) -> float:
@@ -136,7 +148,10 @@ def f_rate(a: float, b: float, ell: float) -> float:
     if a == math.inf:
         raise DomainError("f_rate requires a finite moment a")
     if b > 0.0:
-        return f1(a / b, ell * math.sqrt(b)) / b
+        s, ell_b = _ratio(a, b), ell * math.sqrt(b)
+        if not math.isfinite(ell_b * ell_b):
+            raise DomainError(f"ell**2 * b overflows at b={b!r}, ell={ell!r}")
+        return f1(s, ell_b) / b
     if a == 0.0 and b == 0.0:
         return ell * ell
     first, second = _accept_terms(a, b, ell)

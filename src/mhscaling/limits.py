@@ -155,6 +155,8 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     _check_horizon(t_max, 0.0)
     if policy_every < 1:
         raise DomainError(f"policy_every must be >= 1, got {policy_every!r}")
+    if stop_tol is not None and not 0.0 < stop_tol < math.inf:
+        raise DomainError(f"stop_tol must be finite and > 0, got {stop_tol!r}")
     if not s0 >= m0 * m0:
         raise DomainError(f"second moment below squared mean: s0={s0!r}, m0={m0!r}")
     steps = _step_count(t_max, dt)

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coefficients import (
-    _SQRT_2PI, _accept_terms, _check_ell, _f1_and_drift, _f1_and_terms, f1, j_curve, phi,
+    _SQRT_2PI, _accept_terms, _check_b, _check_ell, _f1_and_drift, _f1_and_terms, _ratio, f1,
+    j_curve, phi,
 )
 # f_rate and g_drift are not called here; they stay importable as
 # tuning.<name>, names the per-layer trace of perfbench/ wraps
@@ -306,12 +307,13 @@ def ell_star_ab(a: float, b: float) -> TuningResult:
     """
     if a < 0.0 or math.isnan(a):
         raise DomainError(f"moment a must be >= 0, got {a!r}")
+    _check_b(b)
     if not b > 0.0:
         raise ConcaveRegionError(
             "no finite rate-optimal step scale for b <= 0; larger proposals "
             "only speed up the exit from the concave region, apply a cap"
         )
-    base = ell_star(a / b)
+    base = ell_star(_ratio(a, b))
     ell = base.ell / math.sqrt(b)
     _check_ell(ell)
     return TuningResult(ell, base.objective_value / b, base.iterations, base.converged)
@@ -332,6 +334,7 @@ def ell_alpha(s: float, alpha: float) -> TuningResult:
 
 def ell_alpha_ab(a: float, b: float, alpha: float) -> TuningResult:
     """Scale solving acc_rate(a, b, .) == alpha; equals ell_alpha(a/b) / sqrt(b)."""
+    _check_b(b)
     if not b > 0.0:
         raise ConcaveRegionError(
             "no step scale attains a sub-1/2 acceptance target for b <= 0; "
@@ -339,7 +342,7 @@ def ell_alpha_ab(a: float, b: float, alpha: float) -> TuningResult:
         )
     if not a > 0.0:
         raise DomainError(f"moment a must be > 0, got {a!r}")
-    base = ell_alpha(a / b, alpha)
+    base = ell_alpha(_ratio(a, b), alpha)
     ell = base.ell / math.sqrt(b)
     _check_ell(ell)
     return TuningResult(ell, base.objective_value, base.iterations, base.converged)

@@ -61,7 +61,7 @@ def test_strategy_spec_defaults():
 
 @pytest.mark.parametrize("text", [
     "constant:abc", "constant:inf", "alpha:nan", "alpha-adaptive:0.2x",
-    "star:5", "ent:1", "constant-2.38", "rate-optimal",
+    "star:5", "ent:1", "constant-2.38", "rate-optimal", "constant:1e200",
 ])
 def test_strategy_spec_malformed(text):
     with pytest.raises(DomainError):
@@ -323,8 +323,24 @@ def test_mala_small_sigma_accepts():
 
 def test_mala_rejects_nonpositive_sigma():
     p = gaussian_potential()
-    with pytest.raises(DomainError):
-        run_mala(np.zeros(3), p, 0.0, 1, rng=chain_rng(0))
+    # a sigma whose square overflows would write acc_prob = nan
+    for sigma in (0.0, math.nan, math.inf, 1e155):
+        with pytest.raises(DomainError):
+            run_mala(np.zeros(3), p, sigma, 1, rng=chain_rng(0))
+
+
+@pytest.mark.parametrize("p", [gaussian_potential(), double_well_potential()])
+def test_overflowing_proposal_is_a_rejection(p):
+    # At a scale near 1e154 the proposal's V (and for MALA its V' and the
+    # exponent) overflow: the step must reject quietly, not warn or write nan.
+    runs = [run_chain(np.zeros(1), p, ConstantEll(1e154), 20, rng=chain_rng(1)),
+            run_mala(np.full(1, 0.5), p, 1e154, 20, rng=chain_rng(1))]
+    for (records, end), start in zip(runs, (0.0, 0.5)):
+        assert len(records) == 20
+        assert all(r.acc_prob == 0.0 and not r.accepted for r in records)
+        assert all(math.isfinite(v) for r in records
+                   for v in (r.ell_used, r.a_hat, r.b_hat, r.m_hat, r.s_hat))
+        assert end.tolist() == [start]
 
 
 def test_adaptive_strategy_reaches_target_rate():

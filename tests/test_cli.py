@@ -318,6 +318,12 @@ def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     ["simulate", "--kind", "ar1", "--steps", "1000000000000000"],
     ["simulate", "--kind", "rwm", "--n", "5", "--steps", "1000000000000"],
     ["simulate", "--kind", "mala", "--n", "5", "--steps", "100000000"],
+    ["simulate", "--kind", "mala", "--sigma", "1e155", "--init", "point:0", "--n", "2",
+     "--steps", "3"],
+    ["simulate", "--kind", "rwm", "--strategy", "constant:1e200"],
+    ["simulate", "--kind", "ode", "--stop-tol", "nan"],
+    ["simulate", "--kind", "ode", "--stop-tol", "-1"],
+    ["simulate", "--kind", "ode", "--stop-tol", "inf"],
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -413,6 +413,10 @@ def test_limit_integrators_refuse_bad_horizon():
         integrate_gaussian_ode(10.0, 100.0, ConstantEll(1.0), dt=5e-324, t_max=1.0)
     with pytest.raises(DomainError):
         integrate_particles(pe, gaussian_potential(), 1.0, t_max=1e308)
+    for stop_tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(DomainError):
+            integrate_gaussian_ode(10.0, 100.0, ConstantEll(1.0), dt=1e-2, t_max=1.0,
+                                   stop_tol=stop_tol)
     for every in (0, -1):
         with pytest.raises(DomainError):
             integrate_gaussian_ode(10.0, 100.0, ConstantEll(1.0), dt=1e-2, t_max=1.0,

@@ -101,6 +101,27 @@ def test_ell_star_ab_rejects_nonpositive_curvature():
         ell_star_ab(1.0, -2.0)
 
 
+@pytest.mark.parametrize("call, args, named", [
+    (f_rate, (1e300, 1e-10, 1), ("a=1e+300", "b=1e-10")),
+    (f_rate, (1, 1e10, 1e154), ("b=10000000000.0", "ell=1e+154")),
+    (ell_star_ab, (1e300, 1e-10), ("a=1e+300", "b=1e-10")),
+    (ell_star_ab, (1, 1e-320), ("a=1", "b=1e-320")),
+    (ell_star_ab, (1, math.inf), ("b must be finite, got inf",)),
+    (ell_star_ab, (1, math.nan), ("b must be finite, got nan",)),
+    (ell_alpha_ab, (1e300, 1e-10, 0.27), ("a=1e+300", "b=1e-10")),
+    (ell_alpha_ab, (1, math.inf, 0.27), ("b must be finite, got inf",)),
+    (ell_alpha_ab, (1, math.nan, 0.27), ("b must be finite, got nan",)),
+])
+def test_ab_refusals_name_the_callers_arguments(call, args, named):
+    # An overflowing a/b or ell^2 b, or a b that is not finite, is refused in
+    # the caller's terms, not as a moment ratio s or a step scale the caller
+    # never passed; and a nan b is no concave region.
+    with pytest.raises(DomainError) as refusal:
+        call(*args)
+    assert type(refusal.value) is DomainError
+    assert all(text in str(refusal.value) for text in named), str(refusal.value)
+
+
 def test_ell_alpha_reference_point():
     assert ell_alpha(1.0, 0.234).ell == pytest.approx(2.38, abs=0.01)
 
