@@ -9,24 +9,26 @@ out explicitly.
 Every chain is a row of a batch: an ``(R, n)`` array stepped by one kernel
 per chain kind.  A kernel chooses its scale, builds the proposal and its
 log acceptance ratio; the batch draws the normals, decides, moves the
-accepted rows and counts the step, doing the O(R n) work on arrays and
-whatever sets a row's bits (its draws, scale and exp) row by row.  The
-batch summarises each row's point by the sum of V, V' and a column of one
-(4, R) ``moments`` array (a_hat, b_hat, m_hat, s_hat), which the scales and
-records read; an adaptive row's theta starts when the batch is built.
+accepted rows and counts the step, all on arrays: only a block's draws and
+the scale at a new point are taken row by row.  The batch summarises each
+row's point by the sum of V, V' and a column of one (4, R) ``moments``
+array (a_hat, b_hat, m_hat, s_hat), which the scales and records read; an
+adaptive row's theta starts when the batch is built.
 :func:`run_chains` steps R random walk chains; :func:`run_chain` and
 :func:`run_mala` loop the same kernels on a batch of one and return its
 records and end point, so a chain's state lives only in its batch.
 
-RNG discipline: each chain, or row, owns one counter-based generator
-(Philox) seeded from a master seed; replicate independence comes from
-spawned seed sequences.  Within a step the n proposal normals are drawn as
-one block, so coordinate i consumes position i of the block, and then a
-single uniform variate decides acceptance.  Both draws are made in one
-place each (``_Batch.normals`` and ``_Batch.decide``), which fixes the
-stream layout for every kind of chain.  A row's stream does not depend on
-the other rows of its batch.  Potentials and strategies are immutable and
-shareable.
+RNG discipline (stream layout 2): each chain, or row, owns one counter-based
+generator (Philox) seeded from a master seed; replicate independence comes
+from spawned seed sequences.  A step takes n + 1 normals from it: the first
+n, coordinate i at position i, for the proposal, and the last, z, for the
+uniform Phi(z) that decides.  ``_Batch.normals`` draws them K steps at a
+time and ``_Batch.decide`` decides every row at once, which fixes the
+layout for every kind of chain.  On Philox a (K, n + 1) block equals K
+draws of n + 1 bit for bit and a block stops at the last step, so the bits
+do not depend on K and a run leaves its generator steps * (n + 1) normals
+on.  A row's stream does not depend on the other rows of its batch.
+Potentials and strategies are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import tuning
 from .coefficients import _check_ell
@@ -43,6 +46,7 @@ from .errors import ConcaveRegionError, DomainError
 from .targets import Potential, _moment_means
 
 __all__ = [
+    "STREAM_LAYOUT",
     "Strategy",
     "ConstantEll",
     "ConstantAccNumeric",
@@ -73,6 +77,11 @@ _MAX_STEPS = 10**7
 # Moment ratios this small are indistinguishable from 0 and would break the
 # acceptance-matching solve; clamp instead.
 _S_FLOOR = 1e-12
+
+# The module docstring's stream layout, recorded in run manifests; layout 1
+# drew n normals, then one uniform, a step at a time.  A block of a batch's
+# draws holds up to _BLOCK doubles (1 MiB).
+STREAM_LAYOUT, _BLOCK = 2, 2**17
 
 
 @dataclass(frozen=True)
@@ -289,20 +298,21 @@ class _Batch:
 
     Row r has its own generator ``rngs[r]``, strategy ``strategies[r]`` and
     adaptive ``theta[r]``: log(2.38 / sqrt(n)) from construction on an
-    adaptive row, None on the others.  The summary of row r's current point
-    is ``sum_v[r]``, the sum of V, ``d1[r]``, V', and the column
-    ``moments[:, r]``, holding a_hat = mean V'^2, b_hat = mean V'',
-    m_hat = mean x and s_hat = mean x^2.  Each row is reduced as np.sum and
-    np.mean reduce it alone, so a row's values do not depend on the other
-    rows.  ``ell[r]`` is the scale row r's strategy chose at that point, None
-    until chosen.  ``x`` is replaced, never written into, when rows move, so
-    a row of it can serve as a chain's coords, and ``x`` may be a view of a
-    caller's array.  The summary arrays are the batch's own and are
-    refreshed in place; ``d1`` is copied because ``p.d1`` may return its
-    argument (the Gaussian's does).  All rows have made ``k`` steps.
+    adaptive row (those listed in ``adaptive``), None on the others.  The
+    summary of row r's current point is ``sum_v[r]``, the sum of V,
+    ``d1[r]``, V', and the column ``moments[:, r]``, holding a_hat =
+    mean V'^2, b_hat = mean V'', m_hat = mean x and s_hat = mean x^2.  Each
+    row is reduced as np.sum and np.mean reduce it alone, so a row's values
+    do not depend on the other rows.  ``ell[r]`` is the scale row r's
+    strategy chose at that point, nan until chosen.  ``x`` is replaced,
+    never written into, when rows move, so a row of it can serve as a
+    chain's coords, and ``x`` may be a view of a caller's array.  The
+    summary arrays are the batch's own and are refreshed in place; ``d1`` is
+    copied because ``p.d1`` may return its argument (the Gaussian's does).
+    All rows have made ``k`` of the ``steps`` steps the batch draws for.
     """
 
-    def __init__(self, p: Potential, x: np.ndarray, rngs, strategies):
+    def __init__(self, p: Potential, x: np.ndarray, rngs, strategies, steps: int):
         if p.name != "gaussian" and any(isinstance(s, EntropyOptimalGaussian)
                                         for s in strategies):
             raise DomainError(f"strategy 'ent' is for the Gaussian target, not {p.name!r}")
@@ -311,7 +321,10 @@ class _Batch:
         theta = math.log(2.38 / math.sqrt(x.shape[1]))  # the classic stationary-phase scale
         self.theta = [theta if isinstance(s, ConstantAccAdaptive) else None
                       for s in self.strategies]
-        self.ell = [None] * len(x)
+        self.adaptive = np.flatnonzero([t is not None for t in self.theta])
+        self.ell = np.full(len(x), math.nan)
+        # the current block of draws, of which step k + 1 takes [:, _at]
+        self._block, self._at, self._left = np.empty((len(x), 0, 0)), 0, steps
         with np.errstate(over="ignore", invalid="ignore"):
             self.sum_v = np.add.reduce(p.eval_v(x), axis=-1)
             self.d1 = np.array(p.d1(x), dtype=float)
@@ -320,26 +333,37 @@ class _Batch:
             raise DomainError("sum of V or mean V'^2 is not finite at the chain's state")
 
     def normals(self) -> np.ndarray:
-        """Each row's block of n proposal normals, drawn from its own generator."""
-        return np.array([rng.standard_normal(self.x.shape[1]) for rng in self.rngs])
+        """Each row's n proposal normals for step k + 1, from (K, n + 1)
+        blocks of its own generator's normals, K = _BLOCK // (R (n + 1)) (at
+        least 1, at most the steps left)."""
+        if self._at == self._block.shape[1]:
+            rows, width = len(self.x), self.x.shape[1] + 1
+            size = (min(self._left, max(1, _BLOCK // (rows * width))), width)
+            if self._block.shape[1] < size[0]:  # the first block; later ones reuse it
+                self._block = np.empty((rows, *size))
+            self._block, self._at = self._block[:, :size[0]], 0
+            self._left -= size[0]
+            for rng, block in zip(self.rngs, self._block):
+                block[...] = rng.standard_normal(size)
+            self._uniforms = ndtr(self._block[:, :, -1])
+        return self._block[:, self._at, :-1]
 
     def decide(self, log_ratio: np.ndarray, proposal: np.ndarray, v: np.ndarray,
                d1: np.ndarray | None = None):
         """Close a step: row r accepts its proposal with probability
-        exp(log_ratio[r]) ^ 1, against one uniform from its own generator;
-        the accepted rows move (reusing V(proposal) and, when the step has
-        it, V'(proposal)) and the step is counted.  Returns the rows'
-        (acc_prob, accepted) as lists."""
-        acc_prob = [math.exp(min(d, 0.0)) for d in log_ratio.tolist()]
-        accepted = [rng.random() <= prob for rng, prob in zip(self.rngs, acc_prob)]
-        self.k += 1
-        rows = [r for r, flag in enumerate(accepted) if flag]
-        if not rows:
+        exp(log_ratio[r]) ^ 1, against the uniform of its step's draws; the
+        accepted rows move (reusing V(proposal) and, when the step has it,
+        V'(proposal)) and the step is counted.  Returns the rows'
+        (acc_prob, accepted) arrays."""
+        acc_prob = np.exp(np.minimum(log_ratio, 0.0))
+        accepted = self._uniforms[:, self._at] <= acc_prob
+        self.k, self._at = self.k + 1, self._at + 1
+        rows = np.flatnonzero(accepted)
+        if not rows.size:
             return acc_prob, accepted
-        for r in rows:
-            self.ell[r] = None
-        if len(rows) < len(accepted):
-            self.x = np.where(np.array(accepted)[:, None], proposal, self.x)
+        self.ell[rows] = math.nan
+        if rows.size < accepted.size:
+            self.x = np.where(accepted[:, None], proposal, self.x)
             proposal, v = proposal[rows], v[rows]
             d1 = None if d1 is None else d1[rows]
         else:
@@ -354,33 +378,30 @@ class _Batch:
 def _rwm_kernel(batch: _Batch):
     """One random walk Metropolis step of every row of ``batch``.
 
-    Row r proposes x_r + (ell_r / sqrt(n)) G_r with a fresh normal block G_r
-    and accepts with probability exp(sum V(x_r) - sum V(y_r)) ^ 1, using one
-    uniform drawn from its own generator after the block.  ell_r is chosen
-    from the summary of x_r: by adaptive strategies every step, because
-    theta moves every step, by the others once per point.  The proposal, V,
-    the row sums and the refresh of moved rows are array work; the scale,
-    the draws and exp are taken row by row, so each row's bits are those of
-    a chain stepped alone.  Returns the rows' (ell, acc_prob, accepted) as
-    lists.
+    Row r proposes x_r + (ell_r / sqrt(n)) G_r with its step's normals G_r
+    and accepts with probability exp(sum V(x_r) - sum V(y_r)) ^ 1 against
+    its step's uniform.  ell_r is chosen from the summary of x_r: by
+    adaptive strategies every step, because theta moves every step, by the
+    others once per point.  Those calls and the theta updates are the only
+    row-by-row work, so each row's bits are those of a chain stepped alone.
+    Returns the rows' (ell, acc_prob, accepted) arrays.
     """
     n = batch.x.shape[1]
-    root_n = math.sqrt(n)
     ell, theta = batch.ell, batch.theta
-    for r, strategy in enumerate(batch.strategies):
-        if ell[r] is None or theta[r] is not None:  # no scale here yet, or adaptive
-            ell[r] = strategy.scale(*batch.moments[:, r].tolist(), n, theta[r])
+    fresh = np.isnan(ell)  # no scale here yet
+    fresh[batch.adaptive] = True
+    for r in np.flatnonzero(fresh).tolist():
+        ell[r] = batch.strategies[r].scale(*batch.moments[:, r].tolist(), n, theta[r])
     ell_used = ell.copy()
 
-    proposal = batch.x + np.array([[e / root_n] for e in ell_used]) * batch.normals()
+    proposal = batch.x + (ell_used / math.sqrt(n))[:, None] * batch.normals()
     with np.errstate(over="ignore"):  # V = inf is a plain rejection
         v = batch.p.eval_v(proposal)
         log_ratio = batch.sum_v - np.add.reduce(v, axis=-1)
     k = batch.k  # theta_k moves with the index of the step it closes
     acc_prob, accepted = batch.decide(log_ratio, proposal, v)
-    for r, strategy in enumerate(batch.strategies):
-        if theta[r] is not None:
-            theta[r] = adaptive_update(theta[r], acc_prob[r], strategy.alpha, k)
+    for r in batch.adaptive.tolist():
+        theta[r] = adaptive_update(theta[r], float(acc_prob[r]), batch.strategies[r].alpha, k)
     return ell_used, acc_prob, accepted
 
 
@@ -392,7 +413,7 @@ def _mala_kernel(batch: _Batch, sigma: float):
     sum_i [ V(x_i) - V(y_i)
             + ((g_i)^2 - (g_i - (sigma/2)(V'(x_i) + V'(y_i)))^2) / 2 ];
     its equivalence with the density-ratio form is covered by tests rather
-    than assumed.  Draws and exp are taken row by row, as in
+    than assumed.  The draws and the decision are those of
     :func:`_rwm_kernel`.  Returns the rows' (sigma, acc_prob, accepted).
     """
     d1_here, noise = batch.d1, batch.normals()
@@ -408,7 +429,7 @@ def _mala_kernel(batch: _Batch, sigma: float):
                      - np.add.reduce(reverse * reverse, axis=-1))
         )
     acc_prob, accepted = batch.decide(exponent, proposal, v, d1)
-    return [sigma] * len(acc_prob), acc_prob, accepted
+    return np.full(acc_prob.shape, sigma), acc_prob, accepted
 
 
 def rwm_step(coords, p: Potential, strategy: Strategy, *, rng: np.random.Generator):
@@ -439,7 +460,7 @@ def _start(inits, p: Potential, strategies, steps: int, rngs) -> _Batch:
             f"need one strategy and one generator per chain: {len(x)} chains, "
             f"{len(strategies)} strategies, {len(rngs)} generators"
         )
-    return _Batch(p, x, rngs, strategies)
+    return _Batch(p, x, rngs, strategies, steps)
 
 
 def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRuns:
@@ -447,9 +468,10 @@ def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRun
     generator states.
 
     Chain r starts at ``inits[r]`` (all of one dimension n), moves by
-    ``strategies[r]`` and draws only from ``rngs[r]``: each step n normals,
-    then one uniform variate.  Its records are bit for bit those of
-    :func:`run_chain` on the same generator, whatever the other rows do.
+    ``strategies[r]`` and draws only from ``rngs[r]``: each step n + 1
+    normals, the last one's Phi being the uniform that decides (stream
+    layout 2).  Its records are bit for bit those of :func:`run_chain` on
+    the same generator, whatever the other rows do or the block size.
     """
     batch = _start(inits, p, strategies, steps, rngs)
     out = {name: np.empty((len(batch.x), steps), dtype=bool if name == "accepted" else float)
@@ -489,7 +511,8 @@ def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
         here = batch.moments[:, 0].tolist() if i % record_every == 0 else None
         ell, acc_prob, accepted = kernel(batch, *args)
         if here is not None:
-            records.append(StepRecord(batch.k, ell[0], accepted[0], acc_prob[0], *here))
+            records.append(StepRecord(batch.k, float(ell[0]), bool(accepted[0]),
+                                      float(acc_prob[0]), *here))
     return records, batch.x[0]
 
 

@@ -11,11 +11,13 @@ Subcommands:
 
 Every writing subcommand creates ``--out`` if needed and drops a
 ``manifest.json`` with the fully resolved configuration and seed, enough to
-re-run bit-identically.  The ``config`` of a ``tune`` or ``simulate``
-manifest holds every parsed option but ``--out`` (``simulate``'s ``--seed``
-goes under ``seed``); an ``experiment`` manifest holds the resolved sweep
-config, or the loss surface's grid.  Exit codes: 0 success, 1 validation
-failure, 2 usage or configuration error.
+re-run bit-identically; ``simulate`` and ``experiment`` manifests also
+record the ``stream_layout``, and ``experiment --config`` refuses a manifest
+of another one.  The ``config`` of a ``tune`` or ``simulate`` manifest holds
+every parsed option but ``--out`` (``simulate``'s ``--seed`` goes under
+``seed``); an ``experiment`` manifest holds the resolved sweep config, or
+the loss surface's grid.  Exit codes: 0 success, 1 validation failure, 2
+usage or configuration error.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ def _write_run(outdir, command, config, seed, files):
         "outputs": sorted(name for name, _, _ in files),
         "wall_clock": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
+    if command != "tune":  # runs that may draw random numbers
+        manifest["stream_layout"] = chains.STREAM_LAYOUT
     path = os.path.join(outdir, "manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -217,8 +221,11 @@ def _cmd_experiment(args) -> int:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"{args.config} is not JSON: {exc}") from None
-        cfg = experiments.ExperimentConfig.from_dict(
-            raw.get("config", raw) if isinstance(raw, dict) else raw)
+        is_manifest = isinstance(raw, dict) and "config" in raw
+        cfg = experiments.ExperimentConfig.from_dict(raw["config"] if is_manifest else raw)
+        if is_manifest and raw.get("stream_layout") != chains.STREAM_LAYOUT:
+            raise DomainError(f"{args.config} was drawn at stream layout "
+                              f"{raw.get('stream_layout', 1)!r}, not {chains.STREAM_LAYOUT}")
     elif args.preset:
         cfg = experiments.preset_config(args.preset, args.target, args.seed)
     else:

@@ -215,9 +215,11 @@ def square_bias_sweep(cfg: ExperimentConfig, workers: int | None = None):
     accepted because perfbench's sweep round and acceptance criterion 07
     pass it.
 
-    Stream layout: the chain of strategy i and replicate r draws from a
+    Stream layout 2: the chain of strategy i and replicate r draws from a
     Philox generator on child i * R + r of SeedSequence(seed).spawn(S * R),
-    first its start coordinates, then, each step, n normals and one uniform.
+    first its start coordinates, then, each step, n + 1 normals: n for the
+    proposal and one whose Phi is the uniform that decides.  The chains draw
+    them in blocks of many steps; the bits do not depend on the block size.
     """
     p = potential_by_name(cfg.target)
     ref_m, ref_s = stationary_coordinate_moments(p)

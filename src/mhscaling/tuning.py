@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coefficients import (
-    _SQRT_2PI, _accept_terms, _check_b, _check_ell, _f1_and_drift, _f1_and_terms, _ratio, f1,
+    _SQRT_2PI, _accept_terms, _check_b, _f1_and_drift, _f1_and_terms, _ratio, f1,
     j_curve, phi,
 )
 # f_rate and g_drift are not called here; they stay importable as
@@ -300,6 +300,15 @@ def ell_star(s: float) -> TuningResult:
     return _solve_star(s, _seed(_star_series(), s))
 
 
+def _in_ab(base: TuningResult, a: float, b: float, objective: float) -> TuningResult:
+    # an (a, b) form's result from the s form's: the scale over sqrt b,
+    # refused in the caller's terms where its square overflows
+    ell = base.ell / math.sqrt(b)
+    if not math.isfinite(ell * ell):
+        raise DomainError(f"the step scale at a={a!r}, b={b!r} is {ell!r}; its square overflows")
+    return TuningResult(ell, objective, base.iterations, base.converged)
+
+
 def ell_star_ab(a: float, b: float) -> TuningResult:
     """Maximizer of ell -> f_rate(a, b, ell); equals ell_star(a/b) / sqrt(b).
 
@@ -314,9 +323,7 @@ def ell_star_ab(a: float, b: float) -> TuningResult:
             "only speed up the exit from the concave region, apply a cap"
         )
     base = ell_star(_ratio(a, b))
-    ell = base.ell / math.sqrt(b)
-    _check_ell(ell)
-    return TuningResult(ell, base.objective_value / b, base.iterations, base.converged)
+    return _in_ab(base, a, b, base.objective_value / b)
 
 
 def ell_alpha(s: float, alpha: float) -> TuningResult:
@@ -342,10 +349,11 @@ def ell_alpha_ab(a: float, b: float, alpha: float) -> TuningResult:
         )
     if not a > 0.0:
         raise DomainError(f"moment a must be > 0, got {a!r}")
-    base = ell_alpha(_ratio(a, b), alpha)
-    ell = base.ell / math.sqrt(b)
-    _check_ell(ell)
-    return TuningResult(ell, base.objective_value, base.iterations, base.converged)
+    ratio = _ratio(a, b)
+    if ratio == 0.0:
+        raise DomainError(f"moment ratio a/b underflows to 0 at a={a!r}, b={b!r}")
+    base = ell_alpha(ratio, alpha)
+    return _in_ab(base, a, b, base.objective_value)
 
 
 def matched_alpha(regime: str) -> float:

@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from mhscaling import tuning
+from mhscaling import chains, tuning
 from mhscaling.chains import (
     DEFAULT_ELL_CAP,
     ConstantAccAdaptive,
@@ -110,11 +110,12 @@ def test_rwm_step_zero_move_accepts():
     p = gaussian_potential()
 
     class ZeroNoise:
+        # zero proposal normals; each step's last normal gives the uniform
+        # Phi(5) = 0.9999997, which still accepts at probability 1
         def standard_normal(self, size):
-            return np.zeros(size)
-
-        def random(self):
-            return 0.999999
+            draws = np.zeros(size)
+            draws[..., -1] = 5.0
+            return draws
 
     _, rec = rwm_step(np.zeros(1), p, ConstantEll(1.0), rng=ZeroNoise())
     assert rec.acc_prob == 1.0
@@ -130,9 +131,6 @@ def test_rwm_acc_prob_is_density_ratio():
 
         def standard_normal(self, size):
             return np.full(size, self.y)
-
-        def random(self):
-            return 1.0
 
     y = 1.7
     # n=1: the proposal is exactly y
@@ -179,9 +177,31 @@ def test_run_chain_preserves_stationarity():
     assert mean_second == pytest.approx(1.0, abs=0.02)
 
 
+def _finite_n_acceptance(s, n, ell):
+    # Expected acceptance of one random walk step on the Gaussian from a
+    # point x with mean x^2 = s, in dimension n.  Along x the proposal
+    # normal is z and the rest of its squared norm is w ~ chi2(n - 1), so
+    # the change of sum V is q(z) = d z^2 + c z + d w.  The z integral of
+    # min(1, e^-q) is closed form (1 between the roots of q, a Gaussian tail
+    # outside); the w one is a 200-point midpoint rule in probability.
+    w = stats.chi2.ppf((np.arange(200) + 0.5) / 200, n - 1)
+    c, d = ell * np.sqrt(s)[:, None], ell * ell / (2 * n)
+    tau, e = 1 + 2 * d, d * w
+    root = np.sqrt(np.maximum(c * c - 4 * d * e, 0.0))
+    lo = (-c - root) / (2 * d)
+    hi = np.maximum(2 * e / (-c - root), lo)  # the roots; equal when q > 0 throughout
+    mu, log_k = -c / tau, c * c / (2 * tau) - e - 0.5 * math.log(tau)
+    tails = (np.exp(log_k + special.log_ndtr(math.sqrt(tau) * (lo - mu)))
+             + np.exp(log_k + special.log_ndtr(-math.sqrt(tau) * (hi - mu))))
+    return (special.ndtr(hi) - special.ndtr(lo) + tails).mean(axis=1)
+
+
 def test_acceptance_rate_tracks_limit_as_n_grows():
     # mean per-step acceptance at rescaled times approaches the limiting
-    # acceptance computed from the moment ODE, and the gap shrinks with n
+    # acceptance computed from the moment ODE, and the gap shrinks with n.
+    # The mean is taken of each step's expected acceptance given the point
+    # it starts from, which has the same mean as acc_prob without the noise
+    # of the proposal; acc_prob must average to it.
     from mhscaling import limits
     from mhscaling.coefficients import acc_rate
 
@@ -196,19 +216,19 @@ def test_acceptance_rate_tracks_limit_as_n_grows():
         # the reps chains run as one batch; chain r is the run_chain of
         # chain_rng(seed0 + r), bit for bit
         window = max(1, n // 20)
-        sums = dict.fromkeys(t_grid, 0.0)
         rngs = [chain_rng(seed0 + r) for r in range(reps)]
         inits = [mu0 + math.sqrt(var0) * rng.standard_normal(n) for rng in rngs]
         runs = run_chains(inits, p, [ConstantEll(ell)] * reps, steps=n, rngs=rngs)
-        for probs in runs.acc_prob:
-            for t in t_grid:
-                center = min(int(n * t), n - 1)
-                lo = max(0, center - window // 2)
-                sums[t] += probs[lo : lo + window].mean()
+        grid = np.linspace(runs.s_hat.min(), runs.s_hat.max(), 400)
+        expected = np.interp(runs.s_hat, grid, _finite_n_acceptance(grid, n, ell))
+        noise = runs.acc_prob - expected
+        assert abs(noise.mean()) < 5.0 * noise.std() / math.sqrt(noise.size), n
         devs = []
         for t in t_grid:
+            center = min(int(n * t), n - 1)
+            lo = max(0, center - window // 2)
             ode_acc = acc_rate(traj.s[int(round(t / 1e-4))], 1.0, ell)
-            devs.append(abs(sums[t] / reps - ode_acc))
+            devs.append(abs(expected[:, lo : lo + window].mean() - ode_acc))
         return max(devs)
 
     dev10 = tracking_dev(10, 1500, 400)
@@ -239,17 +259,17 @@ def test_exchangeability_commutes_with_permutation():
     perm = np.array([2, 0, 1])
 
     class PermutedBlocks:
-        """Wraps a generator, permuting each normal block (the per-coordinate
-        noise streams) by the same permutation applied to the coordinates."""
+        """Wraps a generator, permuting each step's proposal normals (the
+        per-coordinate noise streams) by the same permutation applied to the
+        coordinates; the step's last normal, its uniform, stays put."""
 
         def __init__(self, seed):
             self.base = chain_rng(seed)
 
         def standard_normal(self, size):
-            return self.base.standard_normal(size)[perm]
-
-        def random(self):
-            return self.base.random()
+            draws = self.base.standard_normal(size)
+            draws[..., :-1] = draws[..., perm]
+            return draws
 
     init = np.array([0.3, -1.2, 2.0])
     plain, _ = run_chain(init, p, ConstantEll(1.3), steps=40, rng=chain_rng(11))
@@ -466,9 +486,10 @@ def _alone(init, p, strategy, steps, rng):
     for k in range(steps):
         if theta is not None or ell is None:
             ell = strategy.scale(*here, n, theta)
-        y = x + ell / math.sqrt(n) * rng.standard_normal(n)
-        acc_prob = math.exp(min(float(sum_v - np.sum(p.eval_v(y))), 0.0))
-        accepted = rng.uniform() <= acc_prob
+        draws = rng.standard_normal(n + 1)  # n proposal normals, then the uniform's
+        y = x + ell / math.sqrt(n) * draws[:n]
+        acc_prob = float(np.exp(min(float(sum_v - np.sum(p.eval_v(y))), 0.0)))
+        accepted = bool(special.ndtr(draws[n]) <= acc_prob)
         rows.append((ell, accepted, acc_prob, *here))
         if theta is not None:
             theta = adaptive_update(theta, acc_prob, strategy.alpha, k)
@@ -538,6 +559,78 @@ def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
     m_hat, s_hat = run_chains_moments(inits, p, strategies, steps, rngs=rngs)
     assert m_hat.tobytes() == runs.m_hat.tobytes()
     assert s_hat.tobytes() == runs.s_hat.tobytes()
+
+
+def _mixed_batch():
+    p = double_well_potential()
+    specs = ("constant:2.38", "star", "alpha:0.27", "alpha-adaptive:0.27", "constant:0.5")
+    inits = [np.full(7, 1.0 + i) for i in range(len(specs))]
+    return p, inits, [strategy_from_label(spec) for spec in specs]
+
+
+@pytest.mark.parametrize("block", [1, 5 * 8 * 4, chains._BLOCK])
+def test_run_chains_bits_do_not_depend_on_the_block_size(monkeypatch, block):
+    # The rows draw K steps of normals at a time, K = _BLOCK // (R (n + 1)):
+    # here 1, 4 (37 steps end on a short block) and all 37 at once.  Every
+    # K must give the bits of the run that draws one step at a time.
+    p, inits, strategies = _mixed_batch()
+
+    def run():
+        rngs = [chain_rng([3, i]) for i in range(len(inits))]
+        runs = run_chains(inits, p, strategies, 37, rngs=rngs)
+        mala, _ = run_mala(inits[0], p, 0.4, 37, rng=chain_rng(8))
+        return ([getattr(runs, f.name).tobytes() for f in dataclasses.fields(runs)
+                 if f.name != "theta"], runs.theta, [_bits(r) for r in mala])
+
+    monkeypatch.setattr(chains, "_BLOCK", 1)
+    one_step = run()
+    monkeypatch.setattr(chains, "_BLOCK", block)
+    assert run() == one_step
+    assert 0 < np.frombuffer(one_step[0][1], dtype=bool).sum() < 5 * 37  # accepts and rejects
+
+
+def test_a_run_leaves_its_generator_n_plus_1_normals_per_step_on():
+    # Stream layout 2: a step takes n + 1 normals from the chain's generator
+    # and nothing else, so a run of `steps` steps leaves it where
+    # steps * (n + 1) normals leave a fresh one, whatever the block size.
+    p, inits, strategies = _mixed_batch()
+    n, steps = len(inits[0]), 301
+    rngs = [chain_rng([4, i]) for i in range(len(inits))]
+    run_chains(inits, p, strategies, steps, rngs=rngs)
+    one = chain_rng(5)
+    run_chain(inits[0], p, strategies[1], steps, rng=one)
+    mala = chain_rng(6)
+    run_mala(inits[0], p, 0.4, steps, rng=mala)
+    seeds = [[4, i] for i in range(len(rngs))] + [5, 6]
+    for seed, rng in zip(seeds, [*rngs, one, mala], strict=True):
+        fresh = chain_rng(seed)
+        fresh.standard_normal(steps * (n + 1))
+        assert rng.random(4).tolist() == fresh.random(4).tolist(), seed
+
+
+@pytest.mark.parametrize("target, sigma", [("gaussian", 1.6), ("double-well", 0.6)])
+def test_mala_first_step_follows_the_stream_layout(target, sigma):
+    # The first MALA step rebuilt by hand from a fresh generator: n
+    # proposal normals g, then one normal z whose Phi(z) is the uniform.
+    from mhscaling.targets import potential_by_name
+
+    p = potential_by_name(target)
+    x = chain_rng(9).standard_normal(30) + 1.0
+    outcomes = set()
+    for seed in range(8):
+        (record,), end = run_mala(x, p, sigma, 1, rng=chain_rng(seed))
+        draws = chain_rng(seed).standard_normal(31)
+        g, d1x = draws[:30], np.asarray(p.d1(x))
+        y = x + (sigma * g - 0.5 * sigma * sigma * d1x)
+        reverse = g - 0.5 * sigma * (d1x + np.asarray(p.d1(y)))
+        exponent = (np.sum(p.eval_v(x)) - np.sum(p.eval_v(y))
+                    + 0.5 * (np.sum(g * g) - np.sum(reverse * reverse)))
+        acc_prob = float(np.exp(min(exponent, 0.0)))
+        assert record.acc_prob == pytest.approx(acc_prob, rel=1e-12)
+        assert record.accepted == (special.ndtr(draws[30]) <= acc_prob)
+        assert end.tobytes() == (y if record.accepted else x).tobytes()
+        outcomes.add(record.accepted)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("record_every", [1, 3])

@@ -252,6 +252,32 @@ def test_bias_files_hold_their_own_strategy(tmp_path):
         assert rows.tolist() == [list(map(float, w)) for w in want], label
 
 
+@pytest.mark.parametrize("layout", [None, 1, "2"])
+def test_experiment_manifest_of_another_stream_layout_is_refused(tmp_path, capsys, layout):
+    # a rerun at another stream layout would not reproduce the manifest's
+    # data; a manifest without the key was written at layout 1
+    cfg = {
+        "target": "gaussian", "n": 10, "window": 40, "t0_grid": [0],
+        "replicates": 3, "strategies": ["constant:2.38"], "seed": 1,
+    }
+    bare, out = tmp_path / "cfg.json", tmp_path / "run"
+    bare.write_text(json.dumps(cfg))
+    assert run_cli(["experiment", "--config", str(bare), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stream_layout"] == 2 and "stream_layout" not in manifest["config"]
+    if layout is None:
+        del manifest["stream_layout"]
+    else:
+        manifest["stream_layout"] = layout
+    old, rerun = tmp_path / "old.json", tmp_path / "rerun"
+    old.write_text(json.dumps(manifest))
+    assert run_cli(["experiment", "--config", str(old), "--out", str(rerun)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "stream layout" in err, err
+    assert not rerun.exists()
+
+
 def test_experiment_manifest_with_labels_is_refused(tmp_path, capsys):
     # manifests of older versions named strategies by label
     cfg = {
@@ -330,6 +356,21 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     assert run_cli([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune", "--mode", "alpha", "--a", "1e-320", "--b", "1e300"],
+    ["tune", "--mode", "alpha", "--a", "1", "--b", "1e-160"],
+    ["tune", "--mode", "star", "--a", "1", "--b", "1e-160"],
+])
+def test_tune_ab_refusals_name_a_and_b(tmp_path, capsys, argv):
+    # not a moment ratio s or a step scale the caller never passed
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"a={float(argv[4])!r}, b={float(argv[6])!r}" in err, err
     assert not out.exists()
 
 
@@ -513,6 +554,7 @@ def test_manifest_records_every_option(tmp_path, argv):
     for name in set(parsed) - {"command", "fn", "out", "seed"}:
         assert manifest["config"][name] == parsed[name], name
     assert manifest["seed"] == parsed.get("seed")
+    assert manifest.get("stream_layout") == (None if argv[0] == "tune" else 2)
 
 
 def test_loss_manifest_records_its_grid(tmp_path):

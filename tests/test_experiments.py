@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from mhscaling.chains import (
     ConstantEll,
@@ -304,16 +305,15 @@ def _layout_config(init_kind, init_params):
 
 
 def test_sweep_stream_layout_is_pinned():
-    # The digest of a small five-strategy sweep, taken before its chains ran
-    # as one batch.  It moves if the stream layout (see the README) or the
-    # arithmetic of a step changes, and such a change must be recorded; it
-    # is also tied to the numpy and scipy in use (their normals, special
-    # functions and sums), so an upgrade of either may move it without any
-    # change here.  test_sweep_rows_draw_from_their_own_children checks the layout
-    # alone.
+    # The digest of a small five-strategy sweep at stream layout 2.  It
+    # moves if the stream layout (see the README) or the arithmetic of a step
+    # changes, and such a change must be recorded; it is also tied to the
+    # numpy and scipy in use (their normals, special functions and sums), so
+    # an upgrade of either may move it without any change here.
+    # test_sweep_rows_draw_from_their_own_children checks the layout alone.
     rows = "\n".join(repr(row) for row in square_bias_sweep(_layout_config("point", (10.0,))))
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "99938de268718e0a856283ce946d4138285f709c39bf6d3b1ac379d5e69262f5"
+        "521c120dfaf30bc26cd7f4d94e08281ac7e83f08f370bb8147705510164678de"
     )
 
 
@@ -330,16 +330,17 @@ def test_sweep_reduction_over_many_replicates_is_pinned():
     )
     rows = "\n".join(repr(row) for row in square_bias_sweep(cfg))
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "258829d0c12bb95cbf1db1b31555ea210ba1ae4bacc46ba1f25908877b464868"
+        "9cf17f432847eb32b79ce1e788de75506b09772f79b927167546165cec83e0fd"
     )
 
 
 def test_sweep_rows_draw_from_their_own_children(monkeypatch):
-    # Row i * R + r (strategy i, replicate r) of the sweep's batch draws from
-    # child i * R + r of SeedSequence(seed).spawn(S * R): its start
-    # coordinates first, then n normals and one uniform for its first step.
-    # Checked against fresh generators on those children, with tolerances,
-    # so that it holds whatever the library versions.
+    # Stream layout 2: row i * R + r (strategy i, replicate r) of the sweep's
+    # batch draws from child i * R + r of SeedSequence(seed).spawn(S * R):
+    # its start coordinates first, then n + 1 normals a step, n for the
+    # proposal and one whose Phi is the uniform that decides.  Checked
+    # against fresh generators on those children, with tolerances, so that
+    # it holds whatever the library versions.
     from mhscaling import experiments
 
     cfg = _layout_config("gaussian", (0.0, 1.0))
@@ -358,6 +359,7 @@ def test_sweep_rows_draw_from_their_own_children(monkeypatch):
     m_hat = seen["paths"][0]
     p = gaussian_potential()
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.strategies) * reps)
+    outcomes = set()
     for j, child in enumerate(children):
         assert seen["labels"][j] == cfg.strategies[j // reps].label()
         fresh = chain_rng(child)
@@ -365,10 +367,13 @@ def test_sweep_rows_draw_from_their_own_children(monkeypatch):
         np.testing.assert_allclose(seen["inits"][j], x, rtol=1e-12)
         assert seen["rngs"][j].random(3).tolist() == copy.deepcopy(fresh).random(3).tolist()
         if j < reps:  # constant:2.38 rows: redo the first step by hand
-            y = x + 2.38 / math.sqrt(n) * fresh.standard_normal(n)
+            draws = fresh.standard_normal(n + 1)
+            y = x + 2.38 / math.sqrt(n) * draws[:n]
             acc_prob = math.exp(min(float(np.sum(p.eval_v(x)) - np.sum(p.eval_v(y))), 0.0))
-            after = y if fresh.uniform() <= acc_prob else x
-            assert m_hat[j, 1] == pytest.approx(np.mean(after), rel=1e-12)
+            accepted = special.ndtr(draws[n]) <= acc_prob
+            outcomes.add(bool(accepted))
+            assert m_hat[j, 1] == pytest.approx(np.mean(y if accepted else x), rel=1e-12)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("name", ["chains", "coefficients", "experiments", "limits",

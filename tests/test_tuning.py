@@ -111,6 +111,9 @@ def test_ell_star_ab_rejects_nonpositive_curvature():
     (ell_alpha_ab, (1e300, 1e-10, 0.27), ("a=1e+300", "b=1e-10")),
     (ell_alpha_ab, (1, math.inf, 0.27), ("b must be finite, got inf",)),
     (ell_alpha_ab, (1, math.nan, 0.27), ("b must be finite, got nan",)),
+    (ell_alpha_ab, (1e-320, 1e300, 0.27), ("a=1e-320", "b=1e+300")),
+    (ell_alpha_ab, (1, 1e-160, 0.27), ("a=1", "b=1e-160")),
+    (ell_star_ab, (1, 1e-160), ("a=1", "b=1e-160")),
 ])
 def test_ab_refusals_name_the_callers_arguments(call, args, named):
     # An overflowing a/b or ell^2 b, or a b that is not finite, is refused in
