@@ -298,7 +298,7 @@ class _Batch:
 
     Row r has its own generator ``rngs[r]``, strategy ``strategies[r]`` and
     adaptive ``theta[r]``: log(2.38 / sqrt(n)) from construction on an
-    adaptive row (those listed in ``adaptive``), None on the others.  The
+    adaptive row, None on the others.  The
     summary of row r's current point is ``sum_v[r]``, the sum of V,
     ``d1[r]``, V', and the column ``moments[:, r]``, holding a_hat =
     mean V'^2, b_hat = mean V'', m_hat = mean x and s_hat = mean x^2.  Each
@@ -321,7 +321,6 @@ class _Batch:
         theta = math.log(2.38 / math.sqrt(x.shape[1]))  # the classic stationary-phase scale
         self.theta = [theta if isinstance(s, ConstantAccAdaptive) else None
                       for s in self.strategies]
-        self.adaptive = np.flatnonzero([t is not None for t in self.theta])
         self.ell = np.full(len(x), math.nan)
         # the current block of draws, of which step k + 1 takes [:, _at]
         self._block, self._at, self._left = np.empty((len(x), 0, 0)), 0, steps
@@ -339,12 +338,8 @@ class _Batch:
         if self._at == self._block.shape[1]:
             rows, width = len(self.x), self.x.shape[1] + 1
             size = (min(self._left, max(1, _BLOCK // (rows * width))), width)
-            if self._block.shape[1] < size[0]:  # the first block; later ones reuse it
-                self._block = np.empty((rows, *size))
-            self._block, self._at = self._block[:, :size[0]], 0
-            self._left -= size[0]
-            for rng, block in zip(self.rngs, self._block):
-                block[...] = rng.standard_normal(size)
+            self._block = np.array([rng.standard_normal(size) for rng in self.rngs])
+            self._at, self._left = 0, self._left - size[0]
             self._uniforms = ndtr(self._block[:, :, -1])
         return self._block[:, self._at, :-1]
 
@@ -388,8 +383,9 @@ def _rwm_kernel(batch: _Batch):
     """
     n = batch.x.shape[1]
     ell, theta = batch.ell, batch.theta
+    adaptive = [r for r, t in enumerate(theta) if t is not None]
     fresh = np.isnan(ell)  # no scale here yet
-    fresh[batch.adaptive] = True
+    fresh[adaptive] = True
     for r in np.flatnonzero(fresh).tolist():
         ell[r] = batch.strategies[r].scale(*batch.moments[:, r].tolist(), n, theta[r])
     ell_used = ell.copy()
@@ -400,7 +396,7 @@ def _rwm_kernel(batch: _Batch):
         log_ratio = batch.sum_v - np.add.reduce(v, axis=-1)
     k = batch.k  # theta_k moves with the index of the step it closes
     acc_prob, accepted = batch.decide(log_ratio, proposal, v)
-    for r in batch.adaptive.tolist():
+    for r in adaptive:
         theta[r] = adaptive_update(theta[r], float(acc_prob[r]), batch.strategies[r].alpha, k)
     return ell_used, acc_prob, accepted
 

@@ -63,7 +63,7 @@ def _write_run(outdir, command, config, seed, files):
         "outputs": sorted(name for name, _, _ in files),
         "wall_clock": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    if command != "tune":  # runs that may draw random numbers
+    if command != "tune":  # every simulate and experiment run, drawing or not
         manifest["stream_layout"] = chains.STREAM_LAYOUT
     path = os.path.join(outdir, "manifest.json")
     with open(path, "w") as fh:

@@ -201,7 +201,10 @@ def test_acceptance_rate_tracks_limit_as_n_grows():
     # acceptance computed from the moment ODE, and the gap shrinks with n.
     # The mean is taken of each step's expected acceptance given the point
     # it starts from, which has the same mean as acc_prob without the noise
-    # of the proposal; acc_prob must average to it.
+    # of the proposal; acc_prob must average to it over all steps and inside
+    # each window.  The differences acc_prob - expected are uncorrelated
+    # across steps (each has mean 0 given the chain's past), so a plain
+    # standard error applies.
     from mhscaling import limits
     from mhscaling.coefficients import acc_rate
 
@@ -227,6 +230,8 @@ def test_acceptance_rate_tracks_limit_as_n_grows():
         for t in t_grid:
             center = min(int(n * t), n - 1)
             lo = max(0, center - window // 2)
+            gap = noise[:, lo : lo + window]
+            assert abs(gap.mean()) < 4.0 * gap.std() / math.sqrt(gap.size), (n, t)
             ode_acc = acc_rate(traj.s[int(round(t / 1e-4))], 1.0, ell)
             devs.append(abs(expected[:, lo : lo + window].mean() - ode_acc))
         return max(devs)
