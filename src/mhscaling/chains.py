@@ -322,8 +322,11 @@ class _Batch:
         self.theta = [theta if isinstance(s, ConstantAccAdaptive) else None
                       for s in self.strategies]
         self.ell = np.full(len(x), math.nan)
-        # the current block of draws, of which step k + 1 takes [:, _at]
-        self._block, self._at, self._left = np.empty((len(x), 0, 0)), 0, steps
+        # every block of draws fills the front of _buf; step k + 1 takes
+        # [:, _at] of the current one, _block
+        width = x.shape[1] + 1
+        self._buf = np.empty((len(x), min(steps, max(1, _BLOCK // (len(x) * width))), width))
+        self._block, self._at, self._left = self._buf[:, :0], 0, steps
         with np.errstate(over="ignore", invalid="ignore"):
             self.sum_v = np.add.reduce(p.eval_v(x), axis=-1)
             self.d1 = np.array(p.d1(x), dtype=float)
@@ -336,10 +339,10 @@ class _Batch:
         blocks of its own generator's normals, K = _BLOCK // (R (n + 1)) (at
         least 1, at most the steps left)."""
         if self._at == self._block.shape[1]:
-            rows, width = len(self.x), self.x.shape[1] + 1
-            size = (min(self._left, max(1, _BLOCK // (rows * width))), width)
-            self._block = np.array([rng.standard_normal(size) for rng in self.rngs])
-            self._at, self._left = 0, self._left - size[0]
+            size = (min(self._left, self._buf.shape[1]), self._buf.shape[2])
+            self._block, self._at, self._left = self._buf[:, :size[0]], 0, self._left - size[0]
+            for rng, block in zip(self.rngs, self._block):
+                rng.standard_normal(size, out=block)
             self._uniforms = ndtr(self._block[:, :, -1])
         return self._block[:, self._at, :-1]
 

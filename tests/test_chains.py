@@ -112,10 +112,9 @@ def test_rwm_step_zero_move_accepts():
     class ZeroNoise:
         # zero proposal normals; each step's last normal gives the uniform
         # Phi(5) = 0.9999997, which still accepts at probability 1
-        def standard_normal(self, size):
-            draws = np.zeros(size)
-            draws[..., -1] = 5.0
-            return draws
+        def standard_normal(self, size, out):
+            out[...] = 0.0
+            out[..., -1] = 5.0
 
     _, rec = rwm_step(np.zeros(1), p, ConstantEll(1.0), rng=ZeroNoise())
     assert rec.acc_prob == 1.0
@@ -129,8 +128,8 @@ def test_rwm_acc_prob_is_density_ratio():
         def __init__(self, y):
             self.y = y
 
-        def standard_normal(self, size):
-            return np.full(size, self.y)
+        def standard_normal(self, size, out):
+            out[...] = self.y
 
     y = 1.7
     # n=1: the proposal is exactly y
@@ -271,10 +270,9 @@ def test_exchangeability_commutes_with_permutation():
         def __init__(self, seed):
             self.base = chain_rng(seed)
 
-        def standard_normal(self, size):
-            draws = self.base.standard_normal(size)
-            draws[..., :-1] = draws[..., perm]
-            return draws
+        def standard_normal(self, size, out):
+            self.base.standard_normal(size, out=out)
+            out[..., :-1] = out[..., perm]
 
     init = np.array([0.3, -1.2, 2.0])
     plain, _ = run_chain(init, p, ConstantEll(1.3), steps=40, rng=chain_rng(11))
