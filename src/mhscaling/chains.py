@@ -74,8 +74,8 @@ DEFAULT_ELL_CAP = 10.0
 # would run for days.  Chains, the AR(1) limit and the integrators share it.
 _MAX_STEPS = 10**7
 
-# Moment ratios this small are indistinguishable from 0 and would break the
-# acceptance-matching solve; clamp instead.
+# A spread s - m^2 this small is a point start, where the entropy rule has
+# no root and falls back to the rate-optimal scale.
 _S_FLOOR = 1e-12
 
 # The module docstring's stream layout, recorded in run manifests; layout 1
@@ -148,7 +148,7 @@ class ConstantAccNumeric(Strategy):
         return f"acc-{self.alpha:g}-numeric"
 
     def scale(self, a, b, m, s, n, theta=None) -> float:
-        return _capped(tuning.ell_alpha_ab, max(a, _S_FLOOR * abs(b)), b, self.alpha)
+        return _capped(tuning.ell_alpha_ab, a, b, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -296,37 +296,45 @@ _OUTCOME = ("ell_used", "acc_prob", "accepted")  # what the kernels return, in o
 class _Batch:
     """R chains in dimension n under one potential, stepped together.
 
-    Row r has its own generator ``rngs[r]``, strategy ``strategies[r]`` and
-    adaptive ``theta[r]``: log(2.38 / sqrt(n)) from construction on an
-    adaptive row, None on the others.  The
-    summary of row r's current point is ``sum_v[r]``, the sum of V,
-    ``d1[r]``, V', and the column ``moments[:, r]``, holding a_hat =
-    mean V'^2, b_hat = mean V'', m_hat = mean x and s_hat = mean x^2.  Each
-    row is reduced as np.sum and np.mean reduce it alone, so a row's values
-    do not depend on the other rows.  ``ell[r]`` is the scale row r's
-    strategy chose at that point, nan until chosen.  ``x`` is replaced,
-    never written into, when rows move, so a row of it can serve as a
-    chain's coords, and ``x`` may be a view of a caller's array.  The
-    summary arrays are the batch's own and are refreshed in place; ``d1`` is
-    copied because ``p.d1`` may return its argument (the Gaussian's does).
-    All rows have made ``k`` of the ``steps`` steps the batch draws for.
+    Row r starts at ``inits[r]`` and has its own generator ``rngs[r]``,
+    strategy ``strategies[r]`` and adaptive ``theta[r]``: log(2.38 / sqrt(n))
+    from construction on an adaptive row, None on the others.  ``x`` is the
+    batch's own copy of the starts.  The summary of row r's current point is
+    ``sum_v[r]``, the sum of V, ``d1[r]``, V', and the column
+    ``moments[:, r]``, holding a_hat = mean V'^2, b_hat = mean V'', m_hat =
+    mean x and s_hat = mean x^2.  Each row is reduced as np.sum and np.mean
+    reduce it alone, so a row's values do not depend on the other rows.
+    ``ell[r]`` is the scale row r's strategy chose at that point, nan until
+    chosen.  An accepted step writes its rows into ``x`` and the summary
+    arrays in place; ``d1`` is copied because ``p.d1`` may return its
+    argument (the Gaussian's does).  All rows have made ``k`` of the
+    ``steps`` steps the batch draws for.
     """
 
-    def __init__(self, p: Potential, x: np.ndarray, rngs, strategies, steps: int):
+    def __init__(self, p: Potential, inits, rngs, strategies, steps: int):
+        x = np.array(inits, dtype=float)
+        if x.ndim != 2 or x.shape[1] < 1:
+            raise DomainError(
+                f"initial states must be R rows of n >= 1 coordinates, got shape {x.shape}"
+            )
+        _check_steps(steps)
+        if not len(strategies) == len(rngs) == len(x):
+            raise DomainError(
+                f"need one strategy and one generator per chain: {len(x)} chains, "
+                f"{len(strategies)} strategies, {len(rngs)} generators"
+            )
         if p.name != "gaussian" and any(isinstance(s, EntropyOptimalGaussian)
                                         for s in strategies):
             raise DomainError(f"strategy 'ent' is for the Gaussian target, not {p.name!r}")
-        self.p, self.x, self.k = p, x, 0
+        self.p, self.x, self.k, self.steps = p, x, 0, steps
         self.rngs, self.strategies = list(rngs), list(strategies)
         theta = math.log(2.38 / math.sqrt(x.shape[1]))  # the classic stationary-phase scale
         self.theta = [theta if isinstance(s, ConstantAccAdaptive) else None
                       for s in self.strategies]
         self.ell = np.full(len(x), math.nan)
-        # every block of draws fills the front of _buf; step k + 1 takes
-        # [:, _at] of the current one, _block
+        # step k + 1 takes column k % K of the block of draws at the front of _buf
         width = x.shape[1] + 1
         self._buf = np.empty((len(x), min(steps, max(1, _BLOCK // (len(x) * width))), width))
-        self._block, self._at, self._left = self._buf[:, :0], 0, steps
         with np.errstate(over="ignore", invalid="ignore"):
             self.sum_v = np.add.reduce(p.eval_v(x), axis=-1)
             self.d1 = np.array(p.d1(x), dtype=float)
@@ -338,13 +346,13 @@ class _Batch:
         """Each row's n proposal normals for step k + 1, from (K, n + 1)
         blocks of its own generator's normals, K = _BLOCK // (R (n + 1)) (at
         least 1, at most the steps left)."""
-        if self._at == self._block.shape[1]:
-            size = (min(self._left, self._buf.shape[1]), self._buf.shape[2])
-            self._block, self._at, self._left = self._buf[:, :size[0]], 0, self._left - size[0]
-            for rng, block in zip(self.rngs, self._block):
-                rng.standard_normal(size, out=block)
-            self._uniforms = ndtr(self._block[:, :, -1])
-        return self._block[:, self._at, :-1]
+        at = self.k % self._buf.shape[1]
+        if not at:
+            block = self._buf[:, :min(self.steps - self.k, self._buf.shape[1])]
+            for rng, rows in zip(self.rngs, block):
+                rng.standard_normal(rows.shape, out=rows)
+            self._uniforms = ndtr(block[:, :, -1])
+        return self._buf[:, at, :-1]
 
     def decide(self, log_ratio: np.ndarray, proposal: np.ndarray, v: np.ndarray,
                d1: np.ndarray | None = None):
@@ -354,19 +362,17 @@ class _Batch:
         V'(proposal)) and the step is counted.  Returns the rows'
         (acc_prob, accepted) arrays."""
         acc_prob = np.exp(np.minimum(log_ratio, 0.0))
-        accepted = self._uniforms[:, self._at] <= acc_prob
-        self.k, self._at = self.k + 1, self._at + 1
+        accepted = self._uniforms[:, self.k % self._buf.shape[1]] <= acc_prob
+        self.k += 1
         rows = np.flatnonzero(accepted)
         if not rows.size:
             return acc_prob, accepted
+        if rows.size == accepted.size:
+            rows = slice(None)  # every row: views, not copies
+        proposal, v = proposal[rows], v[rows]
+        d1 = self.p.d1(proposal) if d1 is None else d1[rows]
         self.ell[rows] = math.nan
-        if rows.size < accepted.size:
-            self.x = np.where(accepted[:, None], proposal, self.x)
-            proposal, v = proposal[rows], v[rows]
-            d1 = None if d1 is None else d1[rows]
-        else:
-            self.x, rows = proposal, slice(None)
-        d1 = self.p.d1(proposal) if d1 is None else d1
+        self.x[rows] = proposal
         self.sum_v[rows] = np.add.reduce(v, axis=-1)
         self.d1[rows] = d1
         self.moments[:, rows] = _moment_means(self.p, proposal, d1, proposal, proposal * proposal)
@@ -447,21 +453,6 @@ def _check_steps(steps) -> None:
         raise DomainError(f"steps must be from 0 to {_MAX_STEPS:,}, got {steps!r}")
 
 
-def _start(inits, p: Potential, strategies, steps: int, rngs) -> _Batch:
-    x = np.array(inits, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise DomainError(
-            f"initial states must be R rows of n >= 1 coordinates, got shape {x.shape}"
-        )
-    _check_steps(steps)
-    if not len(strategies) == len(rngs) == len(x):
-        raise DomainError(
-            f"need one strategy and one generator per chain: {len(x)} chains, "
-            f"{len(strategies)} strategies, {len(rngs)} generators"
-        )
-    return _Batch(p, x, rngs, strategies, steps)
-
-
 def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRuns:
     """Run R random walk chains as one batch; deterministic for given
     generator states.
@@ -472,7 +463,7 @@ def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRun
     layout 2).  Its records are bit for bit those of :func:`run_chain` on
     the same generator, whatever the other rows do or the block size.
     """
-    batch = _start(inits, p, strategies, steps, rngs)
+    batch = _Batch(p, inits, rngs, strategies, steps)
     out = {name: np.empty((len(batch.x), steps), dtype=bool if name == "accepted" else float)
            for name in _MOMENTS + _OUTCOME}
     for k in range(steps):
@@ -490,7 +481,7 @@ def run_chains_moments(inits, p: Potential, strategies, steps: int, *, rngs):
 
     All a square-bias sweep reads, in two sevenths of the memory.
     """
-    batch = _start(inits, p, strategies, steps, rngs)
+    batch = _Batch(p, inits, rngs, strategies, steps)
     m_hat, s_hat = np.empty((len(batch.x), steps)), np.empty((len(batch.x), steps))
     for k in range(steps):
         m_hat[:, k], s_hat[:, k] = batch.moments[2:]
@@ -503,7 +494,7 @@ def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
     # returns a StepRecord for every record_every-th step, and the end point
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    batch = _start(np.reshape(init, (1, -1)), p, [strategy], steps, [rng])
+    batch = _Batch(p, np.reshape(init, (1, -1)), [rng], [strategy], steps)
     records = []
     for i in range(1, steps + 1):
         # a record holds the moments of the point its step starts from

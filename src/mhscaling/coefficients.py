@@ -219,12 +219,12 @@ def _f1_and_drift(s: float, ell: float) -> tuple[float, float]:
 def j_curve(s: float, ell: float) -> float:
     """Limiting acceptance rate as a function of the moment ratio s = a/b.
 
-    Strictly decreasing in ell, with j_curve(s, 0) == 1; equals
-    acc_rate(s, 1, ell) for ell > 0 and more generally
-    acc_rate(a, b, ell) == j_curve(a/b, ell*sqrt(b)) for b > 0.
+    Strictly decreasing in ell, with j_curve(s, 0) == 1 and j_curve(0, ell)
+    == exp(-ell**2 / 2); equals acc_rate(s, 1, ell) for ell > 0 and more
+    generally acc_rate(a, b, ell) == j_curve(a/b, ell*sqrt(b)) for b > 0.
     """
-    if not s > 0.0 or not math.isfinite(s):
-        raise DomainError(f"moment ratio s must be finite and > 0, got {s!r}")
+    if s < 0.0 or not math.isfinite(s):
+        raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
     if ell == 0.0:
         return 1.0
     _check_ell(ell)

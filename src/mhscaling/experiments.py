@@ -275,7 +275,7 @@ def relative_loss_surface(b_values, a_grid, alphas):
                     )
                 a, b, alpha = float(a), float(b), float(alpha)
                 best = ell_star_ab(a, b).objective_value
-                matched = f_rate(a, b, ell_alpha_ab(max(a, 1e-12), b, alpha).ell)
+                matched = f_rate(a, b, ell_alpha_ab(a, b, alpha).ell)
                 rows.append(
                     LossPoint(alpha=alpha, b=b, a=a, loss=(best - matched) / best)
                 )

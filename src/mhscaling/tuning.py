@@ -148,7 +148,10 @@ def _slopes(s: float, ell: float) -> tuple[float, float, float, float]:
 def _acceptance_and_slope(s: float, ell: float) -> tuple[float, float]:
     # j_curve(s, ell) = Phi(-ell / (2 sqrt s)) + E and its ell-derivative
     # sqrt(s) D - ell E / 2 (as in _mills_terms), from one evaluation of the
-    # acceptance terms
+    # acceptance terms; at s = 0, exp(-ell^2 / 2) and its derivative
+    if s == 0.0:
+        gauss = math.exp(-0.5 * ell * ell)
+        return gauss, -ell * gauss
     first, second = _accept_terms(s, 1.0, ell)
     root_s, t, density, d1, _ = _mills_terms(s, ell, second)
     # D itself below _GAP_T, where ell^2 D may underflow with ell^2
@@ -309,20 +312,25 @@ def _in_ab(base: TuningResult, a: float, b: float, objective: float) -> TuningRe
     return TuningResult(ell, objective, base.iterations, base.converged)
 
 
+def _ab_ratio(a: float, b: float, concave: str) -> float:
+    # a/b of an (a, b) form; b <= 0 is the concave region, where the rule
+    # has no finite scale, refused with the rule's own message concave
+    if a < 0.0 or math.isnan(a):
+        raise DomainError(f"moment a must be >= 0, got {a!r}")
+    _check_b(b)
+    if not b > 0.0:
+        raise ConcaveRegionError(concave)
+    return _ratio(a, b)
+
+
 def ell_star_ab(a: float, b: float) -> TuningResult:
     """Maximizer of ell -> f_rate(a, b, ell); equals ell_star(a/b) / sqrt(b).
 
     Its objective is ell_star(a/b)'s divided by b, as f_rate is f1 rescaled.
     """
-    if a < 0.0 or math.isnan(a):
-        raise DomainError(f"moment a must be >= 0, got {a!r}")
-    _check_b(b)
-    if not b > 0.0:
-        raise ConcaveRegionError(
-            "no finite rate-optimal step scale for b <= 0; larger proposals "
-            "only speed up the exit from the concave region, apply a cap"
-        )
-    base = ell_star(_ratio(a, b))
+    base = ell_star(_ab_ratio(a, b, "no finite rate-optimal step scale for b <= 0; larger "
+                                    "proposals only speed up the exit from the concave "
+                                    "region, apply a cap"))
     return _in_ab(base, a, b, base.objective_value / b)
 
 
@@ -330,10 +338,10 @@ def ell_alpha(s: float, alpha: float) -> TuningResult:
     """Unique solution of j_curve(s, ell) == alpha (acceptance matching).
 
     The acceptance curve is strictly decreasing from 1 to 0, so the root is
-    unique.
+    unique; at s = 0 it is sqrt(-2 ln alpha).
     """
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"moment ratio s must be finite and > 0, got {s!r}")
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"target acceptance alpha must lie in (0, 1), got {alpha!r}")
     return _solve_alpha(s, alpha, _seed(_alpha_series(alpha), s))
@@ -341,18 +349,8 @@ def ell_alpha(s: float, alpha: float) -> TuningResult:
 
 def ell_alpha_ab(a: float, b: float, alpha: float) -> TuningResult:
     """Scale solving acc_rate(a, b, .) == alpha; equals ell_alpha(a/b) / sqrt(b)."""
-    _check_b(b)
-    if not b > 0.0:
-        raise ConcaveRegionError(
-            "no step scale attains a sub-1/2 acceptance target for b <= 0; "
-            "apply a cap instead"
-        )
-    if not a > 0.0:
-        raise DomainError(f"moment a must be > 0, got {a!r}")
-    ratio = _ratio(a, b)
-    if ratio == 0.0:
-        raise DomainError(f"moment ratio a/b underflows to 0 at a={a!r}, b={b!r}")
-    base = ell_alpha(ratio, alpha)
+    base = ell_alpha(_ab_ratio(a, b, "no step scale attains a sub-1/2 acceptance target "
+                                     "for b <= 0; apply a cap instead"), alpha)
     return _in_ab(base, a, b, base.objective_value)
 
 

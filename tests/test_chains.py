@@ -80,6 +80,15 @@ def test_choose_ell_acceptance_numeric():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_acceptance_matching_at_a_point_start_uses_the_s_zero_root():
+    # at x = 0 the Gaussian's a_hat is 0, and the scale is the root of
+    # exp(-ell^2 / 2) = alpha, not that of a clamped moment ratio
+    records, _ = run_chain(np.zeros(10), gaussian_potential(), ConstantAccNumeric(0.27), 1,
+                           rng=chain_rng(0))
+    want = math.sqrt(-2.0 * math.log(0.27))
+    assert abs(records[0].ell_used - want) <= 1e-13 * want
+
+
 def test_choose_ell_concave_fallback():
     # nonpositive curvature estimate: numeric rules return the cap
     assert ConstantAccNumeric(0.3).scale(1.0, -0.5, 0.0, 1.0, 10) == DEFAULT_ELL_CAP
@@ -448,27 +457,37 @@ def test_rate_optimal_solves_once_per_point(monkeypatch):
     assert calls < len(records)
 
 
-@pytest.mark.parametrize("kind", ["rwm", "mala"])
+@pytest.mark.parametrize("kind", ["rwm", "mala", "run_chains", "run_chains_moments"])
 def test_steps_leave_the_callers_array_alone(kind):
     # The Gaussian's V' returns its argument, so a batch summary that kept
-    # it would hold the chain's own coords and an accepted step would write
-    # the proposal into the caller's array.  Two chains started from one
-    # array must run like two chains started from copies of it, and the
-    # array must not move.
+    # it would hold the chain's own coords; and a batch moves its accepted
+    # rows in place, so a batch that kept the caller's starts would write
+    # the proposals there.  Chains started from one array must run like
+    # chains started from copies of it, and the array must not move.
     p = gaussian_potential()
 
     def run(init, seed):
+        # the bytes of what the run returns, and whether any chain moved
         if kind == "mala":
-            return run_mala(init, p, 0.5, 30, rng=chain_rng(seed))
-        return run_chain(init, p, ConstantEll(1.0), 30, rng=chain_rng(seed))
+            records, end = run_mala(init, p, 0.5, 30, rng=chain_rng(seed))
+        elif kind == "rwm":
+            records, end = run_chain(init, p, ConstantEll(1.0), 30, rng=chain_rng(seed))
+        else:
+            args = (init, p, [ConstantEll(1.0)] * len(init), 30)
+            rngs = [chain_rng([seed, r]) for r in range(len(init))]
+            if kind == "run_chains_moments":
+                m_hat, s_hat = run_chains_moments(*args, rngs=rngs)
+                return [m_hat.tobytes(), s_hat.tobytes()], bool(np.any(s_hat != 1.0))
+            runs = run_chains(*args, rngs=rngs)
+            return ([getattr(runs, f.name).tobytes() for f in dataclasses.fields(runs)
+                     if f.name != "theta"], bool(runs.accepted.any()))
+        return [_bits(r) for r in records] + [end.tobytes()], any(r.accepted for r in records)
 
-    shared = np.full(20, 1.0)
+    shared = np.full(20 if kind in ("rwm", "mala") else (3, 20), 1.0)
     for seed in (3, 4):
-        records, end = run(shared, seed)
-        alone, alone_end = run(shared.copy(), seed)
-        assert [_bits(r) for r in records] == [_bits(r) for r in alone]
-        assert end.tobytes() == alone_end.tobytes()
-        assert any(r.accepted for r in records)
+        got, moved = run(shared, seed)
+        assert got == run(shared.copy(), seed)[0]
+        assert moved
     assert np.all(shared == 1.0)
 
 

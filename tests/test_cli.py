@@ -360,7 +360,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["tune", "--mode", "alpha", "--a", "1e-320", "--b", "1e300"],
+    ["tune", "--mode", "alpha", "--a", "1e300", "--b", "1e-10"],
     ["tune", "--mode", "alpha", "--a", "1", "--b", "1e-160"],
     ["tune", "--mode", "star", "--a", "1", "--b", "1e-160"],
 ])
@@ -372,6 +372,17 @@ def test_tune_ab_refusals_name_a_and_b(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"a={float(argv[4])!r}, b={float(argv[6])!r}" in err, err
     assert not out.exists()
+
+
+def test_tune_ab_answers_an_underflowing_ratio(tmp_path):
+    # a/b underflows to 0, where the acceptance-matched scale is
+    # sqrt(-2 ln alpha) / sqrt(b)
+    argv = ["tune", "--mode", "alpha", "--a", "1e-320", "--b", "1e300"]
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    header, row = (tmp_path / "tune.csv").read_text().splitlines()
+    ell = float(row.split(",")[header.split(",").index("ell")])
+    expected = math.sqrt(-2.0 * math.log(0.27)) / 1e150
+    assert abs(ell - expected) <= 1e-13 * expected
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -324,8 +324,8 @@ def test_j_curve_strictly_decreasing_and_vanishing():
 
 
 def test_j_curve_domain():
-    with pytest.raises(DomainError):
-        j_curve(0.0, 1.0)
+    # s = 0 is the exact limit exp(-ell^2 / 2)
+    assert j_curve(0.0, 1.0) == math.exp(-0.5)
     with pytest.raises(DomainError):
         j_curve(-1.0, 1.0)
     with pytest.raises(DomainError):
@@ -383,4 +383,4 @@ def test_coefficients_are_pinned():
                     digest.update(value(fn, a, b, ell).encode())
             for fn in (f1, j_curve, _f1_and_drift):
                 digest.update(value(fn, a, ell).encode())
-    assert digest.hexdigest() == "aa8e981eff40a5d97833405df531386c7d9fe758eeadfbfdb1a0cb9c289b8542"
+    assert digest.hexdigest() == "203362d94ad40b85fe88e7f6dbe62371031f428a877a0024ff400c00eb7f873b"

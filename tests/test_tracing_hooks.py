@@ -25,6 +25,8 @@ def test_tracer_install_and_uninstall_restore_every_hook(monkeypatch):
     names = {_name(owner, attr) for owner, attr, _ in patched}
     assert {"mhscaling.limits.policy_ell", "mhscaling.limits.ell_star",
             "mhscaling.chains.rwm_step", "mhscaling.chains.tuning",
-            "mhscaling.tuning.f_rate"} <= names
+            "mhscaling.tuning.f_rate", "chains.tuning view.ell_star_ab",
+            "chains.tuning view.ell_alpha_ab", "chains.tuning view.ell_ent_gaussian",
+            "mhscaling.experiments.run_chain"} <= names
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, _name(owner, attr)

@@ -111,7 +111,7 @@ def test_ell_star_ab_rejects_nonpositive_curvature():
     (ell_alpha_ab, (1e300, 1e-10, 0.27), ("a=1e+300", "b=1e-10")),
     (ell_alpha_ab, (1, math.inf, 0.27), ("b must be finite, got inf",)),
     (ell_alpha_ab, (1, math.nan, 0.27), ("b must be finite, got nan",)),
-    (ell_alpha_ab, (1e-320, 1e300, 0.27), ("a=1e-320", "b=1e+300")),
+    (ell_alpha_ab, (-1.0, 1.0, 0.27), ("a must be >= 0, got -1.0",)),
     (ell_alpha_ab, (1, 1e-160, 0.27), ("a=1", "b=1e-160")),
     (ell_star_ab, (1, 1e-160), ("a=1", "b=1e-160")),
 ])
@@ -123,6 +123,13 @@ def test_ab_refusals_name_the_callers_arguments(call, args, named):
         call(*args)
     assert type(refusal.value) is DomainError
     assert all(text in str(refusal.value) for text in named), str(refusal.value)
+
+
+def test_ell_alpha_ab_answers_an_underflowing_ratio():
+    # a/b underflows to 0, where ell_alpha is sqrt(-2 ln alpha); the scale
+    # is that over sqrt(b)
+    expected = math.sqrt(-2.0 * math.log(0.27)) / 1e150
+    assert abs(ell_alpha_ab(1e-320, 1e300, 0.27).ell - expected) <= 1e-13 * expected
 
 
 def test_ell_alpha_reference_point():
@@ -245,8 +252,10 @@ def test_slopes_match_50_digit_derivatives(s):
 
 
 def test_ell_alpha_domain():
+    # s = 0 is answered: j_curve(0, ell) = exp(-ell^2 / 2)
+    assert abs(ell_alpha(0.0, 0.3).ell - math.sqrt(-2.0 * math.log(0.3))) <= 1e-13
     with pytest.raises(DomainError):
-        ell_alpha(0.0, 0.3)
+        ell_alpha(-1.0, 0.3)
     with pytest.raises(DomainError):
         ell_alpha(1.0, 0.0)
     with pytest.raises(DomainError):
