@@ -44,6 +44,7 @@ from . import tuning
 from .coefficients import _check_ell
 from .errors import ConcaveRegionError, DomainError
 from .targets import Potential, _moment_means
+from .tuning import _check_alpha
 
 __all__ = [
     "STREAM_LAYOUT",
@@ -134,15 +135,19 @@ class ConstantEll(Strategy):
 
 
 @dataclass(frozen=True)
-class ConstantAccNumeric(Strategy):
-    """Solve the limiting acceptance curve for a target rate each step."""
-
-    kind: ClassVar[str] = "alpha"
+class _AcceptanceTarget(Strategy):
+    # the rules that hold the acceptance rate at a target alpha
     alpha: float = 0.27
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
+
+
+@dataclass(frozen=True)
+class ConstantAccNumeric(_AcceptanceTarget):
+    """Solve the limiting acceptance curve for a target rate each step."""
+
+    kind: ClassVar[str] = "alpha"
 
     def label(self) -> str:
         return f"acc-{self.alpha:g}-numeric"
@@ -152,7 +157,7 @@ class ConstantAccNumeric(Strategy):
 
 
 @dataclass(frozen=True)
-class ConstantAccAdaptive(Strategy):
+class ConstantAccAdaptive(_AcceptanceTarget):
     """Track a target acceptance rate by stochastic approximation.
 
     The log proposal standard deviation theta starts at log(2.38 / sqrt(n))
@@ -164,11 +169,6 @@ class ConstantAccAdaptive(Strategy):
     """
 
     kind: ClassVar[str] = "alpha-adaptive"
-    alpha: float = 0.27
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
     def label(self) -> str:
         return f"acc-{self.alpha:g}-adaptive"
@@ -453,6 +453,11 @@ def _check_steps(steps) -> None:
         raise DomainError(f"steps must be from 0 to {_MAX_STEPS:,}, got {steps!r}")
 
 
+def _check_cadence(what: str, every) -> None:
+    if not (every >= 1 and float(every).is_integer()):
+        raise DomainError(f"{what} must be a whole number >= 1, got {every!r}")
+
+
 def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRuns:
     """Run R random walk chains as one batch; deterministic for given
     generator states.
@@ -492,8 +497,7 @@ def run_chains_moments(inits, p: Potential, strategies, steps: int, *, rngs):
 def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
     # ``steps`` kernel steps of the chain from ``init``, as a batch of one;
     # returns a StepRecord for every record_every-th step, and the end point
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    _check_cadence("record_every", record_every)
     batch = _Batch(p, np.reshape(init, (1, -1)), [rng], [strategy], steps)
     records = []
     for i in range(1, steps + 1):
@@ -522,6 +526,5 @@ def run_mala(init, p: Potential, sigma: float, steps: int,
              record_every: int = 1, *, rng: np.random.Generator):
     """Run a Langevin-adjusted chain at fixed proposal std sigma; laid out
     as :func:`run_chain`."""
-    if not (sigma > 0.0 and math.isfinite(sigma * sigma)):
-        raise DomainError(f"sigma must be > 0 with a finite square, got {sigma!r}")
+    _check_ell(sigma, "sigma")
     return _run_one(init, p, None, steps, record_every, rng, _mala_kernel, sigma)

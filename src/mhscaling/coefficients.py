@@ -63,21 +63,23 @@ def f_helper(x: float) -> float:
     return 0.5 * float(erfcx(-x / _SQRT2))
 
 
-def _check_ell(ell: float) -> None:
+def _check_ell(ell: float, what: str = "step scale ell") -> None:
     # past about 1.3e154, ell^2 is inf and every coefficient nan
     if not ell > 0.0 or not math.isfinite(ell * ell):
-        raise DomainError(f"step scale ell must be > 0 with a finite square, got {ell!r}")
+        raise DomainError(f"{what} must be > 0 with a finite square, got {ell!r}")
 
 
-def _check_b(b: float) -> None:
-    if not math.isfinite(b):
-        raise DomainError(f"moment b must be finite, got {b!r}")
+def _check_finite(what: str, value: float, lower: float = -math.inf) -> None:
+    # nan and +-inf fail too
+    if not (math.isfinite(value) and value >= lower):
+        bound = "" if lower == -math.inf else f" and >= {lower!r}"
+        raise DomainError(f"{what} must be finite{bound}, got {value!r}")
 
 
 def _check_ab(a: float, b: float, ell: float) -> None:
     if a < 0.0 or math.isnan(a):
         raise DomainError(f"moment a must be >= 0 (or inf), got {a!r}")
-    _check_b(b)
+    _check_finite("moment b", b)
     _check_ell(ell)
 
 
@@ -174,8 +176,7 @@ def f1(s: float, ell: float) -> float:
 
 def _f1_and_terms(s: float, ell: float) -> tuple[float, float, float]:
     # (f1(s, ell), first, second), with (first, second) = _accept_terms(s, 1, ell)
-    if s < 0.0 or not math.isfinite(s):
-        raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
+    _check_finite("moment ratio s", s, 0.0)
     _check_ell(ell)
     first, second = _accept_terms(s, 1.0, ell)
     if abs(s - 1.0) < _SERIES_BAND:
@@ -223,8 +224,7 @@ def j_curve(s: float, ell: float) -> float:
     == exp(-ell**2 / 2); equals acc_rate(s, 1, ell) for ell > 0 and more
     generally acc_rate(a, b, ell) == j_curve(a/b, ell*sqrt(b)) for b > 0.
     """
-    if s < 0.0 or not math.isfinite(s):
-        raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
+    _check_finite("moment ratio s", s, 0.0)
     if ell == 0.0:
         return 1.0
     _check_ell(ell)

@@ -13,21 +13,24 @@ the limit is simulated as an interacting particle system (Euler-Maruyama
 with coefficients recomputed from the empirical moments each step).  The
 MALA side collects the step-variance regime classifier, the transient speed
 function ``mala_w``, the stationary-regime speed ``z`` and the
-fixed-variance AR(1) limit chain.
-
-States are single-owner; coefficient calls are pure.
+fixed-variance AR(1) limit chain, stepped as its own recursion.  A horizon,
+start or moment is refused by the finite check of ``coefficients``, a
+cadence by that of ``chains``.  States are single-owner; coefficient calls
+are pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .chains import _MAX_STEPS, Strategy, _check_steps
-from .coefficients import _check_ell, _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi
+from .chains import _MAX_STEPS, Strategy, _check_cadence, _check_steps
+from .coefficients import (_check_ell, _check_finite, _f1_and_drift, acc_rate, f_rate,
+                           g_drift, gamma, phi)
 from .errors import DomainError
 from .targets import Potential, _moment_means, integrate_against_density
 # empirical_moments, f1 and the ell_* solvers are not called here (the MALA
@@ -63,18 +66,6 @@ def _check_step(dt: float) -> None:
         raise DomainError(f"dt must be finite and > 0, got {dt!r}")
 
 
-def _check_horizon(t_max: float, t_start: float) -> None:
-    if not (math.isfinite(t_max) and t_max >= t_start):
-        raise DomainError(f"t_max must be finite and >= {t_start!r}, got {t_max!r}")
-
-
-def _check_finite(what: str, value: float, lower: float = -math.inf) -> None:
-    # nan and +-inf fail too
-    if not (math.isfinite(value) and value >= lower):
-        bound = "" if lower == -math.inf else f" and >= {lower!r}"
-        raise DomainError(f"{what} must be finite{bound}, got {value!r}")
-
-
 def _step_count(span: float, dt: float) -> int:
     if not span / dt <= _MAX_STEPS:  # inf and nan too
         raise DomainError(f"{span!r} in steps of {dt!r} is more than {_MAX_STEPS:,} steps")
@@ -84,8 +75,8 @@ def _step_count(span: float, dt: float) -> int:
 def gaussian_entropy(m: float, s: float) -> float:
     """Relative entropy to the standard normal, (s - ln(s - m^2) - 1) / 2."""
     variance = s - m * m
-    if variance <= 0.0:
-        raise DomainError(f"entropy needs s > m^2, got s={s!r}, m={m!r}")
+    if not 0.0 < variance < math.inf:  # nan too
+        raise DomainError(f"entropy needs finite s > m^2, got s={s!r}, m={m!r}")
     # log1p keeps full precision near equilibrium, where variance - 1 is
     # exact (Sterbenz, from 1/2 to 2); below 1/2, variance - 1 would round
     # the small variance away (to -1 below 1.1e-16), so log takes it directly
@@ -152,9 +143,8 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     changes nothing measurable while saving the solver calls).
     """
     _check_step(dt)
-    _check_horizon(t_max, 0.0)
-    if policy_every < 1:
-        raise DomainError(f"policy_every must be >= 1, got {policy_every!r}")
+    _check_finite("t_max", t_max, 0.0)
+    _check_cadence("policy_every", policy_every)
     if stop_tol is not None and not 0.0 < stop_tol < math.inf:
         raise DomainError(f"stop_tol must be finite and > 0, got {stop_tol!r}")
     if not s0 >= m0 * m0:
@@ -196,8 +186,7 @@ class ParticleEnsemble:
         _check_step(self.dt)
         with np.errstate(over="ignore", invalid="ignore"):
             mean_square = float(np.mean(self.xs**2))
-        if not math.isfinite(mean_square):
-            raise DomainError(f"the particles' mean square is {mean_square!r}, not finite")
+        _check_finite("the particles' mean square", mean_square)
 
 
 def make_ensemble(xs, dt: float, *, rng: np.random.Generator) -> ParticleEnsemble:
@@ -221,21 +210,16 @@ def meanfield_particle_step(pe: ParticleEnsemble, p: Potential, ell: float) -> P
 def integrate_particles(pe: ParticleEnsemble, p: Potential, ell: float,
                         t_max: float, record_every: int = 1):
     """Advance an ensemble to t_max; returns (t, mean, second moment) arrays."""
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    _check_horizon(t_max, pe.t)
+    _check_cadence("record_every", record_every)
+    _check_finite("t_max", t_max, pe.t)
     _check_ell(ell)  # also where t_max allows no step
-    ts = [pe.t]
-    ms = [float(np.mean(pe.xs))]
-    ss = [float(np.mean(pe.xs**2))]
+    rows = [(pe.t, float(np.mean(pe.xs)), float(np.mean(pe.xs**2)))]
     steps = _step_count(t_max - pe.t, pe.dt)
     for k in range(1, steps + 1):
         meanfield_particle_step(pe, p, ell)
         if k % record_every == 0:
-            ts.append(pe.t)
-            ms.append(float(np.mean(pe.xs)))
-            ss.append(float(np.mean(pe.xs**2)))
-    return np.array(ts), np.array(ms), np.array(ss)
+            rows.append((pe.t, float(np.mean(pe.xs)), float(np.mean(pe.xs**2))))
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 def entropy_rate_bound(a: float, b: float, ell: float, fisher: float) -> float:
@@ -293,7 +277,7 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
     """Second-moment flow ds/dt = mala_w(s - 1, ell) * (1 - s) for the
     Gaussian target, stepped as the moment system with m = 0; returns (t, s)."""
     _check_step(dt)
-    _check_horizon(t_max, 0.0)
+    _check_finite("t_max", t_max, 0.0)
     _check_ell(ell)
     _check_finite("s0", s0)
 
@@ -373,16 +357,15 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, *,
     variance 1 / (1 - ell^2 / 4).  Returns the length steps+1 trajectory
     including y0.
     """
-    # imported here: scipy.signal is slow to import and used nowhere else
-    from scipy import signal
-
     if not 0.0 < ell < 2.0:
         raise DomainError(f"AR(1) limit requires 0 < ell < 2, got {ell!r}")
     _check_steps(steps)
-    if not math.isfinite(y0):
-        raise DomainError(f"AR(1) limit needs a finite y0, got {y0!r}")
+    _check_finite("AR(1) start y0", y0)
     noise = rng.standard_normal(steps)
     decay = 1.0 - 0.5 * ell * ell
-    zi = signal.lfiltic([ell], [1.0, -decay], y=[y0])
-    filtered, _ = signal.lfilter([ell], [1.0, -decay], noise, zi=zi)
-    return np.concatenate(([y0], filtered))
+    # the recursion on Python floats, which step it twice as fast as numpy
+    # scalars; a block at a time, as 10^7 of them would take 300 MB
+    blocks = (noise[k:k + 2**16].tolist() for k in range(0, steps, 2**16))
+    path = itertools.accumulate(itertools.chain.from_iterable(blocks),
+                                lambda y, g: decay * y + ell * g, initial=y0)
+    return np.fromiter(path, float, steps + 1)

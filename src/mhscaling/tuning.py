@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coefficients import (
-    _SQRT_2PI, _accept_terms, _check_b, _f1_and_drift, _f1_and_terms, _ratio, f1,
+    _SQRT_2PI, _accept_terms, _check_finite, _f1_and_drift, _f1_and_terms, _ratio, f1,
     j_curve, phi,
 )
 # f_rate and g_drift are not called here; they stay importable as
@@ -298,8 +298,7 @@ def _alpha_series(alpha: float):
 
 def ell_star(s: float) -> TuningResult:
     """Unique maximizer of ell -> f1(s, ell) on (0, inf)."""
-    if s < 0.0 or math.isnan(s):
-        raise DomainError(f"moment ratio s must be >= 0, got {s!r}")
+    _check_finite("moment ratio s", s, 0.0)
     return _solve_star(s, _seed(_star_series(), s))
 
 
@@ -317,7 +316,7 @@ def _ab_ratio(a: float, b: float, concave: str) -> float:
     # has no finite scale, refused with the rule's own message concave
     if a < 0.0 or math.isnan(a):
         raise DomainError(f"moment a must be >= 0, got {a!r}")
-    _check_b(b)
+    _check_finite("moment b", b)
     if not b > 0.0:
         raise ConcaveRegionError(concave)
     return _ratio(a, b)
@@ -334,16 +333,19 @@ def ell_star_ab(a: float, b: float) -> TuningResult:
     return _in_ab(base, a, b, base.objective_value / b)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"target acceptance alpha must lie in (0, 1), got {alpha!r}")
+
+
 def ell_alpha(s: float, alpha: float) -> TuningResult:
     """Unique solution of j_curve(s, ell) == alpha (acceptance matching).
 
     The acceptance curve is strictly decreasing from 1 to 0, so the root is
     unique; at s = 0 it is sqrt(-2 ln alpha).
     """
-    if not 0.0 <= s < math.inf:
-        raise DomainError(f"moment ratio s must be finite and >= 0, got {s!r}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"target acceptance alpha must lie in (0, 1), got {alpha!r}")
+    _check_finite("moment ratio s", s, 0.0)
+    _check_alpha(alpha)
     return _solve_alpha(s, alpha, _seed(_alpha_series(alpha), s))
 
 
@@ -390,8 +392,8 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
     convention the rate-optimal ell_star(1) is returned there (continuity
     with nearby states).
     """
-    if math.isnan(m) or math.isnan(s):
-        raise DomainError("moments must be finite numbers")
+    _check_finite("mean m", m)
+    _check_finite("second moment s", s)
     m2 = m * m
     if not s > m2:
         raise DomainError(

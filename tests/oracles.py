@@ -160,3 +160,15 @@ def mp_double_well_constants():
         mass = against_density(lambda x: 1)
         fisher = against_density(lambda x: mp_double_well(x)[1] ** 2) / mass
         return mpmath.log(mass), fisher, against_density(k_integrand) / mass
+
+
+def lfilter_ar1(ell, steps, y0, rng):
+    """The fixed-variance MALA limit chain Y_{k+1} = (1 - ell^2/2) Y_k + ell G
+    from y0, through scipy.signal's linear filter on the same normals."""
+    from scipy import signal  # slow to import; only this reference needs it
+
+    noise = rng.standard_normal(steps)
+    decay = 1.0 - 0.5 * ell * ell
+    zi = signal.lfiltic([ell], [1.0, -decay], y=[y0])
+    filtered, _ = signal.lfilter([ell], [1.0, -decay], noise, zi=zi)
+    return np.concatenate(([y0], filtered))

@@ -68,6 +68,19 @@ def test_strategy_spec_malformed(text):
         strategy_from_label(text)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan])
+@pytest.mark.parametrize("cls", [ConstantAccNumeric, ConstantAccAdaptive])
+def test_acceptance_targets_outside_the_unit_interval_are_refused(cls, alpha):
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        cls(alpha)
+
+
+@pytest.mark.parametrize("text", ["alpha:1", "alpha-adaptive:0"])
+def test_strategy_spec_with_an_acceptance_target_off_the_unit_interval(text):
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        strategy_from_label(text)
+
+
 def test_choose_ell_constant_and_rate_optimal():
     assert ConstantEll(2.38).scale(5.0, 1.0, 0.0, 5.0, 10) == 2.38
     got = RateOptimal().scale(1.0, 1.0, 0.0, 1.0, 10)
@@ -721,3 +734,16 @@ def test_entropy_strategy_is_refused_off_the_gaussian(route):
             rwm_step(np.zeros(5), p, ent, rng=chain_rng(0))
         else:
             run_chains_moments([np.zeros(5)], p, [ent], 2, rngs=[chain_rng(0)])
+
+
+def test_run_chains_refuses_a_one_dimensional_start():
+    with pytest.raises(DomainError, match="R rows"):
+        run_chains(np.zeros(5), gaussian_potential(), [ConstantEll(1.0)], 2,
+                   rngs=[chain_rng(0)])
+
+
+@pytest.mark.parametrize("strategies, seeds", [(2, 3), (3, 2)])
+def test_run_chains_needs_one_strategy_and_generator_per_chain(strategies, seeds):
+    with pytest.raises(DomainError, match="one strategy and one generator per chain"):
+        run_chains(np.zeros((3, 4)), gaussian_potential(), [ConstantEll(1.0)] * strategies, 2,
+                   rngs=[chain_rng(k) for k in range(seeds)])

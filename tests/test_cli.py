@@ -112,6 +112,16 @@ def test_tune_domain_error_exit_code(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given", [["--a", "1"], ["--b", "1"]])
+def test_tune_needs_a_and_b_together(tmp_path, capsys, given):
+    out = tmp_path / "out"
+    assert run_cli(["tune", "--mode", "star", *given, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--a and --b" in err
+    assert not out.exists()
+
+
 def test_simulate_ode_reaches_equilibrium(tmp_path):
     out = tmp_path / "ode"
     rc = run_cli([

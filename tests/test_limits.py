@@ -10,6 +10,7 @@ from mhscaling.chains import (
     ConstantEll,
     RateOptimal,
     chain_rng,
+    run_chain,
     run_mala,
     strategy_from_label,
 )
@@ -32,6 +33,8 @@ from mhscaling.limits import (
     meanfield_particle_step,
 )
 from mhscaling.targets import Potential, custom_potential, gaussian_potential
+
+from oracles import lfilter_ar1
 
 
 def wiggly_potential():
@@ -70,6 +73,14 @@ def test_entropy_values():
     assert gaussian_entropy(1.0, 2.0) == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(DomainError):
         gaussian_entropy(1.0, 1.0)
+
+
+@pytest.mark.parametrize("m, s", [(0.0, math.inf), (math.nan, 1.0), (0.0, math.nan),
+                                  (math.inf, math.inf)])
+def test_entropy_refuses_non_finite_moments(m, s):
+    # the variance s - m^2 must be finite and > 0; nan is never returned
+    with pytest.raises(DomainError, match="entropy"):
+        gaussian_entropy(m, s)
 
 
 @pytest.mark.parametrize("v", [1e-300, 1e-17, 1e-16, 1e-10, 0.3])
@@ -500,6 +511,31 @@ def test_ar1_variance_and_recursion():
     for y0 in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             mala_ar1_limit(1.0, 5, y0=y0, rng=chain_rng(0))
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.0, 1.9])
+@pytest.mark.parametrize("y0", [0, 3])
+@pytest.mark.parametrize("steps", [0, 1, 10_000])
+def test_ar1_limit_equals_the_linear_filter_bit_for_bit(ell, y0, steps):
+    got = mala_ar1_limit(ell, steps, y0=y0, rng=chain_rng(11))
+    want = lfilter_ar1(ell, steps, y0, chain_rng(11))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("every", [2.5, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("call, name", [
+    (lambda every: run_chain(np.zeros(3), gaussian_potential(), ConstantEll(1.0), 10, every,
+                             rng=chain_rng(0)), "record_every"),
+    (lambda every: integrate_particles(make_ensemble(np.zeros(10), dt=0.1, rng=chain_rng(0)),
+                                       gaussian_potential(), 1.0, t_max=1.0,
+                                       record_every=every), "record_every"),
+    (lambda every: integrate_gaussian_ode(1.0, 2.0, ConstantEll(1.0), dt=0.1, t_max=1.0,
+                                          policy_every=every), "policy_every"),
+], ids=["run_chain", "integrate_particles", "integrate_gaussian_ode"])
+def test_cadences_must_be_whole_numbers(call, name, every):
+    # a fractional cadence would silently record or re-solve at other steps
+    with pytest.raises(DomainError, match=name):
+        call(every)
 
 
 def test_limit_csv_format(tmp_path):

@@ -197,6 +197,27 @@ def test_custom_potential_normalize_and_trusted():
         custom_potential("unchecked", p.eval_v, p.d1, p.d2, p.d3, p.d4, trusted=True)
 
 
+def test_custom_potential_refuses_an_unbounded_curvature():
+    # V = exp(x^2): V'' = (2 + 4 x^2) exp(x^2) overflows to inf on the wide
+    # grid of the derivative checks
+    def steep(factor):
+        def fn(x):
+            x = np.asarray(x, float)
+            with np.errstate(over="ignore"):
+                return factor(x) * np.exp(x * x)
+        return fn
+
+    with pytest.raises(DomainError, match="bounded"):
+        custom_potential(
+            "steep",
+            eval_v=steep(lambda x: 1.0),
+            d1=steep(lambda x: 2.0 * x),
+            d2=steep(lambda x: 2.0 + 4.0 * x * x),
+            d3=steep(lambda x: 12.0 * x + 8.0 * x**3),
+            d4=steep(lambda x: 12.0 + 48.0 * x * x + 16.0 * x**4),
+        )
+
+
 def test_custom_potential_refuses_an_unnormalized_density():
     # x^2/2 without its constant: exp(-V) integrates to sqrt(2 pi)
     with pytest.raises(DomainError, match="integrate to 1"):

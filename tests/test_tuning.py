@@ -132,6 +132,12 @@ def test_ell_alpha_ab_answers_an_underflowing_ratio():
     assert abs(ell_alpha_ab(1e-320, 1e300, 0.27).ell - expected) <= 1e-13 * expected
 
 
+@pytest.mark.parametrize("m, s", [(math.nan, 1.0), (0.0, math.inf)])
+def test_ell_ent_gaussian_refuses_non_finite_moments(m, s):
+    with pytest.raises(DomainError):
+        ell_ent_gaussian(m, s)
+
+
 def test_ell_alpha_reference_point():
     assert ell_alpha(1.0, 0.234).ell == pytest.approx(2.38, abs=0.01)
 
