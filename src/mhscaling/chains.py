@@ -10,13 +10,14 @@ Every chain is a row of a batch: an ``(R, n)`` array stepped by one kernel
 per chain kind.  A kernel chooses its scale, builds the proposal and its
 log acceptance ratio; the batch draws the normals, decides, moves the
 accepted rows and counts the step, all on arrays: only a block's draws and
-the scale at a new point are taken row by row.  The batch summarises each
-row's point by the sum of V, V' and a column of one (4, R) ``moments``
-array (a_hat, b_hat, m_hat, s_hat), which the scales and records read; an
-adaptive row's theta starts when the batch is built.
-:func:`run_chains` steps R random walk chains; :func:`run_chain` and
-:func:`run_mala` loop the same kernels on a batch of one and return its
-records and end point, so a chain's state lives only in its batch.
+the scale at a new point are taken row by row.  A kernel returns its
+step's record in :class:`StepRecord` order, one (R,) array per field, the
+moments being those of the point the step starts from.  One loop steps
+every batch and keeps chosen fields of every record_every-th record: all
+of them for :func:`run_chains`, m_hat and s_hat for
+:func:`run_chains_moments`; :func:`run_chain` and :func:`run_mala` read a
+batch of one back as StepRecords, so a chain's state lives only in its
+batch.
 
 RNG discipline (stream layout 2): each chain, or row, owns one counter-based
 generator (Philox) seeded from a master seed; replicate independence comes
@@ -244,22 +245,23 @@ def strategy_from_label(text: str) -> Strategy:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """Step k of a chain; the fields after k, in order, are a kernel's record."""
+
     k: int
     ell_used: float
     accepted: bool
     acc_prob: float
     a_hat: float
     b_hat: float
-    # coordinate moments, consumed by the experiment estimators
     m_hat: float
     s_hat: float
 
 
 @dataclass(frozen=True)
 class ChainRuns:
-    """What :func:`run_chains` records: per-step (R, steps) arrays named as
-    the fields of :class:`StepRecord`, column k - 1 holding step k, and each
-    chain's final point and theta."""
+    """What :func:`run_chains` records: per-step (R, steps) arrays named and
+    ordered as the fields of :class:`StepRecord` after k, column k - 1
+    holding step k, then each chain's final point and theta."""
 
     ell_used: np.ndarray
     accepted: np.ndarray
@@ -289,10 +291,6 @@ def adaptive_update(theta, acc_prob, alpha_target, k) -> float:
     return theta + float(k + 1) ** -0.6 * (acc_prob - alpha_target)
 
 
-_MOMENTS = ("a_hat", "b_hat", "m_hat", "s_hat")  # the rows of _Batch.moments
-_OUTCOME = ("ell_used", "acc_prob", "accepted")  # what the kernels return, in order
-
-
 class _Batch:
     """R chains in dimension n under one potential, stepped together.
 
@@ -305,9 +303,9 @@ class _Batch:
     mean x and s_hat = mean x^2.  Each row is reduced as np.sum and np.mean
     reduce it alone, so a row's values do not depend on the other rows.
     ``ell[r]`` is the scale row r's strategy chose at that point, nan until
-    chosen.  An accepted step writes its rows into ``x`` and the summary
-    arrays in place; ``d1`` is copied because ``p.d1`` may return its
-    argument (the Gaussian's does).  All rows have made ``k`` of the
+    chosen.  An accepted step writes its rows into ``x``, ``sum_v``, ``d1``
+    (a copy: ``p.d1`` may return its argument) and ``ell`` in place, and
+    rebinds ``moments`` to a fresh array.  All rows have made ``k`` of the
     ``steps`` steps the batch draws for.
     """
 
@@ -317,7 +315,7 @@ class _Batch:
             raise DomainError(
                 f"initial states must be R rows of n >= 1 coordinates, got shape {x.shape}"
             )
-        _check_steps(steps)
+        steps = _check_steps(steps)
         if not len(strategies) == len(rngs) == len(x):
             raise DomainError(
                 f"need one strategy and one generator per chain: {len(x)} chains, "
@@ -359,24 +357,26 @@ class _Batch:
         """Close a step: row r accepts its proposal with probability
         exp(log_ratio[r]) ^ 1, against the uniform of its step's draws; the
         accepted rows move (reusing V(proposal) and, when the step has it,
-        V'(proposal)) and the step is counted.  Returns the rows'
-        (acc_prob, accepted) arrays."""
+        V'(proposal)) and the step is counted.  Returns the step's record
+        after ell_used: the rows' accepted and acc_prob, then the moments of
+        the points the step started from (a move rebinds ``moments``)."""
         acc_prob = np.exp(np.minimum(log_ratio, 0.0))
         accepted = self._uniforms[:, self.k % self._buf.shape[1]] <= acc_prob
         self.k += 1
-        rows = np.flatnonzero(accepted)
-        if not rows.size:
-            return acc_prob, accepted
-        if rows.size == accepted.size:
-            rows = slice(None)  # every row: views, not copies
-        proposal, v = proposal[rows], v[rows]
-        d1 = self.p.d1(proposal) if d1 is None else d1[rows]
-        self.ell[rows] = math.nan
-        self.x[rows] = proposal
-        self.sum_v[rows] = np.add.reduce(v, axis=-1)
-        self.d1[rows] = d1
-        self.moments[:, rows] = _moment_means(self.p, proposal, d1, proposal, proposal * proposal)
-        return acc_prob, accepted
+        here, rows = self.moments, accepted.nonzero()[0]
+        if rows.size:
+            if rows.size == accepted.size:
+                rows = slice(None)  # every row: views, not copies
+            proposal, v = proposal[rows], v[rows]
+            d1 = self.p.d1(proposal) if d1 is None else d1[rows]
+            self.ell[rows] = math.nan
+            self.x[rows] = proposal
+            self.sum_v[rows] = np.add.reduce(v, axis=-1)
+            self.d1[rows] = d1
+            self.moments = here.copy()
+            self.moments[:, rows] = _moment_means(self.p, proposal, d1,
+                                                  proposal, proposal * proposal)
+        return (accepted, acc_prob, *here)
 
 
 def _rwm_kernel(batch: _Batch):
@@ -388,14 +388,12 @@ def _rwm_kernel(batch: _Batch):
     adaptive strategies every step, because theta moves every step, by the
     others once per point.  Those calls and the theta updates are the only
     row-by-row work, so each row's bits are those of a chain stepped alone.
-    Returns the rows' (ell, acc_prob, accepted) arrays.
+    Returns the step's record of every row, (R,) arrays in the order of the
+    :class:`StepRecord` fields after k.
     """
     n = batch.x.shape[1]
     ell, theta = batch.ell, batch.theta
-    adaptive = [r for r, t in enumerate(theta) if t is not None]
-    fresh = np.isnan(ell)  # no scale here yet
-    fresh[adaptive] = True
-    for r in np.flatnonzero(fresh).tolist():
+    for r in np.isnan(ell).nonzero()[0].tolist():  # no scale here yet
         ell[r] = batch.strategies[r].scale(*batch.moments[:, r].tolist(), n, theta[r])
     ell_used = ell.copy()
 
@@ -404,10 +402,13 @@ def _rwm_kernel(batch: _Batch):
         v = batch.p.eval_v(proposal)
         log_ratio = batch.sum_v - np.add.reduce(v, axis=-1)
     k = batch.k  # theta_k moves with the index of the step it closes
-    acc_prob, accepted = batch.decide(log_ratio, proposal, v)
-    for r in adaptive:
-        theta[r] = adaptive_update(theta[r], float(acc_prob[r]), batch.strategies[r].alpha, k)
-    return ell_used, acc_prob, accepted
+    record = (ell_used, *batch.decide(log_ratio, proposal, v))
+    acc_prob = record[2]
+    for r, t in enumerate(theta):
+        if t is not None:  # theta moves, so the scale goes stale
+            theta[r] = adaptive_update(t, float(acc_prob[r]), batch.strategies[r].alpha, k)
+            ell[r] = math.nan
+    return record
 
 
 def _mala_kernel(batch: _Batch, sigma: float):
@@ -419,7 +420,7 @@ def _mala_kernel(batch: _Batch, sigma: float):
             + ((g_i)^2 - (g_i - (sigma/2)(V'(x_i) + V'(y_i)))^2) / 2 ];
     its equivalence with the density-ratio form is covered by tests rather
     than assumed.  The draws and the decision are those of
-    :func:`_rwm_kernel`.  Returns the rows' (sigma, acc_prob, accepted).
+    :func:`_rwm_kernel`, and so is the record returned, with ell = sigma.
     """
     d1_here, noise = batch.d1, batch.normals()
     proposal = batch.x + (sigma * noise - 0.5 * sigma * sigma * d1_here)
@@ -433,29 +434,47 @@ def _mala_kernel(batch: _Batch, sigma: float):
             + 0.5 * (np.add.reduce(noise * noise, axis=-1)
                      - np.add.reduce(reverse * reverse, axis=-1))
         )
-    acc_prob, accepted = batch.decide(exponent, proposal, v, d1)
-    return np.full(acc_prob.shape, sigma), acc_prob, accepted
+    return (np.full(exponent.shape, sigma), *batch.decide(exponent, proposal, v, d1))
 
 
 def rwm_step(coords, p: Potential, strategy: Strategy, *, rng: np.random.Generator):
     """One random walk Metropolis step from ``coords``: a one-step
-    :func:`run_chain`, returning the new coords and the step's record.
-
-    Nothing in the package steps a chain by hand; this one-step view stays
-    because ``perfbench/tracing.py`` wraps it to count chain steps.
-    """
-    records, coords = _run_one(coords, p, strategy, 1, 1, rng, _rwm_kernel)
-    return coords, records[0]
+    :func:`run_chain`, returning the new coords and the step's record.  The
+    package does not call it; ``perfbench/tracing.py`` wraps it."""
+    (record,), coords = run_chain(coords, p, strategy, 1, rng=rng)
+    return coords, record
 
 
-def _check_steps(steps) -> None:
-    if not 0 <= steps <= _MAX_STEPS:
-        raise DomainError(f"steps must be from 0 to {_MAX_STEPS:,}, got {steps!r}")
+def _check_steps(steps) -> int:
+    if not (0 <= steps <= _MAX_STEPS and float(steps).is_integer()):
+        raise DomainError(f"steps must be a whole number from 0 to {_MAX_STEPS:,}, got {steps!r}")
+    return int(steps)
 
 
-def _check_cadence(what: str, every) -> None:
+def _check_cadence(what: str, every) -> int:
     if not (every >= 1 and float(every).is_integer()):
         raise DomainError(f"{what} must be a whole number >= 1, got {every!r}")
+    return int(every)
+
+
+_FIELDS = tuple(f.name for f in fields(StepRecord))[1:]  # a kernel's record, in order
+
+
+def _run(batch: _Batch, kernel, *args, names=_FIELDS, every: int = 1) -> list:
+    """Step ``batch`` to its last step by ``kernel`` (given ``args``): the
+    one loop over chain steps.  Keeps the fields ``names`` of every
+    ``every``-th step's record, as (R, steps // every) arrays in that order,
+    column j holding step (j + 1) * every."""
+    picks = [_FIELDS.index(name) for name in names]
+    out = [np.empty((len(batch.x), batch.steps // every), bool if name == "accepted" else float)
+           for name in names]
+    by_step = [column.T for column in out]  # by_step[i][j] is column j of out[i]
+    for k in range(1, batch.steps + 1):
+        record = kernel(batch, *args)
+        if k % every == 0:
+            for column, i in zip(by_step, picks):
+                column[k // every - 1] = record[i]
+    return out
 
 
 def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRuns:
@@ -469,45 +488,24 @@ def run_chains(inits, p: Potential, strategies, steps: int, *, rngs) -> ChainRun
     the same generator, whatever the other rows do or the block size.
     """
     batch = _Batch(p, inits, rngs, strategies, steps)
-    out = {name: np.empty((len(batch.x), steps), dtype=bool if name == "accepted" else float)
-           for name in _MOMENTS + _OUTCOME}
-    for k in range(steps):
-        # the moments recorded at a step are those of the point it starts from
-        for name, values in zip(_MOMENTS, batch.moments):
-            out[name][:, k] = values
-        for name, values in zip(_OUTCOME, _rwm_kernel(batch)):
-            out[name][:, k] = values
-    return ChainRuns(**out, coords=batch.x, theta=batch.theta)
+    return ChainRuns(*_run(batch, _rwm_kernel), coords=batch.x, theta=batch.theta)
 
 
 def run_chains_moments(inits, p: Potential, strategies, steps: int, *, rngs):
     """The per-step (R, steps) ``m_hat`` and ``s_hat`` arrays of
-    :func:`run_chains`, bit for bit, without its other records.
-
-    All a square-bias sweep reads, in two sevenths of the memory.
-    """
+    :func:`run_chains`, bit for bit: all a square-bias sweep reads, in two
+    sevenths of the memory."""
     batch = _Batch(p, inits, rngs, strategies, steps)
-    m_hat, s_hat = np.empty((len(batch.x), steps)), np.empty((len(batch.x), steps))
-    for k in range(steps):
-        m_hat[:, k], s_hat[:, k] = batch.moments[2:]
-        _rwm_kernel(batch)
-    return m_hat, s_hat
+    return tuple(_run(batch, _rwm_kernel, names=("m_hat", "s_hat")))
 
 
 def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
     # ``steps`` kernel steps of the chain from ``init``, as a batch of one;
     # returns a StepRecord for every record_every-th step, and the end point
-    _check_cadence("record_every", record_every)
+    every = _check_cadence("record_every", record_every)
     batch = _Batch(p, np.reshape(init, (1, -1)), [rng], [strategy], steps)
-    records = []
-    for i in range(1, steps + 1):
-        # a record holds the moments of the point its step starts from
-        here = batch.moments[:, 0].tolist() if i % record_every == 0 else None
-        ell, acc_prob, accepted = kernel(batch, *args)
-        if here is not None:
-            records.append(StepRecord(batch.k, float(ell[0]), bool(accepted[0]),
-                                      float(acc_prob[0]), *here))
-    return records, batch.x[0]
+    rows = zip(*(column[0].tolist() for column in _run(batch, kernel, *args, every=every)))
+    return [StepRecord(every * j, *row) for j, row in enumerate(rows, 1)], batch.x[0]
 
 
 def run_chain(init, p: Potential, strategy: Strategy, steps: int,

@@ -147,6 +147,8 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     _check_cadence("policy_every", policy_every)
     if stop_tol is not None and not 0.0 < stop_tol < math.inf:
         raise DomainError(f"stop_tol must be finite and > 0, got {stop_tol!r}")
+    _check_finite("m0", m0)
+    _check_finite("s0", s0)
     if not s0 >= m0 * m0:
         raise DomainError(f"second moment below squared mean: s0={s0!r}, m0={m0!r}")
     steps = _step_count(t_max, dt)
@@ -359,7 +361,7 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, *,
     """
     if not 0.0 < ell < 2.0:
         raise DomainError(f"AR(1) limit requires 0 < ell < 2, got {ell!r}")
-    _check_steps(steps)
+    steps = _check_steps(steps)
     _check_finite("AR(1) start y0", y0)
     noise = rng.standard_normal(steps)
     decay = 1.0 - 0.5 * ell * ell

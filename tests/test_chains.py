@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import special, stats
 from mhscaling import chains, tuning
 from mhscaling.chains import (
     DEFAULT_ELL_CAP,
+    ChainRuns,
     ConstantAccAdaptive,
     ConstantAccNumeric,
     ConstantEll,
@@ -24,6 +26,7 @@ from mhscaling.chains import (
     strategy_from_label,
 )
 from mhscaling.errors import DomainError
+from mhscaling.limits import mala_ar1_limit
 from mhscaling.targets import double_well_potential, gaussian_potential
 
 from oracles import phi_inv
@@ -668,22 +671,62 @@ def test_mala_first_step_follows_the_stream_layout(target, sigma):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("record_every", [1, 3])
-@pytest.mark.parametrize("target, sigma", [("gaussian", 0.8), ("double-well", 0.3)])
-def test_run_mala_steps_like_mala_step(target, sigma, record_every):
+@pytest.mark.parametrize("record_every", [1, 3, 3.0])
+@pytest.mark.parametrize("target, kernel", [
+    ("gaussian", 0.8), ("double-well", 0.3),  # run_mala at sigma = kernel
+    *[(target, spec) for target in ("gaussian", "double-well")  # run_chain
+      for spec in ("alpha-adaptive:0.27", "star")],
+])
+def test_run_mala_steps_like_mala_step(target, kernel, record_every):
     # Recording every r-th step must keep exactly those records of the
-    # chain that records every step, bit for bit, and end at its end point.
+    # chain that records every step, bit for bit, and end at its end point,
+    # for both kernels; 200 steps end between two records at r = 3.
     from mhscaling.targets import potential_by_name
 
     p = potential_by_name(target)
     init, steps = chain_rng(9).standard_normal(50) + 1.0, 200
-    records, end = run_mala(init, p, sigma, steps, record_every, rng=chain_rng(5))
-    every, every_end = run_mala(init, p, sigma, steps, rng=chain_rng(5))
-    assert len(records) == steps // record_every
-    assert [_bits(r) for r in records] == [_bits(r) for r in every[record_every - 1::record_every]]
+
+    def run(*every):
+        if isinstance(kernel, str):
+            return run_chain(init, p, strategy_from_label(kernel), steps, *every,
+                             rng=chain_rng(5))
+        return run_mala(init, p, kernel, steps, *every, rng=chain_rng(5))
+
+    records, end = run(record_every)
+    every, every_end = run()
+    r = int(record_every)
+    assert len(records) == steps // r
+    assert [_bits(rec) for rec in records] == [_bits(rec) for rec in every[r - 1::r]]
     assert end.tobytes() == every_end.tobytes()
-    assert [r.k for r in every] == list(range(1, steps + 1))
-    assert 0 < sum(r.accepted for r in every) < steps
+    assert [rec.k for rec in every] == list(range(1, steps + 1))
+    assert 0 < sum(rec.accepted for rec in every) < steps
+
+
+def test_chain_runs_hold_the_record_fields_then_the_end_state():
+    # The step loop fills ChainRuns from a kernel's record by position, so
+    # its fields must be StepRecord's after k, in order, then the end state.
+    assert dataclasses.fields(StepRecord)[0].name == "k"
+    names = tuple(f.name for f in dataclasses.fields(ChainRuns))
+    assert names == (*RECORD_FIELDS, "coords", "theta")
+
+
+@pytest.mark.parametrize("run", [
+    lambda steps: run_chain(np.zeros(3), gaussian_potential(), ConstantEll(1.0), steps,
+                            rng=chain_rng(0)),
+    lambda steps: run_chains(np.zeros((2, 3)), gaussian_potential(), [ConstantEll(1.0)] * 2,
+                             steps, rngs=[chain_rng(0), chain_rng(1)]),
+    lambda steps: run_chains_moments(np.zeros((2, 3)), gaussian_potential(),
+                                     [ConstantEll(1.0)] * 2, steps,
+                                     rngs=[chain_rng(0), chain_rng(1)]),
+    lambda steps: run_mala(np.zeros(3), gaussian_potential(), 0.5, steps, rng=chain_rng(0)),
+    lambda steps: mala_ar1_limit(1.0, steps, rng=chain_rng(0)),
+], ids=["run_chain", "run_chains", "run_chains_moments", "run_mala", "mala_ar1_limit"])
+def test_step_counts_must_be_whole_numbers(run):
+    # a fractional count is refused by name; a whole float runs as its int
+    for steps in (2.5, 0.5, math.nan):
+        with pytest.raises(DomainError, match="steps"):
+            run(steps)
+    assert pickle.dumps(run(2.0)) == pickle.dumps(run(2))
 
 
 def test_chains_track_the_moment_ode_as_n_grows():

@@ -538,6 +538,16 @@ def test_cadences_must_be_whole_numbers(call, name, every):
         call(every)
 
 
+@pytest.mark.parametrize("m0, s0, name", [
+    (0.0, math.inf, "s0"), (math.inf, math.inf, "m0"), (math.nan, 1.0, "m0"),
+])
+@pytest.mark.parametrize("spec", ["star", "constant"])
+def test_gaussian_ode_refuses_a_non_finite_start_by_name(spec, m0, s0, name):
+    # the start is refused as the start, not later by the rule or the entropy
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        integrate_gaussian_ode(m0, s0, strategy_from_label(spec), dt=0.1, t_max=1.0)
+
+
 def test_limit_csv_format(tmp_path):
     from mhscaling import cli
 
