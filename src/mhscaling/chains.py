@@ -81,9 +81,9 @@ _MAX_STEPS = 10**7
 _S_FLOOR = 1e-12
 
 # The module docstring's stream layout, recorded in run manifests; layout 1
-# drew n normals, then one uniform, a step at a time.  A block of a batch's
-# draws holds up to _BLOCK doubles (1 MiB).
-STREAM_LAYOUT, _BLOCK = 2, 2**17
+# drew n normals, then one uniform, a step at a time.  _Batch sizes its
+# blocks of draws from these two (see its docstring).
+STREAM_LAYOUT, _BLOCK, _MIN_BLOCK_STEPS = 2, 2**17, 32
 
 
 @dataclass(frozen=True)
@@ -307,13 +307,19 @@ class _Batch:
     (a copy: ``p.d1`` may return its argument) and ``ell`` in place, and
     rebinds ``moments`` to a fresh array.  All rows have made ``k`` of the
     ``steps`` steps the batch draws for.
+
+    The draws come in blocks of K steps: K = _BLOCK // (R (n + 1)), the
+    steps that fit in 1 MiB of doubles, raised toward _MIN_BLOCK_STEPS = 32
+    within a cap of 32 MiB; at least 1 and at most the steps left.  The
+    paper shape (R = 1,000, n = 100) draws 32 steps, 25.9 MB, at a time.
+    The bits do not depend on K.
     """
 
     def __init__(self, p: Potential, inits, rngs, strategies, steps: int):
         x = np.array(inits, dtype=float)
-        if x.ndim != 2 or x.shape[1] < 1:
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise DomainError(
-                f"initial states must be R rows of n >= 1 coordinates, got shape {x.shape}"
+                f"initial states must be R rows of n coordinates, R, n >= 1, got shape {x.shape}"
             )
         steps = _check_steps(steps)
         if not len(strategies) == len(rngs) == len(x):
@@ -331,8 +337,10 @@ class _Batch:
                       for s in self.strategies]
         self.ell = np.full(len(x), math.nan)
         # step k + 1 takes column k % K of the block of draws at the front of _buf
-        width = x.shape[1] + 1
-        self._buf = np.empty((len(x), min(steps, max(1, _BLOCK // (len(x) * width))), width))
+        per_step = len(x) * (x.shape[1] + 1)
+        block = min(max(_BLOCK // per_step, _MIN_BLOCK_STEPS),
+                    _MIN_BLOCK_STEPS * _BLOCK // per_step)
+        self._buf = np.empty((len(x), min(steps, max(1, block)), x.shape[1] + 1))
         with np.errstate(over="ignore", invalid="ignore"):
             self.sum_v = np.add.reduce(p.eval_v(x), axis=-1)
             self.d1 = np.array(p.d1(x), dtype=float)
@@ -342,8 +350,7 @@ class _Batch:
 
     def normals(self) -> np.ndarray:
         """Each row's n proposal normals for step k + 1, from (K, n + 1)
-        blocks of its own generator's normals, K = _BLOCK // (R (n + 1)) (at
-        least 1, at most the steps left)."""
+        blocks of its own generator's normals (K as in the class docstring)."""
         at = self.k % self._buf.shape[1]
         if not at:
             block = self._buf[:, :min(self.steps - self.k, self._buf.shape[1])]

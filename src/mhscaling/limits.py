@@ -296,8 +296,12 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
 
 def _z_moment(p: Potential) -> float:
     # Roberts & Rosenthal's 5 g'''^2 - 3 g''^3 with g = log density = -V,
-    # against exp(-V), which custom_potential makes integrate to one
-    return integrate_against_density(p, lambda x: 5.0 * p.d3(x) ** 2 + 3.0 * p.d2(x) ** 3)
+    # against exp(-V), which custom_potential makes integrate to one.  Two
+    # means, so that a constant V'' gives 3 V''^3 times the mass as rounded:
+    # the Gaussian's exp(-V) integrates to 1 + 7e-17 in doubles, which rounds
+    # to 1, while three times it rounds up past 3.
+    return (5.0 * integrate_against_density(p, lambda x: p.d3(x) ** 2)
+            + 3.0 * integrate_against_density(p, lambda x: p.d2(x) ** 3))
 
 
 def mala_z_stationary(p: Potential, ell: float) -> float:

@@ -5,7 +5,9 @@ normalized density exp(-V).  Two built-ins are provided (standard Gaussian
 and a bistable double well); arbitrary potentials can be wrapped with
 :func:`custom_potential`.  Moment functionals of the potential under a law
 (either the stationary one, by quadrature, or an empirical sample) feed the
-tuning rules and the mean-field integrators.
+tuning rules and the mean-field integrators.  The quadrature,
+:func:`integrate_against_density`, is a double-exponential rule in numpy: its
+integrands receive arrays of nodes, not floats.
 
 All callables are vectorized over numpy arrays.  Potentials are immutable
 after construction and safe to share across threads/processes.  Every
@@ -76,35 +78,90 @@ class MomentFunctionals:
     mala_m4: float
 
 
-def integrate_against_density(p: Potential, fn, epsabs: float = 1e-10) -> float:
-    """Integral of fn(x) * exp(-V(x)) over the line by adaptive quadrature.
+# Double-exponential quadrature (Takahasi & Mori 1974): the trapezoid rule in
+# t, at steps h = 1/2, 1/4, ..., after a change of variable x(t) under which
+# exp(-V) decays double-exponentially in |t| on every piece of the line:
+# sinh(pi/2 sinh t) on the whole line, edge +- exp(pi/2 sinh t) on a
+# half-line and tanh(pi/2 sinh t), scaled, between two breakpoints.  |t| <=
+# 4 reaches |x| ~ 1e18 on the unbounded pieces.  The built-ins settle by step
+# 2^-6; a Gaussian of standard deviation 0.01 takes 2^-9, and a density much
+# narrower or far from 0 is refused.
+_DE_T, _DE_LEVELS, _DE_RTOL = 4, 10, 1e-14
+_TINY = float(np.finfo(float).tiny)
 
-    fn takes one float and may return a 0-d array; the float is taken here.
-    A result that is not finite, or an error estimate over budget (or nan),
-    raises QuadratureError.
-    """
-    # imported here, its one user: the CLI starts without loading it
-    from scipy import integrate
 
-    edges = [-np.inf, *sorted(p.breakpoints), np.inf]
-    total = 0.0
-    err_total = 0.0
+@lru_cache(maxsize=64)
+def _de_level(edges: tuple, j: int) -> tuple:
+    """(x, dx/dt) of the nodes level j (step 2^-(j + 1) in t) adds,
+    concatenated over the pieces between consecutive ``edges``."""
+    steps = _DE_T << (j + 1)
+    k = np.arange(-steps, steps + 1)
+    t = (k[1::2] if j else k) / (2 << j)  # past level 0, the odd multiples
+    u, du = 0.5 * math.pi * np.sinh(t), 0.5 * math.pi * np.cosh(t)
+    xs, ws = [], []
     for lo, hi in zip(edges, edges[1:]):
-        val, err = integrate.quad(
-            lambda x: float(fn(x)) * math.exp(-float(p.eval_v(x))),
-            lo,
-            hi,
-            epsabs=epsabs / max(len(edges) - 1, 1),
-            epsrel=1e-12,
-            limit=300,
-        )
-        total += val
-        err_total += err
-    if not (math.isfinite(total) and err_total <= 100.0 * epsabs):  # nan fails too
-        raise QuadratureError(
-            f"quadrature of {p.name} gave {total!r} with error estimate {err_total:.2e}"
-        )
-    return total
+        if math.isinf(lo) and math.isinf(hi):
+            xs.append(np.sinh(u))
+            ws.append(du * np.cosh(u))
+        elif math.isinf(lo) or math.isinf(hi):
+            e = np.exp(u)
+            xs.append(hi - e if math.isinf(lo) else lo + e)
+            ws.append(du * e)
+        else:
+            half = 0.5 * (hi - lo)
+            xs.append(0.5 * (lo + hi) + half * np.tanh(u))
+            ws.append(half * du / np.cosh(u) ** 2)
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
+def _density_terms(p: Potential, fn) -> np.ndarray:
+    """The terms h fn(x) exp(-V(x)) dx/dt of the first level whose sum agrees
+    with the previous level's to _DE_RTOL of the integral of |fn| exp(-V),
+    and whose sum of h exp(-V(x)) dx/dt, the mass, agrees to _DE_RTOL too:
+    an integrand that vanishes at every node of two levels (x^2 at the
+    centre of a narrow density) settles only once the density is resolved."""
+    edges = (-math.inf, *sorted(p.breakpoints), math.inf)
+    found, sums, last = [], (0.0, 0.0, 0.0), None
+    for j in range(_DE_LEVELS):
+        x, w = _de_level(edges, j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            density = np.exp(-p.eval_v(x))
+            found.append(fn(x) * density * w)
+        # unscaled sums of the terms, their magnitudes and the mass terms
+        sums = (sums[0] + np.add.reduce(found[-1]), sums[1] + np.add.reduce(np.abs(found[-1])),
+                sums[2] + np.add.reduce(density * w))
+        total, abs_total, mass = (float(v) / (2 << j) for v in sums)
+        if not (math.isfinite(abs_total) and math.isfinite(mass)):  # nan fails too
+            raise QuadratureError(f"quadrature of {p.name} gave {total!r} at step 2^-{j + 1}")
+        if not j:  # the terms at |t| = _DE_T bound what the cut-off range leaves out
+            tail = float(np.max(np.abs(found[0].reshape(len(edges) - 1, -1)[:, [0, -1]]))) / 2
+        elif (abs(total - last[0]) + tail <= _DE_RTOL * abs_total
+              and abs(mass - last[1]) <= _DE_RTOL * mass):
+            if 0.0 < abs_total < _TINY / _DE_RTOL:  # terms in or near the subnormals
+                raise QuadratureError(
+                    f"quadrature of {p.name}: {total!r} is too close to underflow")
+            return np.concatenate(found) / (2 << j)  # exact: a power of two
+        last = (total, mass)
+    raise QuadratureError(
+        f"quadrature of {p.name} did not settle by step 2^-{j + 1}: {total!r}, with "
+        f"{tail!r} at the ends of the range"
+    )
+
+
+def integrate_against_density(p: Potential, fn) -> float:
+    """Integral of fn(x) * exp(-V(x)) over the line, by double-exponential
+    quadrature split at ``p.breakpoints``.
+
+    fn takes an array of nodes and returns an array shaped like it, or one
+    number; it is called once per level.  The terms are summed exactly
+    (``math.fsum``), so an odd fn against an even V on a symmetric partition
+    gives exactly 0.0.  A level that is not finite, levels that never agree
+    or whose terms at the ends of the range do not vanish, and a result near
+    underflow raise QuadratureError.
+    """
+    return math.fsum(_density_terms(p, fn))
 
 
 # -- built-in: standard Gaussian ---------------------------------------------
@@ -199,6 +256,10 @@ def _check_derivatives(p: Potential) -> None:
             raise DomainError(f"derivative mismatch for {p.name}")
 
 
+def _one(x):
+    return 1.0
+
+
 def _shifted(eval_v, shift, x):
     # a normalized V; module-level, so its partial pickles as eval_v does
     return eval_v(x) + shift
@@ -207,18 +268,25 @@ def _shifted(eval_v, shift, x):
 def custom_potential(name, eval_v, d1, d2, d3, d4, breakpoints=(), normalize=False) -> Potential:
     """Wrap user-supplied closures as a Potential.
 
-    The derivative checks run first, on every potential.  Then one
-    quadrature of exp(-V) either fits an additive constant so that it
-    integrates to one (``normalize=True``) or checks that it does, and a
-    second gives ``i_fisher``.  The result pickles if the closures do.
+    The derivative checks run first, on every potential.  Then a quadrature
+    of exp(-V) either fits an additive constant so that it integrates to one
+    (``normalize=True``, refined by a second quadrature) or checks that it
+    does, and one more gives ``i_fisher``.  The result pickles if the
+    closures do.
     """
     p = Potential(name, eval_v, d1, d2, d3, d4, breakpoints=tuple(breakpoints))
     _check_derivatives(p)
-    mass = integrate_against_density(p, lambda x: 1.0, epsabs=1e-12)
+    mass = integrate_against_density(p, _one)
     if normalize:
         if not mass > 0.0:  # exp(-V) underflowed everywhere
             raise DomainError(f"exp(-V) has no mass to normalize, got {mass!r} for {p.name}")
-        p = replace(p, eval_v=partial(_shifted, eval_v, math.log(mass)))
+        # log(mass) is an ulp or two off, as the mass is rounded to a double;
+        # the mass under the shifted V is 1 + excess, and the exact sum of its
+        # terms gives the excess to full precision
+        shift = math.log(mass)
+        excess = math.fsum((*_density_terms(replace(p, eval_v=partial(_shifted, eval_v, shift)),
+                                            _one), -1.0))
+        p = replace(p, eval_v=partial(_shifted, eval_v, shift + math.log1p(excess)))
     elif not abs(mass - 1.0) <= 1e-6:
         raise DomainError(f"exp(-V) must integrate to 1, got {mass!r} for {p.name}")
     return replace(p, i_fisher=integrate_against_density(p, lambda x: d1(x) ** 2))
@@ -300,9 +368,12 @@ def _moment_means(p: Potential, x, d1, *more) -> np.ndarray:
     x, then the means of the arrays ``more`` (shaped as x), stacked on axis 0;
     d1 is V'(x).  Each row is reduced alone, as np.mean reduces it, so a
     row's means do not depend on the other rows."""
-    # a custom V'' may return one number for a constant curvature
-    d2 = np.broadcast_to(p.d2(x), x.shape)
-    return np.add.reduce(np.array((d1 * d1, d2, *more)), axis=-1) / x.shape[-1]
+    terms = np.empty((2 + len(more), *x.shape))
+    np.multiply(d1, d1, out=terms[0])
+    terms[1] = p.d2(x)  # a custom V'' may return one number for a constant curvature
+    for row, values in zip(terms[2:], more):
+        row[...] = values
+    return np.add.reduce(terms, axis=-1) / x.shape[-1]
 
 
 def empirical_moments(p: Potential, xs) -> MomentFunctionals:

@@ -606,11 +606,12 @@ def _mixed_batch():
     return p, inits, [strategy_from_label(spec) for spec in specs]
 
 
-@pytest.mark.parametrize("block", [1, 5 * 8 * 4, chains._BLOCK])
+@pytest.mark.parametrize("block", [1, 5, 5 * 8 * 4, chains._BLOCK])
 def test_run_chains_bits_do_not_depend_on_the_block_size(monkeypatch, block):
-    # The rows draw K steps of normals at a time, K = _BLOCK // (R (n + 1)):
-    # here 1, 4 (37 steps end on a short block) and all 37 at once.  Every
-    # K must give the bits of the run that draws one step at a time.
+    # The rows draw K steps of normals at a time, K = _BLOCK // (R (n + 1))
+    # raised to 32 within 32 _BLOCK: here 1, 4, 32 (37 steps end on a short
+    # block) and all 37 at once.  Every K must give the bits of the run that
+    # draws one step at a time.
     p, inits, strategies = _mixed_batch()
 
     def run():
@@ -783,6 +784,13 @@ def test_run_chains_refuses_a_one_dimensional_start():
     with pytest.raises(DomainError, match="R rows"):
         run_chains(np.zeros(5), gaussian_potential(), [ConstantEll(1.0)], 2,
                    rngs=[chain_rng(0)])
+
+
+@pytest.mark.parametrize("run", [run_chains, run_chains_moments])
+def test_run_chains_refuses_a_batch_of_no_rows(run):
+    # no chains is a bad argument, not a block size of K steps per 0 rows
+    with pytest.raises(DomainError, match="R rows"):
+        run(np.zeros((0, 3)), gaussian_potential(), [], 3, rngs=[])
 
 
 @pytest.mark.parametrize("strategies, seeds", [(2, 3), (3, 2)])

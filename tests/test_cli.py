@@ -36,7 +36,7 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the quadratures of targets use it; they import it when first run
+    # the package imports it nowhere: the quadratures of targets are numpy
     assert not loaded_by_cli_import("scipy.integrate")
 
 
@@ -48,8 +48,7 @@ def test_simulate_ode_leaves_scipy_integrate_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the package calls nothing in it; scipy.integrate loads it, so only the
-    # quadratures of targets bring it in
+    # the package calls nothing in it, nor in scipy.integrate, which loads it
     assert not loaded_by_cli_import("scipy.optimize")
 
 
@@ -58,6 +57,17 @@ def test_simulate_ode_with_a_tuned_rule_leaves_scipy_optimize_unloaded(tmp_path)
     assert not loaded_by_cli_import("scipy.optimize", [
         "simulate", "--kind", "ode", "--strategy", "star", "--t-max", "0.01",
         "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "rwm", "--target", "gaussian", "--n", "5", "--steps", "10"],
+    ["simulate", "--kind", "particles", "--target", "double-well", "--n", "100",
+     "--t-max", "0.01"],
+], ids=["rwm-gaussian", "particles-double-well"])
+def test_simulate_with_a_potential_leaves_integrate_and_optimize_unloaded(tmp_path, argv, module):
+    # building a potential runs its quadratures, which are numpy
+    assert not loaded_by_cli_import(module, [*argv, "--out", str(tmp_path)])
 
 
 def test_tune_star_reference(capsys):

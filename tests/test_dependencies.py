@@ -1,6 +1,7 @@
-"""The package's scipy imports: scipy.special at module level, and one lazy
-scipy.integrate import for the quadrature.  scipy.signal, scipy.optimize
-and the rest take close to a second to import in a fresh process."""
+"""The package's scipy imports: scipy.special at module level and nothing
+else, so ALLOWED, the imports allowed elsewhere, is empty.  scipy.integrate,
+scipy.signal, scipy.optimize and the rest take close to a second to import in
+a fresh process."""
 
 import ast
 import pathlib
@@ -10,7 +11,7 @@ import mhscaling
 PACKAGE = pathlib.Path(mhscaling.__file__).parent
 
 # (module file, enclosing function or None at module level, scipy module)
-ALLOWED = {("targets.py", "integrate_against_density", "scipy.integrate")}
+ALLOWED = set()
 
 
 def _scipy_imports(path):
@@ -36,7 +37,7 @@ def _scipy_imports(path):
             if module == "scipy" or module.startswith("scipy.")]
 
 
-def test_only_scipy_special_is_imported_at_module_level_and_integrate_lazily():
+def test_only_scipy_special_is_imported_and_at_module_level():
     files = sorted(PACKAGE.glob("*.py"))
     assert len(files) >= 8
     seen = set()

@@ -330,7 +330,7 @@ def test_sweep_reduction_over_many_replicates_is_pinned():
     )
     rows = "\n".join(repr(row) for row in square_bias_sweep(cfg))
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "9cf17f432847eb32b79ce1e788de75506b09772f79b927167546165cec83e0fd"
+        "115a64422f2c7e7769501f8f3b1b7c6728d778a4c1f5b65650619721ce885dc0"
     )
 
 
