@@ -347,10 +347,6 @@ def _mp_gaussian(power):
         return mpmath.quad(density, [-mpmath.inf, mpmath.inf])
 
 
-def _k_integrand(p):
-    return lambda x: 5.0 * p.d3(x) ** 2 + 3.0 * p.d2(x) ** 3
-
-
 @pytest.mark.parametrize("case", [
     "gaussian-mass", "gaussian-fisher", "gaussian-second-moment",
     "double-well-shift", "double-well-fisher", "double-well-k",
@@ -373,7 +369,8 @@ def test_quadrature_matches_mpmath_and_scipy_quad(case):
                                       mp_double_well_constants()[0]),
         "double-well-fisher": lambda: (dw.i_fisher, _scipy_quad(dw, lambda x: dw.d1(x) ** 2),
                                        mp_double_well_constants()[1]),
-        "double-well-k": lambda: (limits._z_moment(dw), _scipy_quad(dw, _k_integrand(dw)),
+        "double-well-k": lambda: (limits._z_moment(dw),
+                                  _scipy_quad(dw, lambda x: 5.0 * dw.d3(x) ** 2 + 3.0 * dw.d2(x) ** 3),
                                   mp_double_well_constants()[2]),
     }[case]()
     assert _ulps_off(got, exact) <= 1.5
