@@ -178,6 +178,12 @@ def _f1_and_terms(s: float, ell: float) -> tuple[float, float, float]:
     # (f1(s, ell), first, second), with (first, second) = _accept_terms(s, 1, ell)
     _check_finite("moment ratio s", s, 0.0)
     _check_ell(ell)
+    return _f1_terms(s, ell)
+
+
+def _f1_terms(s: float, ell: float) -> tuple[float, float, float]:
+    # _f1_and_terms unchecked, for a solve that checked s once and tries only
+    # scales with a finite square
     first, second = _accept_terms(s, 1.0, ell)
     if abs(s - 1.0) < _SERIES_BAND:
         return _f1_near_one(s, ell, second), first, second

@@ -67,21 +67,18 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the counts, checked and stored as ints however given (numpy refuses
+        # a float count only deep inside a sweep)
+        for name, least in (("n", 1), ("window", 1), ("replicates", 2), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
+        object.__setattr__(self, "t0_grid", tuple(_count(v, "burn-in t0") for v in self.t0_grid))
         check_target_name(self.target)
-        if self.window < 1:
-            raise DomainError("window length T must be >= 1")
-        if self.replicates < 2:
-            raise DomainError("need at least 2 replicates")
         if not self.t0_grid:
             raise DomainError("t0 grid must not be empty")
         if list(self.t0_grid) != sorted(self.t0_grid):
             raise DomainError("t0 grid must be nondecreasing")
-        if self.t0_grid[0] < 0:
-            raise DomainError(f"burn-in t0 must be >= 0, got {self.t0_grid[0]}")
         if not self.strategies:
             raise DomainError("need at least one strategy")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
         start_params(self.init_kind, self.init_params)
         labels = [s.label() for s in self.strategies]
         if len(set(labels)) < len(labels):
@@ -114,14 +111,14 @@ class ExperimentConfig:
         try:
             return cls(
                 target=d["target"],
-                n=_count(d["n"], "n"),
-                window=_count(d["window"], "window"),
-                t0_grid=tuple(_count(v, "t0") for v in d["t0_grid"]),
-                replicates=_count(d["replicates"], "replicates"),
+                n=d["n"],
+                window=d["window"],
+                t0_grid=d["t0_grid"],
+                replicates=d["replicates"],
                 strategies=tuple(strategy_from_label(s) for s in d["strategies"]),
                 init_kind=d["init_kind"],
                 init_params=tuple(d["init_params"]),
-                seed=_count(d["seed"], "seed"),
+                seed=d["seed"],
             )
         except KeyError as exc:
             raise DomainError(f"config is missing the key {exc}") from None
@@ -129,11 +126,11 @@ class ExperimentConfig:
             raise DomainError(f"config: {exc}") from None
 
 
-def _count(value, name: str) -> int:
+def _count(value, name: str, least: int = 0) -> int:
     # int() alone would truncate 10.7 to 10 without a word
     number = int(value)
-    if number != value:
-        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    if number != value or number < least:
+        raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
     return number
 
 
@@ -170,10 +167,9 @@ def window_mean(per_step, t0: int, window: int):
     trajectory (a float is returned) or a (rows, steps) array (one per row).
     """
     per_step = np.asarray(per_step, dtype=float)
-    if t0 < 0:  # a negative slice start would average the wrong window
-        raise DomainError(f"burn-in t0 must be >= 0, got {t0}")
-    if window < 1:  # an empty window averages to nan, a negative one the wrong steps
-        raise DomainError(f"window length T must be >= 1, got {window}")
+    # a negative slice start would average the wrong window, an empty window
+    # gives nan and a negative one the wrong steps
+    t0, window = _count(t0, "burn-in t0"), _count(window, "window length T", 1)
     if per_step.shape[-1] < t0 + window:
         raise DomainError(f"{per_step.shape[-1]} steps are too few for t0={t0}, T={window}")
     mean = per_step[..., t0 : t0 + window].mean(axis=-1)

@@ -385,8 +385,8 @@ def empirical_moments(p: Potential, xs) -> MomentFunctionals:
     well a large equilibrium sample reads mala_m4 near 22.5, not 0.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    if xs.size == 0:
-        raise DomainError("empirical_moments requires a nonempty sample")
+    if xs.size == 0 or not np.all(np.isfinite(xs)):
+        raise DomainError("empirical_moments requires a nonempty sample of finite numbers")
     a, b, m4 = _moment_means(p, xs, p.d1(xs), _mala_combination(p, xs))
     return MomentFunctionals(a=float(a), b=float(b), i_fisher=p.i_fisher, mala_m4=float(m4))
 
@@ -397,6 +397,9 @@ def sample_stationary(p: Potential, size: int, rng: np.random.Generator):
     Exact for the Gaussian; otherwise inverse-transform on a dense quadrature
     grid (suitable for initializing chains, not for high-precision work).
     """
+    if not (size >= 0 and float(size).is_integer()):
+        raise DomainError(f"sample size must be a whole number >= 0, got {size!r}")
+    size = int(size)
     if p.name == "gaussian":
         return rng.standard_normal(size)
     grid = np.linspace(-12.0, 12.0, 20001)

@@ -33,12 +33,12 @@ optimal and a ``ConcaveRegionError`` is raised (callers apply a cap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .coefficients import (
-    _SQRT_2PI, _accept_terms, _check_finite, _f1_and_drift, _f1_and_terms, _ratio, f1,
-    j_curve, phi,
+    _SQRT_2PI, _accept_terms, _check_ell, _check_finite, _f1_and_drift, _f1_terms, _ratio,
+    f1, j_curve, phi,
 )
 # f_rate and g_drift are not called here; they stay importable as
 # tuning.<name>, names the per-layer trace of perfbench/ wraps
@@ -124,7 +124,7 @@ def _slopes(s: float, ell: float) -> tuple[float, float, float, float]:
         gauss = math.exp(-0.5 * ell2)
         slope, bend = (2.0 - ell2) * ell * gauss, (ell2 * (ell2 - 5.0) + 2.0) * gauss
         return slope, slope, bend, bend
-    value, _, second = _f1_and_terms(s, ell)
+    value, _, second = _f1_terms(s, ell)
     root_s, t, density, d1, c1 = _mills_terms(s, ell, second)
     q = ell * ell / 4.0 / s
     if t < 0.0:
@@ -176,17 +176,17 @@ def x_star() -> float:
 _LOG_MIN, _LOG_MAX = math.log(5e-324), 0.5 * math.log(1.7e308)
 
 
-def _newton_root(fn, objective, seed: float) -> TuningResult:
+def _newton_root(fn, seed: float) -> tuple[float, int, bool]:
     # Root of fn(ell)[0], which is positive left of its one root and negative
     # right of it, with fn(ell)[1] its ell-derivative: Newton steps in
     # u = log ell from u = log seed.  A step that heads away from the side
     # the sign points to, or is longer than _MAX_STEP, becomes a step of
     # _MAX_STEP toward it.  The values seen so far bracket the root, at first
     # with the ends of the floating-point range, and an iterate outside the
-    # bracket moves to its midpoint.  Each evaluation of fn counts as an
-    # iteration; objective(root) is the rule's value.  Where the rule's
-    # formulas over- or underflow, fn turns nan or keeps its sign to an end
-    # of the floating-point range: a DomainError.
+    # bracket moves to its midpoint.  Returns (root, iterations, converged),
+    # each evaluation of fn counting as an iteration.  Where the rule's formulas
+    # over- or underflow, fn turns nan or keeps its sign to an end of the
+    # floating-point range: a DomainError.
     lo, hi = _LOG_MIN, _LOG_MAX
     u = math.log(seed)
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -204,20 +204,21 @@ def _newton_root(fn, objective, seed: float) -> TuningResult:
         if not 0.0 <= step / limit <= 1.0:
             step = limit
         if abs(step) <= _U_STEP:
-            return _result(objective, math.exp(u + step), iteration, True)
+            return math.exp(u + step), iteration, True
         if hi - lo <= _U_TOL:
             if lo == _LOG_MIN or hi == _LOG_MAX:
                 raise DomainError(
                     f"no step scale in [{math.exp(_LOG_MIN):g}, {math.exp(_LOG_MAX):g}] "
                     "solves the rule in floating point; the moments are too extreme")
-            return _result(objective, math.exp(0.5 * (lo + hi)), iteration, True)
+            return math.exp(0.5 * (lo + hi)), iteration, True
         u += step
         if not lo < u < hi:
             u = 0.5 * (lo + hi)
-    return _result(objective, math.exp(u), _MAX_ITERATIONS, False)
+    return math.exp(u), _MAX_ITERATIONS, False
 
 
-def _result(objective, root: float, iterations: int, converged: bool) -> TuningResult:
+def _result(objective, solve) -> TuningResult:
+    root, iterations, converged = solve  # a public solver's: objective(root) too
     value = objective(root)
     if not math.isfinite(value):
         raise DomainError(f"the rule's objective is {value!r} at its root {root!r}; "
@@ -248,7 +249,7 @@ def _chebyshev_series(solve, ell_at_zero: float, power: float):
     for k in reversed(range(n)):
         x = math.cos(angles[k])
         s = ((1.0 + x) / (1.0 - x)) ** 2
-        ell = solve(s, ell * ((1.0 + s) / (1.0 + previous)) ** power).ell
+        ell = solve(s, ell * ((1.0 + s) / (1.0 + previous)) ** power)[0]
         logs[k], previous = math.log(ell) - power * math.log1p(s), s
     coefs = [2.0 / n * sum(y * math.cos(j * a) for y, a in zip(logs, angles))
              for j in range(n)]
@@ -268,18 +269,19 @@ def _seed(series, s: float) -> float:
     return math.exp(coefs[0] + x * b1 - b2 + power * math.log1p(s))
 
 
-def _solve_star(s: float, seed: float) -> TuningResult:
+def _solve_star(s: float, seed: float) -> tuple[float, int, bool]:
     def fn(ell):
         f1_slope, _, f1_bend, _ = _slopes(s, ell)
         return f1_slope, f1_bend
-    return _newton_root(fn, lambda ell: f1(s, ell), seed)
+    _check_ell(seed)  # _slopes checks no ell; only a seed's square can overflow
+    return _newton_root(fn, seed)
 
 
-def _solve_alpha(s: float, alpha: float, seed: float) -> TuningResult:
+def _solve_alpha(s: float, alpha: float, seed: float) -> tuple[float, int, bool]:
     def fn(ell):
         accept, slope = _acceptance_and_slope(s, ell)
         return accept - alpha, slope
-    return _newton_root(fn, lambda ell: j_curve(s, ell), seed)
+    return _newton_root(fn, seed)
 
 
 @lru_cache(maxsize=None)
@@ -299,16 +301,16 @@ def _alpha_series(alpha: float):
 def ell_star(s: float) -> TuningResult:
     """Unique maximizer of ell -> f1(s, ell) on (0, inf)."""
     _check_finite("moment ratio s", s, 0.0)
-    return _solve_star(s, _seed(_star_series(), s))
+    return _result(lambda ell: f1(s, ell), _solve_star(s, _seed(_star_series(), s)))
 
 
-def _in_ab(base: TuningResult, a: float, b: float, objective: float) -> TuningResult:
-    # an (a, b) form's result from the s form's: the scale over sqrt b,
-    # refused in the caller's terms where its square overflows
-    ell = base.ell / math.sqrt(b)
+def _in_ab(ell: float, a: float, b: float) -> float:
+    # an (a, b) form's scale from the s form's: ell over sqrt b, refused in
+    # the caller's terms where its square overflows
+    ell /= math.sqrt(b)
     if not math.isfinite(ell * ell):
         raise DomainError(f"the step scale at a={a!r}, b={b!r} is {ell!r}; its square overflows")
-    return TuningResult(ell, objective, base.iterations, base.converged)
+    return ell
 
 
 def _ab_ratio(a: float, b: float, concave: str) -> float:
@@ -322,15 +324,31 @@ def _ab_ratio(a: float, b: float, concave: str) -> float:
     return _ratio(a, b)
 
 
+_STAR_CONCAVE = ("no finite rate-optimal step scale for b <= 0; larger proposals only "
+                 "speed up the exit from the concave region, apply a cap")
+_ALPHA_CONCAVE = "no step scale attains a sub-1/2 acceptance target for b <= 0; apply a cap instead"
+
+
 def ell_star_ab(a: float, b: float) -> TuningResult:
     """Maximizer of ell -> f_rate(a, b, ell); equals ell_star(a/b) / sqrt(b).
 
     Its objective is ell_star(a/b)'s divided by b, as f_rate is f1 rescaled.
     """
-    base = ell_star(_ab_ratio(a, b, "no finite rate-optimal step scale for b <= 0; larger "
-                                    "proposals only speed up the exit from the concave "
-                                    "region, apply a cap"))
-    return _in_ab(base, a, b, base.objective_value / b)
+    base = ell_star(_ab_ratio(a, b, _STAR_CONCAVE))
+    return replace(base, ell=_in_ab(base.ell, a, b), objective_value=base.objective_value / b)
+
+
+# ell_star_ab(a, b).ell and ell_alpha_ab(a, b, alpha).ell for the chains, by
+# the same checks and solves without an objective (ell_ent_gaussian's: _solve_ent)
+def _ell_star_ab(a: float, b: float) -> float:
+    s = _ab_ratio(a, b, _STAR_CONCAVE)
+    return _in_ab(_solve_star(s, _seed(_star_series(), s))[0], a, b)
+
+
+def _ell_alpha_ab(a: float, b: float, alpha: float) -> float:
+    s = _ab_ratio(a, b, _ALPHA_CONCAVE)
+    _check_alpha(alpha)
+    return _in_ab(_solve_alpha(s, alpha, _seed(_alpha_series(alpha), s))[0], a, b)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -346,14 +364,14 @@ def ell_alpha(s: float, alpha: float) -> TuningResult:
     """
     _check_finite("moment ratio s", s, 0.0)
     _check_alpha(alpha)
-    return _solve_alpha(s, alpha, _seed(_alpha_series(alpha), s))
+    return _result(lambda ell: j_curve(s, ell),
+                   _solve_alpha(s, alpha, _seed(_alpha_series(alpha), s)))
 
 
 def ell_alpha_ab(a: float, b: float, alpha: float) -> TuningResult:
     """Scale solving acc_rate(a, b, .) == alpha; equals ell_alpha(a/b) / sqrt(b)."""
-    base = ell_alpha(_ab_ratio(a, b, "no step scale attains a sub-1/2 acceptance target "
-                                     "for b <= 0; apply a cap instead"), alpha)
-    return _in_ab(base, a, b, base.objective_value)
+    base = ell_alpha(_ab_ratio(a, b, _ALPHA_CONCAVE), alpha)
+    return replace(base, ell=_in_ab(base.ell, a, b))
 
 
 def matched_alpha(regime: str) -> float:
@@ -392,6 +410,11 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
     convention the rate-optimal ell_star(1) is returned there (continuity
     with nearby states).
     """
+    return _result(lambda ell: _entropy_derivative_objective(m, s, ell), _solve_ent(m, s))
+
+
+def _solve_ent(m: float, s: float) -> tuple[float, int, bool]:
+    # ell_ent_gaussian's checks and its solve's (root, iterations, converged)
     _check_finite("mean m", m)
     _check_finite("second moment s", s)
     m2 = m * m
@@ -399,9 +422,8 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
         raise DomainError(
             f"second moment must exceed squared mean, got s={s!r}, m={m!r}"
         )
-    if m2 == 0.0 and s == 1.0:
-        base = ell_star(1.0)
-        return TuningResult(base.ell, 0.0, base.iterations, base.converged)
+    if m2 == 0.0 and s == 1.0:  # where the objective is 0.0 at every ell
+        return _solve_star(1.0, _seed(_star_series(), 1.0))
 
     # for s = f 2^e >= 1 both weights carry a factor 2^(-2e): the f1 weight
     # overflows once s^2 does, and a power of two changes no rounding
@@ -416,6 +438,6 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
         return (drift_weight * drift_slope - f1_weight * f1_slope,
                 drift_weight * drift_bend - f1_weight * f1_bend)
 
-    # seeded from ell_star(s), its root at m = 0
-    return _newton_root(descent, lambda ell: _entropy_derivative_objective(m, s, ell),
-                        _seed(_star_series(), s))
+    seed = _seed(_star_series(), s)  # ell_star(s), its root at m = 0
+    _check_ell(seed)
+    return _newton_root(descent, seed)

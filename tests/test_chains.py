@@ -457,20 +457,49 @@ def test_cached_summary_steps_like_a_fresh_state(target, spec):
 
 
 def test_rate_optimal_solves_once_per_point(monkeypatch):
-    # one solve at the start and one after each acceptance, none on rejection
+    # one solve at the start and one after each acceptance, none on rejection,
+    # through the scale-only solve the strategy calls
     calls = 0
-    solve = tuning.ell_star_ab
+    solve = chains._ell_star_ab
 
     def counted(a, b):
         nonlocal calls
         calls += 1
         return solve(a, b)
 
-    monkeypatch.setattr(tuning, "ell_star_ab", counted)
+    monkeypatch.setattr(chains, "_ell_star_ab", counted)
     records, _ = run_chain(np.full(50, 10.0), gaussian_potential(), RateOptimal(),
                            steps=300, rng=chain_rng(4))
     assert calls == 1 + sum(r.accepted for r in records[:-1])
     assert calls < len(records)
+
+
+def test_chains_evaluate_no_rule_objective(monkeypatch):
+    # A chain reads only its scale: a batch of the five rules, whose tuned
+    # rows solve at every new point, evaluates none of the rules' objectives
+    # (f1 for star, the acceptance curve for alpha, the entropy derivative
+    # for ent); the public solvers still do, once per solve.
+    calls = {}
+
+    def counted(name):
+        fn = getattr(tuning, name)
+
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("f1", "j_curve", "_entropy_derivative_objective"):
+        monkeypatch.setattr(tuning, name, counted(name))
+    p, specs = gaussian_potential(), FIVE_SPECS
+    runs = run_chains(np.full((len(specs), 20), 3.0), p,
+                      [strategy_from_label(spec) for spec in specs], 100,
+                      rngs=[chain_rng([2, r]) for r in range(len(specs))])
+    assert runs.accepted[1:3].sum() > 10 and runs.accepted[4].sum() > 10
+    assert calls == {}
+    tuning.ell_star_ab(3.0, 1.0), tuning.ell_alpha_ab(3.0, 1.0, 0.27)
+    tuning.ell_ent_gaussian(1.0, 3.0)
+    assert calls == {"f1": 1, "j_curve": 1, "_entropy_derivative_objective": 1}
 
 
 @pytest.mark.parametrize("kind", ["rwm", "mala", "run_chains", "run_chains_moments"])
@@ -577,7 +606,9 @@ def test_batch_rows_step_like_chains_alone(monkeypatch, target, starts, specs):
     for i, (_, spec) in enumerate(cases):
         accepted = runs.accepted[i]
         assert 0 < accepted.sum() < steps, spec
-        if spec != "alpha-adaptive:0.27":  # one scale per point visited
+        if spec.startswith("constant"):  # one scale for the whole chain
+            assert batch_calls[i] == 1, spec
+        elif spec != "alpha-adaptive:0.27":  # one scale per point visited
             assert batch_calls[i] == 1 + accepted[:-1].sum(), spec
 
         init, rng = start(i)

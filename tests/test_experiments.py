@@ -132,6 +132,29 @@ def test_config_validation():
         ExperimentConfig("gaussian", 10, 10, (0,), 5, ())
 
 
+def test_config_counts_are_checked_where_built():
+    # Direct construction and from_dict share one check of the counts: a
+    # whole float count runs as an int, a fractional one or n < 1 is refused
+    # when the config is built, not by numpy or the first draw.
+    base = {"target": "gaussian", "n": 4, "window": 3, "t0_grid": (0, 2), "replicates": 2,
+            "strategies": (ConstantEll(1.0),)}
+    want = square_bias_sweep(ExperimentConfig(**base))
+    for key, value in (("n", 4.0), ("window", 3.0), ("t0_grid", (0.0, 2.0)),
+                       ("replicates", 2.0)):
+        cfg = ExperimentConfig(**{**base, key: value})
+        assert cfg == ExperimentConfig(**base) and square_bias_sweep(cfg) == want, key
+    for key, value in (("n", 0), ("n", 10.5), ("window", 20.5), ("t0_grid", (0, 2.5)),
+                       ("replicates", 2.5), ("seed", 1.5)):
+        with pytest.raises(DomainError, match="must be"):
+            ExperimentConfig(**{**base, key: value})
+    with pytest.raises(DomainError, match="n must be a whole number >= 1"):
+        ExperimentConfig.from_dict({**base, "n": 0, "t0_grid": [0, 2], "strategies": ["star"]})
+    for t0, window, name in ((2.5, 3, "burn-in t0"), (0, 3.5, "window length T")):
+        with pytest.raises(DomainError, match=f"{name} must be a whole number"):
+            window_mean(np.zeros((2, 10)), t0, window)
+    assert window_mean(np.arange(10.0), 2.0, 3.0) == 3.0
+
+
 def test_presets():
     desk = preset_config("desk")
     assert desk.n == 50 and desk.window == 500 and desk.replicates == 50

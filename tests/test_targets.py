@@ -151,6 +151,20 @@ def test_empirical_moments_empty():
         empirical_moments(gaussian_potential(), [])
 
 
+def test_sample_functions_refuse_bad_input():
+    # a negative or fractional sample size, and a sample holding nan or inf,
+    # are refused in one line, not passed to numpy or turned into a nan moment
+    rng = np.random.default_rng(0)
+    for p in (gaussian_potential(), double_well_potential()):
+        for size in (-1, 2.5, math.nan):
+            with pytest.raises(DomainError, match="sample size must be a whole number"):
+                sample_stationary(p, size, rng)
+        assert sample_stationary(p, 3.0, rng).shape == (3,)
+        for xs in ([math.nan], [0.5, math.inf]):
+            with pytest.raises(DomainError, match="finite numbers"):
+                empirical_moments(p, xs)
+
+
 def test_integration_by_parts_identity():
     for p in (gaussian_potential(), double_well_potential()):
         lhs = integrate_against_density(p, lambda x: p.d1(x) ** 2)

@@ -465,8 +465,9 @@ def test_solves_evaluate_each_ell_once(monkeypatch):
 def test_solves_evaluate_the_special_functions_once_per_ell(monkeypatch):
     # Each ell a rate-optimal or entropy solve tries costs one Phi and one
     # f_helper call, for f1 and both ell-derivatives together (s > 1/2, where
-    # the second acceptance term goes through f_helper), and so does the
-    # objective at the root; the (a, b) form rescales that objective.
+    # the second acceptance term goes through f_helper).  The scale-only
+    # solves the chains call stop at the root; a public solver's objective,
+    # which the (a, b) form rescales, costs one call of each more.
     from mhscaling import coefficients, tuning
 
     calls, ells = {"phi": 0, "f_helper": 0}, []
@@ -479,11 +480,11 @@ def test_solves_evaluate_the_special_functions_once_per_ell(monkeypatch):
 
     root = tuning._newton_root
 
-    def recording_root(fn, objective, seed):
+    def recording_root(fn, seed):
         def recorded(ell):
             ells.append(ell)
             return fn(ell)
-        return root(recorded, objective, seed)
+        return root(recorded, seed)
 
     tuning._star_series()  # built once, at the first solve: not counted here
     phi = coefficients.phi
@@ -491,12 +492,16 @@ def test_solves_evaluate_the_special_functions_once_per_ell(monkeypatch):
         monkeypatch.setattr(module, "phi", counting("phi", phi))
     monkeypatch.setattr(coefficients, "f_helper", counting("f_helper", coefficients.f_helper))
     monkeypatch.setattr(tuning, "_newton_root", recording_root)
-    for solve in (lambda: ell_star(4.0), lambda: ell_star_ab(4.0, 1.3),
-                  lambda: ell_ent_gaussian(1.0, 6.0)):
+    for solve, objective in ((lambda: tuning._ell_star_ab(4.0, 1.3), 0),
+                             (lambda: tuning._solve_ent(1.0, 6.0), 0),
+                             (lambda: ell_star(4.0).objective_value, 1),
+                             (lambda: ell_star_ab(4.0, 1.3).objective_value, 1),
+                             (lambda: ell_ent_gaussian(1.0, 6.0).objective_value, 1)):
         calls.update(phi=0, f_helper=0)
         ells.clear()
         solve()
-        assert ells and calls == {"phi": len(ells) + 1, "f_helper": len(ells) + 1}
+        want = len(ells) + objective
+        assert ells and calls == {"phi": want, "f_helper": want}
 
 
 def test_ell_alpha_reports_the_acceptance_at_its_root():
