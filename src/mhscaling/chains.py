@@ -335,8 +335,7 @@ class _Batch:
         self.rngs, self.strategies = list(rngs), list(strategies)
         adaptive = np.array([isinstance(s, ConstantAccAdaptive) for s in self.strategies])
         self.adaptive, self.stale = adaptive.nonzero()[0], (~adaptive).nonzero()[0]
-        # tuned rows choose a scale at each new point; theta starts at the
-        # classic stationary-phase scale
+        # tuned rows choose a scale at each new point
         self.tuned = ~adaptive & [not isinstance(s, ConstantEll) for s in self.strategies]
         self.thetas = np.full(self.adaptive.size, math.log(2.38 / math.sqrt(x.shape[1])))
         self.alphas = np.array([self.strategies[r].alpha for r in self.adaptive.tolist()])
@@ -382,9 +381,9 @@ class _Batch:
                 rows = slice(None)  # every row: views, not copies
             proposal, sum_v = proposal[rows], sum_v[rows]
             d1 = self.p.d1(proposal) if d1 is None else d1[rows]
-            self.d1[rows] = d1
             self.x[rows] = proposal
             self.sum_v[rows] = sum_v
+            self.d1[rows] = d1
             self.moments = here.copy()
             self.moments[:, rows] = _moment_means(self.p, proposal, d1,
                                                   proposal, proposal * proposal)

@@ -182,8 +182,7 @@ def _f1_and_terms(s: float, ell: float) -> tuple[float, float, float]:
 
 
 def _f1_terms(s: float, ell: float) -> tuple[float, float, float]:
-    # _f1_and_terms unchecked, for a solve that checked s once and tries only
-    # scales with a finite square
+    # _f1_and_terms unchecked, for a solve that checks s and its seed once
     first, second = _accept_terms(s, 1.0, ell)
     if abs(s - 1.0) < _SERIES_BAND:
         return _f1_near_one(s, ell, second), first, second

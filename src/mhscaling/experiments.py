@@ -67,8 +67,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the counts, checked and stored as ints however given (numpy refuses
-        # a float count only deep inside a sweep)
+        # the counts as checked ints, however given: numpy fails deep in a sweep
         for name, least in (("n", 1), ("window", 1), ("replicates", 2), ("seed", 0)):
             object.__setattr__(self, name, _count(getattr(self, name), name, least))
         object.__setattr__(self, "t0_grid", tuple(_count(v, "burn-in t0") for v in self.t0_grid))
