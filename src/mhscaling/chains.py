@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import tuning  # noqa: F401  (not called: perfbench/'s trace replaces chains.tuning)
-from .coefficients import _check_ell
+from .coefficients import _check_count, _check_ell
 from .errors import ConcaveRegionError, DomainError
 from .targets import Potential, _moment_means
 from .tuning import _check_alpha, _ell_alpha_ab, _ell_star_ab, _solve_ent
@@ -322,7 +322,7 @@ class _Batch:
             raise DomainError(
                 f"initial states must be R rows of n coordinates, R, n >= 1, got shape {x.shape}"
             )
-        steps = _check_steps(steps)
+        steps = _check_count("steps", steps, 0, _MAX_STEPS)
         if not len(strategies) == len(rngs) == len(x):
             raise DomainError(
                 f"need one strategy and one generator per chain: {len(x)} chains, "
@@ -450,18 +450,6 @@ def rwm_step(coords, p: Potential, strategy: Strategy, *, rng: np.random.Generat
     return coords, record
 
 
-def _check_steps(steps) -> int:
-    if not (0 <= steps <= _MAX_STEPS and float(steps).is_integer()):
-        raise DomainError(f"steps must be a whole number from 0 to {_MAX_STEPS:,}, got {steps!r}")
-    return int(steps)
-
-
-def _check_cadence(what: str, every) -> int:
-    if not (every >= 1 and float(every).is_integer()):
-        raise DomainError(f"{what} must be a whole number >= 1, got {every!r}")
-    return int(every)
-
-
 _FIELDS = tuple(f.name for f in fields(StepRecord))[1:]  # a kernel's record, in order
 
 
@@ -512,7 +500,7 @@ def run_chains_moments(inits, p: Potential, strategies, steps: int, *, rngs):
 def _run_one(init, p, strategy, steps, record_every, rng, kernel, *args):
     # ``steps`` kernel steps of the chain from ``init``, as a batch of one;
     # returns a StepRecord for every record_every-th step, and the end point
-    every = _check_cadence("record_every", record_every)
+    every = _check_count("record_every", record_every, 1)
     batch = _Batch(p, np.reshape(init, (1, -1)), [rng], [strategy], steps)
     rows = zip(*(column[0].tolist() for column in _run(batch, kernel, *args, every=every)))
     return [StepRecord(every * j, *row) for j, row in enumerate(rows, 1)], batch.x[0]

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from . import chains, experiments, limits, targets, tuning
-from .coefficients import f_rate, g_drift, gamma, j_curve
+from .coefficients import _check_count, f_rate, g_drift, gamma, j_curve
 from .errors import DomainError
 
 _EXIT_OK = 0
@@ -328,14 +328,11 @@ def tuning_checks(rng):
 
 def _cmd_validate(args) -> int:
     # fewer make the Monte Carlo check vacuous; more than numpy can draw at once
-    if not 2 <= args.samples <= 1e8:
-        raise DomainError(f"--samples must be a count from 2 to 1e8, got {args.samples:g}")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    samples = _check_count("--samples", args.samples, 2, 10**8)
+    rng = np.random.default_rng(_check_count("--seed", args.seed))
     passed = total = 0
-    for name, ok, detail in itertools.chain(identity_checks(rng), oracle_checks(
-            rng, int(args.samples)), tuning_checks(rng)):
+    for name, ok, detail in itertools.chain(identity_checks(rng), oracle_checks(rng, samples),
+                                            tuning_checks(rng)):
         print(f"{'PASS' if ok else 'FAIL'}  {name}{': ' + detail if detail else ''}")
         passed, total = passed + ok, total + 1
     print(f"{passed}/{total} checks passed")

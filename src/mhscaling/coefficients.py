@@ -76,6 +76,19 @@ def _check_finite(what: str, value: float, lower: float = -math.inf) -> None:
         raise DomainError(f"{what} must be finite{bound}, got {value!r}")
 
 
+def _check_count(what: str, value, least: int = 0, most: float = math.inf) -> int:
+    # a count as an int: int() alone would truncate 10.7 to 10 without a word,
+    # and its own refusals of None, nan and inf are not one line
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or not least <= number <= most:
+        bounds = f">= {least}" if most == math.inf else f"from {least} to {most:,}"
+        raise DomainError(f"{what} must be a whole number {bounds}, got {value!r}")
+    return number
+
+
 def _check_ab(a: float, b: float, ell: float) -> None:
     if a < 0.0 or math.isnan(a):
         raise DomainError(f"moment a must be >= 0 (or inf), got {a!r}")

@@ -26,7 +26,7 @@ from .chains import chain_rng, run_chains_moments, strategy_from_label
 # run_chain is not called here; it stays importable as experiments.run_chain,
 # a name the per-layer trace of perfbench/ wraps
 from .chains import run_chain  # noqa: F401
-from .coefficients import f_rate
+from .coefficients import _check_count, f_rate
 from .errors import DomainError
 from .targets import (
     check_target_name,
@@ -69,8 +69,9 @@ class ExperimentConfig:
     def __post_init__(self):
         # the counts as checked ints, however given: numpy fails deep in a sweep
         for name, least in (("n", 1), ("window", 1), ("replicates", 2), ("seed", 0)):
-            object.__setattr__(self, name, _count(getattr(self, name), name, least))
-        object.__setattr__(self, "t0_grid", tuple(_count(v, "burn-in t0") for v in self.t0_grid))
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
+        object.__setattr__(self, "t0_grid",
+                           tuple(_check_count("burn-in t0", v) for v in self.t0_grid))
         check_target_name(self.target)
         if not self.t0_grid:
             raise DomainError("t0 grid must not be empty")
@@ -125,14 +126,6 @@ class ExperimentConfig:
             raise DomainError(f"config: {exc}") from None
 
 
-def _count(value, name: str, least: int = 0) -> int:
-    # int() alone would truncate 10.7 to 10 without a word
-    number = int(value)
-    if number != value or number < least:
-        raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
-    return number
-
-
 def _default_strategies(target: str):
     # the reference constant is the stationary-optimal 2.38 / sqrt(I); the
     # entropy rule only makes sense where the entropy has a closed form
@@ -168,7 +161,7 @@ def window_mean(per_step, t0: int, window: int):
     per_step = np.asarray(per_step, dtype=float)
     # a negative slice start would average the wrong window, an empty window
     # gives nan and a negative one the wrong steps
-    t0, window = _count(t0, "burn-in t0"), _count(window, "window length T", 1)
+    t0, window = _check_count("burn-in t0", t0), _check_count("window length T", window, 1)
     if per_step.shape[-1] < t0 + window:
         raise DomainError(f"{per_step.shape[-1]} steps are too few for t0={t0}, T={window}")
     mean = per_step[..., t0 : t0 + window].mean(axis=-1)
@@ -264,10 +257,6 @@ def relative_loss_surface(b_values, a_grid, alphas):
     for alpha in alphas:
         for b in b_values:
             for a in a_grid:
-                if a < 0 or b <= 0 or not 0 < alpha < 1:
-                    raise DomainError(
-                        f"need a >= 0, b > 0, alpha in (0,1); got {(a, b, alpha)}"
-                    )
                 a, b, alpha = float(a), float(b), float(alpha)
                 best = ell_star_ab(a, b).objective_value
                 matched = f_rate(a, b, ell_alpha_ab(a, b, alpha).ell)

@@ -15,8 +15,8 @@ MALA side collects the step-variance regime classifier, the transient speed
 function ``mala_w``, the stationary-regime speed ``z`` and the
 fixed-variance AR(1) limit chain, stepped as its own recursion.  A horizon,
 start or moment is refused by the finite check of ``coefficients``, a
-cadence by that of ``chains``.  States are single-owner; coefficient calls
-are pure.
+cadence or step count by its count check.  States are single-owner;
+coefficient calls are pure.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from functools import partial
 
 import numpy as np
 
-from .chains import _MAX_STEPS, Strategy, _check_cadence, _check_steps
-from .coefficients import (_check_ell, _check_finite, _f1_and_drift, acc_rate, f_rate,
-                           g_drift, gamma, phi)
+from .chains import _MAX_STEPS, Strategy
+from .coefficients import (_check_count, _check_ell, _check_finite, _f1_and_drift, acc_rate,
+                           f_rate, g_drift, gamma, phi)
 from .errors import DomainError
 from .targets import Potential, _moment_means, integrate_against_density
 # empirical_moments, f1 and the ell_* solvers are not called here (the MALA
@@ -61,9 +61,9 @@ __all__ = [
 ]
 
 
-def _check_step(dt: float) -> None:
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
+def _check_positive(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{what} must be finite and > 0, got {value!r}")
 
 
 def _step_count(span: float, dt: float) -> int:
@@ -142,11 +142,11 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     scale drifts on the trajectory timescale, so a small refresh interval
     changes nothing measurable while saving the solver calls).
     """
-    _check_step(dt)
+    _check_positive("dt", dt)
     _check_finite("t_max", t_max, 0.0)
-    _check_cadence("policy_every", policy_every)
-    if stop_tol is not None and not 0.0 < stop_tol < math.inf:
-        raise DomainError(f"stop_tol must be finite and > 0, got {stop_tol!r}")
+    policy_every = _check_count("policy_every", policy_every, 1)
+    if stop_tol is not None:
+        _check_positive("stop_tol", stop_tol)
     _check_finite("m0", m0)
     _check_finite("s0", s0)
     if not s0 >= m0 * m0:
@@ -185,7 +185,7 @@ class ParticleEnsemble:
     def __post_init__(self):
         if self.xs.size < 2:
             raise DomainError("ensemble needs at least 2 particles")
-        _check_step(self.dt)
+        _check_positive("dt", self.dt)
         with np.errstate(over="ignore", invalid="ignore"):
             mean_square = float(np.mean(self.xs**2))
         _check_finite("the particles' mean square", mean_square)
@@ -212,7 +212,7 @@ def meanfield_particle_step(pe: ParticleEnsemble, p: Potential, ell: float) -> P
 def integrate_particles(pe: ParticleEnsemble, p: Potential, ell: float,
                         t_max: float, record_every: int = 1):
     """Advance an ensemble to t_max; returns (t, mean, second moment) arrays."""
-    _check_cadence("record_every", record_every)
+    record_every = _check_count("record_every", record_every, 1)
     _check_finite("t_max", t_max, pe.t)
     _check_ell(ell)  # also where t_max allows no step
     rows = [(pe.t, float(np.mean(pe.xs)), float(np.mean(pe.xs**2)))]
@@ -278,7 +278,7 @@ def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
                                  t_max: float = 5.0):
     """Second-moment flow ds/dt = mala_w(s - 1, ell) * (1 - s) for the
     Gaussian target, stepped as the moment system with m = 0; returns (t, s)."""
-    _check_step(dt)
+    _check_positive("dt", dt)
     _check_finite("t_max", t_max, 0.0)
     _check_ell(ell)
     _check_finite("s0", s0)
@@ -365,7 +365,7 @@ def mala_ar1_limit(ell: float, steps: int, y0: float = 0.0, *,
     """
     if not 0.0 < ell < 2.0:
         raise DomainError(f"AR(1) limit requires 0 < ell < 2, got {ell!r}")
-    steps = _check_steps(steps)
+    steps = _check_count("steps", steps, 0, _MAX_STEPS)
     _check_finite("AR(1) start y0", y0)
     noise = rng.standard_normal(steps)
     decay = 1.0 - 0.5 * ell * ell

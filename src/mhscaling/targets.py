@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .coefficients import _check_count
 from .errors import DomainError, QuadratureError
 
 __all__ = [
@@ -397,9 +398,7 @@ def sample_stationary(p: Potential, size: int, rng: np.random.Generator):
     Exact for the Gaussian; otherwise inverse-transform on a dense quadrature
     grid (suitable for initializing chains, not for high-precision work).
     """
-    if not (size >= 0 and float(size).is_integer()):
-        raise DomainError(f"sample size must be a whole number >= 0, got {size!r}")
-    size = int(size)
+    size = _check_count("sample size", size)
     if p.name == "gaussian":
         return rng.standard_normal(size)
     grid = np.linspace(-12.0, 12.0, 20001)
@@ -439,8 +438,7 @@ def start_params(kind: str, params=()) -> tuple:
 
 def initial_coords(kind: str, params, n: int, p: Potential, rng: np.random.Generator):
     """n start coordinates drawn from the law ``kind`` (see :func:`start_params`)."""
-    if n < 1:
-        raise DomainError(f"need at least one coordinate, got n={n!r}")
+    n = _check_count("n", n, 1)
     values = start_params(kind, params)
     if kind == "point":
         return np.full(n, values[0], dtype=float)

@@ -754,9 +754,10 @@ def test_chain_runs_hold_the_record_fields_then_the_end_state():
     lambda steps: mala_ar1_limit(1.0, steps, rng=chain_rng(0)),
 ], ids=["run_chain", "run_chains", "run_chains_moments", "run_mala", "mala_ar1_limit"])
 def test_step_counts_must_be_whole_numbers(run):
-    # a fractional count is refused by name; a whole float runs as its int
-    for steps in (2.5, 0.5, math.nan):
-        with pytest.raises(DomainError, match="steps"):
+    # a count that is not whole, or not a number, is refused by name in one
+    # line; a whole float runs as its int
+    for steps in (2.5, 0.5, math.nan, math.inf, None, -1, 10**7 + 1):
+        with pytest.raises(DomainError, match="^steps must be a whole number from 0 to 10,000,000"):
             run(steps)
     assert pickle.dumps(run(2.0)) == pickle.dumps(run(2))
 

@@ -530,7 +530,7 @@ def test_validate_reports_a_failing_check(monkeypatch, capsys):
     assert lines[-1] == f"{n - 1}/{n} checks passed"
 
 
-@pytest.mark.parametrize("samples", ["0", "1", "nan", "1e9", "1e300"])
+@pytest.mark.parametrize("samples", ["0", "1", "nan", "1e9", "1e300", "2.5", "inf"])
 def test_validate_refuses_too_few_samples(capsys, samples):
     # empty-sample means are nan, and "nan > 4 se" is False: a vacuous pass
     assert run_cli(["validate", "--samples", samples]) == 2

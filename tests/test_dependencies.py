@@ -1,7 +1,8 @@
-"""The package's scipy imports: scipy.special at module level and nothing
-else, so ALLOWED, the imports allowed elsewhere, is empty.  scipy.integrate,
-scipy.signal, scipy.optimize and the rest take close to a second to import in
-a fresh process."""
+"""Scans of the package source.  Its scipy imports: scipy.special at module
+level and nothing else, so ALLOWED, the imports allowed elsewhere, is empty.
+scipy.integrate, scipy.signal, scipy.optimize and the rest take close to a
+second to import in a fresh process.  Its count refusals: one function
+builds them all."""
 
 import ast
 import pathlib
@@ -14,14 +15,23 @@ PACKAGE = pathlib.Path(mhscaling.__file__).parent
 ALLOWED = set()
 
 
-def _scipy_imports(path):
-    # (function, module) for every import of scipy or a submodule, with the
-    # innermost function around it (None at module level)
-    found = []
-
+def _nodes(path):
+    # (function, node) for every node of the file, with the innermost
+    # function around it (None at module level)
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
+        yield function, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def _scipy_imports(path):
+    # (function, module) for every import of scipy or a submodule
+    found = []
+    for function, node in _nodes(path):
         if isinstance(node, ast.Import):
             found.extend((function, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
@@ -29,10 +39,6 @@ def _scipy_imports(path):
                 found.extend((function, f"scipy.{alias.name}") for alias in node.names)
             else:
                 found.append((function, node.module))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(path.read_text(), str(path)), None)
     return [(function, module) for function, module in found
             if module == "scipy" or module.startswith("scipy.")]
 
@@ -49,3 +55,12 @@ def test_only_scipy_special_is_imported_and_at_module_level():
             assert key in ALLOWED, f"{path.name}: {module} imported in {function or 'module'}"
             seen.add(key)
     assert seen == ALLOWED
+
+
+def test_one_function_refuses_counts():
+    # every count (steps, cadences, sizes, config counts, CLI counts) goes
+    # through one check, so its domain and wording cannot drift apart
+    sites = {(path.name, function) for path in PACKAGE.glob("*.py")
+             for function, node in _nodes(path)
+             if isinstance(node, ast.Constant) and "must be a whole number" in str(node.value)}
+    assert sites == {("coefficients.py", "_check_count")}

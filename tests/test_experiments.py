@@ -147,10 +147,20 @@ def test_config_counts_are_checked_where_built():
                        ("replicates", 2.5), ("seed", 1.5)):
         with pytest.raises(DomainError, match="must be"):
             ExperimentConfig(**{**base, key: value})
+    # not a number at all: refused by name in one line, not by int()
+    for bad in (math.nan, math.inf, None):
+        for key, value, name in (("n", bad, "n"), ("window", bad, "window"),
+                                 ("t0_grid", (0, bad), "burn-in t0"),
+                                 ("replicates", bad, "replicates"), ("seed", bad, "seed")):
+            with pytest.raises(DomainError, match=f"^{name} must be a whole number"):
+                ExperimentConfig(**{**base, key: value})
     with pytest.raises(DomainError, match="n must be a whole number >= 1"):
         ExperimentConfig.from_dict({**base, "n": 0, "t0_grid": [0, 2], "strategies": ["star"]})
-    for t0, window, name in ((2.5, 3, "burn-in t0"), (0, 3.5, "window length T")):
-        with pytest.raises(DomainError, match=f"{name} must be a whole number"):
+    for t0, window, name in ((2.5, 3, "burn-in t0"), (0, 3.5, "window length T"),
+                             (math.nan, 3, "burn-in t0"), (math.inf, 3, "burn-in t0"),
+                             (None, 3, "burn-in t0"), (0, math.nan, "window length T"),
+                             (0, math.inf, "window length T"), (0, None, "window length T")):
+        with pytest.raises(DomainError, match=f"^{name} must be a whole number"):
             window_mean(np.zeros((2, 10)), t0, window)
     assert window_mean(np.arange(10.0), 2.0, 3.0) == 3.0
 
@@ -248,6 +258,9 @@ def test_relative_loss_domain():
         relative_loss_surface([0.0], [1.0], [0.3])
     with pytest.raises(DomainError):
         relative_loss_surface([1.0], [1.0], [1.5])
+    for a in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="moment a must be >= 0"):
+            relative_loss_surface([1.0], [a], [0.3])
 
 
 def test_ordering_from_below_equilibrium():

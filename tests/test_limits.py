@@ -522,7 +522,7 @@ def test_ar1_limit_equals_the_linear_filter_bit_for_bit(ell, y0, steps):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("every", [2.5, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("every", [2.5, 1.5, math.nan, math.inf, None, 0])
 @pytest.mark.parametrize("call, name", [
     (lambda every: run_chain(np.zeros(3), gaussian_potential(), ConstantEll(1.0), 10, every,
                              rng=chain_rng(0)), "record_every"),
@@ -534,7 +534,7 @@ def test_ar1_limit_equals_the_linear_filter_bit_for_bit(ell, y0, steps):
 ], ids=["run_chain", "integrate_particles", "integrate_gaussian_ode"])
 def test_cadences_must_be_whole_numbers(call, name, every):
     # a fractional cadence would silently record or re-solve at other steps
-    with pytest.raises(DomainError, match=name):
+    with pytest.raises(DomainError, match=f"^{name} must be a whole number >= 1"):
         call(every)
 
 

@@ -13,6 +13,7 @@ from mhscaling.targets import (
     double_well_potential,
     empirical_moments,
     gaussian_potential,
+    initial_coords,
     integrate_against_density,
     potential_by_name,
     sample_stationary,
@@ -156,10 +157,15 @@ def test_sample_functions_refuse_bad_input():
     # are refused in one line, not passed to numpy or turned into a nan moment
     rng = np.random.default_rng(0)
     for p in (gaussian_potential(), double_well_potential()):
-        for size in (-1, 2.5, math.nan):
-            with pytest.raises(DomainError, match="sample size must be a whole number"):
+        for size in (-1, 2.5, math.nan, math.inf, None):
+            with pytest.raises(DomainError, match="^sample size must be a whole number >= 0"):
                 sample_stationary(p, size, rng)
         assert sample_stationary(p, 3.0, rng).shape == (3,)
+        for kind in ("point", "gaussian", "stationary"):
+            for n in (0, 2.5, math.nan, math.inf, None):
+                with pytest.raises(DomainError, match="^n must be a whole number >= 1"):
+                    initial_coords(kind, (), n, p, rng)
+            assert initial_coords(kind, (), 2.0, p, rng).shape == (2,)
         for xs in ([math.nan], [0.5, math.inf]):
             with pytest.raises(DomainError, match="finite numbers"):
                 empirical_moments(p, xs)
