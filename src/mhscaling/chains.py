@@ -277,8 +277,9 @@ class ChainRuns:
 def chain_rng(seed) -> np.random.Generator:
     """Counter-based generator for a chain (accepts an int >= 0, a sequence
     of them, or a SeedSequence)."""
-    if isinstance(seed, int) and seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed!r}")
+    if not isinstance(seed, np.random.SeedSequence):  # None would draw OS entropy
+        seed = ([_check_count("seed", s) for s in seed] if isinstance(seed, (list, tuple))
+                else _check_count("seed", seed))
     return np.random.Generator(np.random.Philox(seed))
 
 

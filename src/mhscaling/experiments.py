@@ -70,6 +70,8 @@ class ExperimentConfig:
         # the counts as checked ints, however given: numpy fails deep in a sweep
         for name, least in (("n", 1), ("window", 1), ("replicates", 2), ("seed", 0)):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
+        if np.ndim(self.t0_grid) != 1:
+            raise DomainError(f"t0 grid must be a sequence of burn-ins, got {self.t0_grid!r}")
         object.__setattr__(self, "t0_grid",
                            tuple(_check_count("burn-in t0", v) for v in self.t0_grid))
         check_target_name(self.target)

@@ -204,7 +204,11 @@ def meanfield_particle_step(pe: ParticleEnsemble, p: Potential, ell: float) -> P
     drift = g_drift(a, b, ell)
     diffusion = gamma(a, b, ell)
     noise = pe.rng.standard_normal(pe.xs.size)
-    pe.xs = pe.xs - drift * d1 * pe.dt + math.sqrt(diffusion * pe.dt) * noise
+    # x - (drift V') dt + sqrt(gamma dt) noise in a new array: d1 may be pe.xs
+    step = np.multiply(drift, d1, out=np.empty_like(pe.xs))
+    step *= pe.dt
+    noise *= math.sqrt(diffusion * pe.dt)
+    pe.xs = np.add(np.subtract(pe.xs, step, out=step), noise, out=step)
     pe.t += pe.dt
     return pe
 

@@ -186,23 +186,31 @@ def _gauss_zero(x):
 
 # -- built-in: double well ----------------------------------------------------
 # Raw well: ((x-1)(x+1))^2 inside |x| <= 1, 4(|x|-1)^2 outside, factored so
-# that no digits cancel near 0 and +-1; the constant that makes exp(-V)
-# integrate to one is fitted at construction.
+# that no digits cancel near 0 and +-1, on x clipped to [-1, 1] (a select of a
+# piece mispredicts); the constant normalizing exp(-V) is fitted at construction.
 
 
 def _dw_raw_v(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= 1.0, ((x - 1.0) * (x + 1.0)) ** 2, 4.0 * (np.abs(x) - 1.0) ** 2)
+    a = np.abs(np.asarray(x, dtype=float))
+    c = np.minimum(a, 1.0)
+    return ((c - 1.0) * (c + 1.0)) ** 2 + 4.0 * (a - c) ** 2
 
 
 def _dw_d1(x):
+    # 4c(c - 1)(c + 1) - 8(c - x): with + 8(x - c), V'(+0.0) = -0.0 would read +0.0
     x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= 1.0, 4.0 * x * (x - 1.0) * (x + 1.0), 8.0 * (x - np.sign(x)))
+    c = np.clip(x, -1.0, 1.0)
+    d1 = c * 4.0
+    d1 *= c - 1.0
+    d1 *= c + 1.0
+    c -= x
+    c *= 8.0
+    d1 -= c
+    return d1
 
 
 def _dw_d2(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= 1.0, 12.0 * x**2 - 4.0, 8.0)
+    return np.fmin(12.0 * np.asarray(x, dtype=float) ** 2 - 4.0, 8.0)
 
 
 def _dw_d3(x):

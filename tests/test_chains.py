@@ -825,6 +825,20 @@ def test_run_chains_refuses_a_batch_of_no_rows(run):
         run(np.zeros((0, 3)), gaussian_potential(), [], 3, rngs=[])
 
 
+def test_chain_rng_takes_whole_seeds_only():
+    # A missing seed would draw fresh OS entropy and a fractional one fails
+    # inside numpy; both are refused by name.  Ints, sequences of them and
+    # SeedSequences give the streams they gave before.
+    for bad in (None, -1, -1.0, 2.5, math.nan, "3", [2, -1], [2, 0.5], (None,)):
+        with pytest.raises(DomainError, match="^seed must be a whole number >= 0"):
+            chain_rng(bad)
+    want = np.random.Generator(np.random.Philox([2, 5])).standard_normal(4)
+    for seed in ([2, 5], (2, 5), [np.int64(2), 5], [2.0, 5], np.random.SeedSequence([2, 5])):
+        assert np.array_equal(chain_rng(seed).standard_normal(4), want)
+    assert np.array_equal(chain_rng(3.0).standard_normal(4),
+                          np.random.Generator(np.random.Philox(3)).standard_normal(4))
+
+
 @pytest.mark.parametrize("strategies, seeds", [(2, 3), (3, 2)])
 def test_run_chains_needs_one_strategy_and_generator_per_chain(strategies, seeds):
     with pytest.raises(DomainError, match="one strategy and one generator per chain"):

@@ -156,6 +156,10 @@ def test_config_counts_are_checked_where_built():
                 ExperimentConfig(**{**base, key: value})
     with pytest.raises(DomainError, match="n must be a whole number >= 1"):
         ExperimentConfig.from_dict({**base, "n": 0, "t0_grid": [0, 2], "strategies": ["star"]})
+    # a grid that is not a sequence at all is refused by name, not by iteration
+    for grid in (None, 5, 2.5, ((0, 2),)):
+        with pytest.raises(DomainError, match="^t0 grid must be a sequence"):
+            ExperimentConfig(**{**base, "t0_grid": grid})
     for t0, window, name in ((2.5, 3, "burn-in t0"), (0, 3.5, "window length T"),
                              (math.nan, 3, "burn-in t0"), (math.inf, 3, "burn-in t0"),
                              (None, 3, "burn-in t0"), (0, math.nan, "window length T"),

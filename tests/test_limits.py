@@ -32,7 +32,12 @@ from mhscaling.limits import (
     mala_z_stationary,
     meanfield_particle_step,
 )
-from mhscaling.targets import Potential, custom_potential, gaussian_potential
+from mhscaling.targets import (
+    Potential,
+    custom_potential,
+    double_well_potential,
+    gaussian_potential,
+)
 
 from oracles import lfilter_ar1
 
@@ -244,6 +249,18 @@ def test_particle_step_evaluates_each_derivative_once():
     assert calls == {"d1": 1, "d2": 1, "d3": 0, "d4": 0}
 
 
+@pytest.mark.parametrize("build", [gaussian_potential, double_well_potential])
+def test_particle_step_leaves_the_callers_array_alone(build):
+    # The step writes in place, but only into arrays it made: the caller's
+    # array, which is also what the Gaussian's V' returns, comes back as it was.
+    xs = np.linspace(-3.0, 3.0, 101)
+    kept = xs.copy()
+    pe = ParticleEnsemble(xs=xs, t=0.0, dt=1e-2, rng=chain_rng(3))
+    meanfield_particle_step(pe, build(), 1.2)
+    assert np.array_equal(xs, kept)
+    assert pe.xs is not xs and not np.array_equal(pe.xs, kept)
+
+
 def test_meanfield_tracks_ode():
     # small ensemble smoke test; the acceptance suite runs the full-size one
     p = gaussian_potential()
@@ -369,6 +386,23 @@ def test_limit_flows_are_pinned():
             digest.update(column.tobytes())
     assert digest.hexdigest() == (
         "b1886c0b2ff0886222b8aa9f6304ad1a9648316b06cbc2647fabbe20192eb452"
+    )
+
+
+def test_particle_runs_are_pinned():
+    # The digest of every column integrate_particles returns, and of the
+    # particles it leaves, for 2,000 particles from N(2, 0.5^2) over 200
+    # steps on both built-in targets.  It moves if the particle step, V' or
+    # V'' changes a bit; a rewrite of any of them for speed must keep it.
+    digest = hashlib.sha256()
+    for p in (gaussian_potential(), double_well_potential()):
+        rng = chain_rng(11)
+        pe = make_ensemble(2.0 + 0.5 * rng.standard_normal(2000), dt=1e-2, rng=rng)
+        for column in integrate_particles(pe, p, 1.5, t_max=2.0):
+            digest.update(column.tobytes())
+        digest.update(pe.xs.tobytes())
+    assert digest.hexdigest() == (
+        "1eed46fede6fb01bb1bbfa66bcbb8b9c4726dc7b9d34b949549fd5a12110c090"
     )
 
 

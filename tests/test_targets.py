@@ -307,6 +307,33 @@ def test_double_well_matches_a_50_digit_oracle():
             assert abs(got[2][k] - d2) <= 2e-15, x
 
 
+def test_double_well_matches_its_piecewise_form_bit_for_bit():
+    # V, V' and V'' are written without a select; the select forms they
+    # replaced are the oracle, bit for bit (the sign of zero and of nan
+    # included), at the joins, at zero, where the cubic overflows and on
+    # 10^6 points spread over 16 decades.
+    def select_v(x):
+        return np.where(np.abs(x) <= 1.0, ((x - 1.0) * (x + 1.0)) ** 2, 4.0 * (np.abs(x) - 1.0) ** 2)
+
+    def select_d1(x):
+        return np.where(np.abs(x) <= 1.0, 4.0 * x * (x - 1.0) * (x + 1.0), 8.0 * (x - np.sign(x)))
+
+    def select_d2(x):
+        return np.where(np.abs(x) <= 1.0, 12.0 * x**2 - 4.0, 8.0)
+
+    edges = [0.0, 1.0, 5e-324, math.inf, 1e103, 1.7e308]
+    edges += [np.nextafter(e, d) for e in (0.0, 1.0) for d in (-math.inf, math.inf)]
+    rng = np.random.default_rng(5)
+    spread = rng.standard_normal(10**6) * 10.0 ** rng.uniform(-8.0, 8.0, 10**6)
+    xs = np.concatenate((edges, np.negative(edges), [math.nan, -math.nan], spread))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got, want in ((targets._dw_raw_v, select_v), (targets._dw_d1, select_d1),
+                          (targets._dw_d2, select_d2)):
+            assert np.array_equal(got(xs).view(np.int64), want(xs).view(np.int64)), got.__name__
+            assert np.array_equal(got(xs[:, None]), want(xs[:, None]), equal_nan=True)
+        assert float(targets._dw_d1(0.0)) == 0.0 and math.copysign(1.0, targets._dw_d1(0.0)) == -1.0
+
+
 def test_double_well_constants_match_a_50_digit_oracle():
     # The shift and i_fisher are the doubles nearest their 50-digit values
     # (the shift is fitted to the exact sum of the mass's terms, see
