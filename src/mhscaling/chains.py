@@ -278,7 +278,7 @@ def chain_rng(seed) -> np.random.Generator:
     """Counter-based generator for a chain (accepts an int >= 0, a sequence
     of them, or a SeedSequence)."""
     if not isinstance(seed, np.random.SeedSequence):  # None would draw OS entropy
-        seed = ([_check_count("seed", s) for s in seed] if isinstance(seed, (list, tuple))
+        seed = ([_check_count("seed", s) for s in seed] if np.iterable(seed)
                 else _check_count("seed", seed))
     return np.random.Generator(np.random.Philox(seed))
 

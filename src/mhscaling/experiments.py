@@ -70,7 +70,7 @@ class ExperimentConfig:
         # the counts as checked ints, however given: numpy fails deep in a sweep
         for name, least in (("n", 1), ("window", 1), ("replicates", 2), ("seed", 0)):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
-        if np.ndim(self.t0_grid) != 1:
+        if not np.iterable(self.t0_grid):
             raise DomainError(f"t0 grid must be a sequence of burn-ins, got {self.t0_grid!r}")
         object.__setattr__(self, "t0_grid",
                            tuple(_check_count("burn-in t0", v) for v in self.t0_grid))

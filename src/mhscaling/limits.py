@@ -205,7 +205,7 @@ def meanfield_particle_step(pe: ParticleEnsemble, p: Potential, ell: float) -> P
     diffusion = gamma(a, b, ell)
     noise = pe.rng.standard_normal(pe.xs.size)
     # x - (drift V') dt + sqrt(gamma dt) noise in a new array: d1 may be pe.xs
-    step = np.multiply(drift, d1, out=np.empty_like(pe.xs))
+    step = np.multiply(drift, d1, out=np.empty(pe.xs.shape))
     step *= pe.dt
     noise *= math.sqrt(diffusion * pe.dt)
     pe.xs = np.add(np.subtract(pe.xs, step, out=step), noise, out=step)

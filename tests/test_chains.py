@@ -829,11 +829,12 @@ def test_chain_rng_takes_whole_seeds_only():
     # A missing seed would draw fresh OS entropy and a fractional one fails
     # inside numpy; both are refused by name.  Ints, sequences of them and
     # SeedSequences give the streams they gave before.
-    for bad in (None, -1, -1.0, 2.5, math.nan, "3", [2, -1], [2, 0.5], (None,)):
+    for bad in (None, -1, -1.0, 2.5, math.nan, "3", [2, -1], [2, 0.5], (None,), [2, [3, 4]]):
         with pytest.raises(DomainError, match="^seed must be a whole number >= 0"):
             chain_rng(bad)
     want = np.random.Generator(np.random.Philox([2, 5])).standard_normal(4)
-    for seed in ([2, 5], (2, 5), [np.int64(2), 5], [2.0, 5], np.random.SeedSequence([2, 5])):
+    for seed in ([2, 5], (2, 5), np.array([2, 5]), [np.int64(2), 5], [2.0, 5],
+                 np.random.SeedSequence([2, 5])):
         assert np.array_equal(chain_rng(seed).standard_normal(4), want)
     assert np.array_equal(chain_rng(3.0).standard_normal(4),
                           np.random.Generator(np.random.Philox(3)).standard_normal(4))

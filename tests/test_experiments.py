@@ -156,9 +156,12 @@ def test_config_counts_are_checked_where_built():
                 ExperimentConfig(**{**base, key: value})
     with pytest.raises(DomainError, match="n must be a whole number >= 1"):
         ExperimentConfig.from_dict({**base, "n": 0, "t0_grid": [0, 2], "strategies": ["star"]})
-    # a grid that is not a sequence at all is refused by name, not by iteration
-    for grid in (None, 5, 2.5, ((0, 2),)):
+    # a grid that is not a sequence is refused as a grid, a bad entry by its name
+    for grid in (None, 5, 2.5):
         with pytest.raises(DomainError, match="^t0 grid must be a sequence"):
+            ExperimentConfig(**{**base, "t0_grid": grid})
+    for grid in (((0, 2),), (0, (1, 2)), "02"):
+        with pytest.raises(DomainError, match="^burn-in t0 must be a whole number"):
             ExperimentConfig(**{**base, "t0_grid": grid})
     for t0, window, name in ((2.5, 3, "burn-in t0"), (0, 3.5, "window length T"),
                              (math.nan, 3, "burn-in t0"), (math.inf, 3, "burn-in t0"),

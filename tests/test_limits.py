@@ -252,13 +252,14 @@ def test_particle_step_evaluates_each_derivative_once():
 @pytest.mark.parametrize("build", [gaussian_potential, double_well_potential])
 def test_particle_step_leaves_the_callers_array_alone(build):
     # The step writes in place, but only into arrays it made: the caller's
-    # array, which is also what the Gaussian's V' returns, comes back as it was.
-    xs = np.linspace(-3.0, 3.0, 101)
-    kept = xs.copy()
-    pe = ParticleEnsemble(xs=xs, t=0.0, dt=1e-2, rng=chain_rng(3))
-    meanfield_particle_step(pe, build(), 1.2)
-    assert np.array_equal(xs, kept)
-    assert pe.xs is not xs and not np.array_equal(pe.xs, kept)
+    # array, which is also what the Gaussian's V' returns, comes back as it
+    # was, and whole-number particles step on as floats.
+    for xs in (np.linspace(-3.0, 3.0, 101), np.arange(-3, 4)):
+        kept = xs.copy()
+        pe = ParticleEnsemble(xs=xs, t=0.0, dt=1e-2, rng=chain_rng(3))
+        meanfield_particle_step(pe, build(), 1.2)
+        assert np.array_equal(xs, kept) and xs.dtype == kept.dtype
+        assert pe.xs.dtype == float and not np.array_equal(pe.xs, kept)
 
 
 def test_meanfield_tracks_ode():
