@@ -105,10 +105,9 @@ class Strategy:
     def label(self) -> str:
         raise NotImplementedError
 
-    def scale(self, a, b, m, s, n, theta=None) -> float:
+    def scale(self, a, b, m, s) -> float:
         """Step constant ell for the moments a = mean V'^2, b = mean V'',
-        mean m and second moment s of the coordinates, in dimension n (None
-        for the deterministic limit), with the adaptive state theta."""
+        mean m and second moment s of the coordinates."""
         raise NotImplementedError
 
 
@@ -131,7 +130,7 @@ class ConstantEll(Strategy):
     def label(self) -> str:
         return f"constant-{self.ell:g}"
 
-    def scale(self, a, b, m, s, n, theta=None) -> float:
+    def scale(self, a, b, m, s) -> float:
         return self.ell
 
 
@@ -153,7 +152,7 @@ class ConstantAccNumeric(_AcceptanceTarget):
     def label(self) -> str:
         return f"acc-{self.alpha:g}-numeric"
 
-    def scale(self, a, b, m, s, n, theta=None) -> float:
+    def scale(self, a, b, m, s) -> float:
         return _capped(_ell_alpha_ab, a, b, self.alpha)
 
 
@@ -164,9 +163,10 @@ class ConstantAccAdaptive(_AcceptanceTarget):
     The log proposal standard deviation theta starts at log(2.38 / sqrt(n))
     and after the k-th step (k = 1, 2, ...) moves by
     k**-0.6 * (alpha_k - alpha), alpha_k being the computed acceptance
-    probability of that step (see :func:`adaptive_update`).  The scale is
-    the chain's own state, so the rule has no deterministic-limit
-    counterpart.
+    probability of that step (see :func:`adaptive_update`).  The scale
+    exp(theta) sqrt(n) is the chain's own state, kept by the random walk
+    kernel, so the rule has no deterministic-limit counterpart and
+    ``scale`` refuses.
     """
 
     kind: ClassVar[str] = "alpha-adaptive"
@@ -174,13 +174,9 @@ class ConstantAccAdaptive(_AcceptanceTarget):
     def label(self) -> str:
         return f"acc-{self.alpha:g}-adaptive"
 
-    def scale(self, a, b, m, s, n, theta=None) -> float:
-        if theta is None:
-            raise DomainError(
-                "the adaptive strategy needs a chain's current theta; it has no "
-                "deterministic-limit counterpart"
-            )
-        return math.exp(theta) * math.sqrt(n)
+    def scale(self, a, b, m, s) -> float:
+        raise DomainError("the adaptive strategy needs a chain's current theta; it has no "
+                          "deterministic-limit counterpart")
 
 
 @dataclass(frozen=True)
@@ -192,7 +188,7 @@ class RateOptimal(Strategy):
     def label(self) -> str:
         return "rate-optimal"
 
-    def scale(self, a, b, m, s, n, theta=None) -> float:
+    def scale(self, a, b, m, s) -> float:
         return _capped(_ell_star_ab, a, b)
 
 
@@ -205,7 +201,7 @@ class EntropyOptimalGaussian(Strategy):
     def label(self) -> str:
         return "entropy-gaussian"
 
-    def scale(self, a, b, m, s, n, theta=None) -> float:
+    def scale(self, a, b, m, s) -> float:
         if s > m * m + _S_FLOOR:
             return _solve_ent(m, s)[0]
         # degenerate spread (e.g. a point start): fall back to the
@@ -407,7 +403,7 @@ def _rwm_kernel(batch: _Batch):
     n, ell, stale = batch.x.shape[1], batch.ell, batch.stale
     root_n = math.sqrt(n)
     for r, here in zip(stale.tolist(), batch.moments.take(stale, 1).T.tolist()):
-        ell[r] = batch.strategies[r].scale(*here, n)
+        ell[r] = batch.strategies[r].scale(*here)
     for r, theta in zip(batch.adaptive.tolist(), batch.thetas.tolist()):
         ell[r] = math.exp(theta) * root_n
     ell_used = ell.copy()

@@ -88,17 +88,10 @@ class ExperimentConfig:
             raise DomainError(f"strategies must have distinct labels, got {labels}")
 
     def to_dict(self):
-        return {
-            "target": self.target,
-            "n": self.n,
-            "window": self.window,
-            "t0_grid": list(self.t0_grid),
-            "replicates": self.replicates,
-            "strategies": [s.spec() for s in self.strategies],
-            "init_kind": self.init_kind,
-            "init_params": list(self.init_params),
-            "seed": self.seed,
-        }
+        """The fields as JSON values, in field order; strategies as specs."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**d, "t0_grid": list(self.t0_grid), "init_params": list(self.init_params),
+                "strategies": [s.spec() for s in self.strategies]}
 
     @classmethod
     def from_dict(cls, d) -> ExperimentConfig:
@@ -111,17 +104,10 @@ class ExperimentConfig:
             raise DomainError(f"config has unknown keys {unknown}")
         d = {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **d}
         try:
-            return cls(
-                target=d["target"],
-                n=d["n"],
-                window=d["window"],
-                t0_grid=d["t0_grid"],
-                replicates=d["replicates"],
-                strategies=tuple(strategy_from_label(s) for s in d["strategies"]),
-                init_kind=d["init_kind"],
-                init_params=tuple(d["init_params"]),
-                seed=d["seed"],
-            )
+            values = {f.name: d[f.name] for f in fields(cls)}
+            values["strategies"] = tuple(map(strategy_from_label, values["strategies"]))
+            values["init_params"] = tuple(values["init_params"])
+            return cls(**values)
         except KeyError as exc:
             raise DomainError(f"config is missing the key {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # DomainError included

@@ -88,7 +88,7 @@ def gaussian_entropy(m: float, s: float) -> float:
 def policy_ell(strategy: Strategy, m: float, s: float) -> float:
     """Step constant prescribed by a strategy in the Gaussian limit, where
     a = s and b = 1."""
-    return strategy.scale(s, 1.0, m, s, None)
+    return strategy.scale(s, 1.0, m, s)
 
 
 def _ode_field(m: float, s: float, ell: float) -> tuple[float, float]:
@@ -175,7 +175,9 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
 
 @dataclass
 class ParticleEnsemble:
-    """Interacting particle approximation of the nonlinear diffusion."""
+    """Interacting particle approximation of the nonlinear diffusion; the
+    particles ``xs``, any array-like of numbers, are held as a flat float
+    array of their own."""
 
     xs: np.ndarray
     t: float
@@ -183,6 +185,10 @@ class ParticleEnsemble:
     rng: np.random.Generator
 
     def __post_init__(self):
+        try:
+            self.xs = np.array(self.xs, dtype=float).reshape(-1)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"particles must be numbers: {exc}") from None
         if self.xs.size < 2:
             raise DomainError("ensemble needs at least 2 particles")
         _check_positive("dt", self.dt)
@@ -193,7 +199,7 @@ class ParticleEnsemble:
 
 def make_ensemble(xs, dt: float, *, rng: np.random.Generator) -> ParticleEnsemble:
     """An ensemble at time 0 with particles at ``xs``, drawing noise from ``rng``."""
-    return ParticleEnsemble(xs=np.array(xs, dtype=float).reshape(-1), t=0.0, dt=dt, rng=rng)
+    return ParticleEnsemble(xs=xs, t=0.0, dt=dt, rng=rng)
 
 
 def meanfield_particle_step(pe: ParticleEnsemble, p: Potential, ell: float) -> ParticleEnsemble:

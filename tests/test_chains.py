@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import pickle
 
@@ -85,13 +86,13 @@ def test_strategy_spec_with_an_acceptance_target_off_the_unit_interval(text):
 
 
 def test_choose_ell_constant_and_rate_optimal():
-    assert ConstantEll(2.38).scale(5.0, 1.0, 0.0, 5.0, 10) == 2.38
-    got = RateOptimal().scale(1.0, 1.0, 0.0, 1.0, 10)
+    assert ConstantEll(2.38).scale(5.0, 1.0, 0.0, 5.0) == 2.38
+    got = RateOptimal().scale(1.0, 1.0, 0.0, 1.0)
     assert got == pytest.approx(1.85, abs=0.01)
 
 
 def test_choose_ell_acceptance_numeric():
-    got = ConstantAccNumeric(0.27).scale(5.24, 5.24, 0.0, 1.0, 10)
+    got = ConstantAccNumeric(0.27).scale(5.24, 5.24, 0.0, 1.0)
     want = tuning.ell_alpha(1.0, 0.27).ell / math.sqrt(5.24)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -107,20 +108,24 @@ def test_acceptance_matching_at_a_point_start_uses_the_s_zero_root():
 
 def test_choose_ell_concave_fallback():
     # nonpositive curvature estimate: numeric rules return the cap
-    assert ConstantAccNumeric(0.3).scale(1.0, -0.5, 0.0, 1.0, 10) == DEFAULT_ELL_CAP
-    assert RateOptimal().scale(1.0, 0.0, 0.0, 1.0, 10) == DEFAULT_ELL_CAP
+    assert ConstantAccNumeric(0.3).scale(1.0, -0.5, 0.0, 1.0) == DEFAULT_ELL_CAP
+    assert RateOptimal().scale(1.0, 0.0, 0.0, 1.0) == DEFAULT_ELL_CAP
 
 
-def test_choose_ell_adaptive_uses_theta():
-    got = ConstantAccAdaptive(0.3).scale(1.0, 1.0, 0.0, 1.0, 25, theta=0.5)
-    assert got == pytest.approx(math.exp(0.5) * 5.0, rel=1e-14)
-    with pytest.raises(DomainError, match="theta"):
-        ConstantAccAdaptive(0.3).scale(1.0, 1.0, 0.0, 1.0, 25)
+def test_choose_ell_adaptive_is_refused():
+    # the adaptive scale is a chain's theta, not a function of the moments
+    with pytest.raises(DomainError, match="deterministic-limit"):
+        ConstantAccAdaptive(0.3).scale(1.0, 1.0, 0.0, 1.0)
+
+
+def test_every_strategy_scales_from_the_four_moments_alone():
+    for cls in chains._KINDS.values():
+        assert list(inspect.signature(cls.scale).parameters) == ["self", "a", "b", "m", "s"], cls
 
 
 def test_choose_ell_entropy_degenerate_point_start():
     # zero spread falls back to the rate-optimal value
-    got = EntropyOptimalGaussian().scale(100.0, 1.0, 10.0, 100.0, 10)
+    got = EntropyOptimalGaussian().scale(100.0, 1.0, 10.0, 100.0)
     assert got == pytest.approx(tuning.ell_star(100.0).ell, rel=1e-12)
 
 
@@ -551,8 +556,10 @@ def _alone(init, p, strategy, steps, rng):
     sum_v, here = summary(x)
     ell, rows = None, []
     for k in range(steps):
-        if theta is not None or ell is None:
-            ell = strategy.scale(*here, n, theta)
+        if theta is not None:
+            ell = math.exp(theta) * math.sqrt(n)
+        elif ell is None:
+            ell = strategy.scale(*here)
         draws = rng.standard_normal(n + 1)  # n proposal normals, then the uniform's
         y = x + ell / math.sqrt(n) * draws[:n]
         acc_prob = float(np.exp(min(float(sum_v - np.sum(p.eval_v(y))), 0.0)))

@@ -2,7 +2,8 @@
 level and nothing else, so ALLOWED, the imports allowed elsewhere, is empty.
 scipy.integrate, scipy.signal, scipy.optimize and the rest take close to a
 second to import in a fresh process.  Its count refusals: one function
-builds them all."""
+builds them all.  The adaptive rule's scale exp(theta) sqrt(n): one place
+computes it."""
 
 import ast
 import pathlib
@@ -64,3 +65,12 @@ def test_one_function_refuses_counts():
              for function, node in _nodes(path)
              if isinstance(node, ast.Constant) and "must be a whole number" in str(node.value)}
     assert sites == {("coefficients.py", "_check_count")}
+
+
+def test_one_place_computes_the_adaptive_scale():
+    # the adaptive scale is chain state, kept by the random walk kernel;
+    # Strategy.scale takes the four moments only and cannot compute it
+    sites = [(path.name, function) for path in PACKAGE.glob("*.py")
+             for function, node in _nodes(path)
+             if isinstance(node, ast.Call) and ast.unparse(node) == "math.exp(theta)"]
+    assert sites == [("chains.py", "_rwm_kernel")]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -130,6 +131,24 @@ def test_config_validation():
         ExperimentConfig("gaussian", 10, 10, (-100, 0), 5, (ConstantEll(1.0),))
     with pytest.raises(DomainError):
         ExperimentConfig("gaussian", 10, 10, (0,), 5, ())
+
+
+@pytest.mark.parametrize("name", ["desk", "paper", "bare"])
+@pytest.mark.parametrize("target", ["gaussian", "double-well"])
+def test_config_round_trips_through_json(name, target):
+    # What to_dict writes (into every manifest) from_dict reads back equal,
+    # for both presets and for a config that leaves out every default; its
+    # keys are the dataclass fields, in their order.
+    if name == "bare":
+        cfg = ExperimentConfig.from_dict({"target": target, "n": 3, "window": 2,
+                                          "t0_grid": [0, 1], "replicates": 2,
+                                          "strategies": ["constant:1.5", "star"]})
+        assert (cfg.init_kind, cfg.init_params, cfg.seed) == ("point", (10.0,), 0)
+    else:
+        cfg = preset_config(name, target, seed=5)
+    written = cfg.to_dict()
+    assert list(written) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(written))) == cfg
 
 
 def test_config_counts_are_checked_where_built():

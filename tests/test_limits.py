@@ -183,9 +183,9 @@ def test_ode_solves_the_policy_once_per_refresh():
     calls = []
 
     class Counting(ConstantEll):
-        def scale(self, a, b, m, s, n, theta=None):
+        def scale(self, a, b, m, s):
             calls.append((m, s))
-            return super().scale(a, b, m, s, n, theta)
+            return super().scale(a, b, m, s)
 
     traj = integrate_gaussian_ode(1.0, 4.0, Counting(1.5), dt=1e-2, t_max=0.5)
     assert len(traj.t) - 1 == 50 and len(calls) == 50
@@ -262,6 +262,21 @@ def test_particle_step_leaves_the_callers_array_alone(build):
         assert pe.xs.dtype == float and not np.array_equal(pe.xs, kept)
 
 
+@pytest.mark.parametrize("build", [gaussian_potential, double_well_potential])
+def test_ensemble_built_directly_steps_like_make_ensembles(build):
+    # The constructor takes the particles as make_ensemble does, flat and as
+    # floats, so a list or a 2-D array steps bit for bit like its array.
+    xs = 2.0 + 0.5 * chain_rng(5).standard_normal(200)
+
+    def run(pe):
+        columns = integrate_particles(pe, build(), 1.5, t_max=0.1)
+        return [column.tobytes() for column in (*columns, pe.xs)]
+
+    want = run(make_ensemble(xs, dt=1e-2, rng=chain_rng(6)))
+    for given in (xs.tolist(), xs.reshape(20, 10)):
+        assert run(ParticleEnsemble(xs=given, t=0.0, dt=1e-2, rng=chain_rng(6))) == want
+
+
 def test_meanfield_tracks_ode():
     # small ensemble smoke test; the acceptance suite runs the full-size one
     p = gaussian_potential()
@@ -283,6 +298,9 @@ def test_ensemble_validation():
     for dt in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             make_ensemble(np.zeros(10), dt=dt, rng=chain_rng(0))
+    for xs in (["a", "b"], [1.0, [2.0, 3.0]], {"x": 1.0}, [1j, 2j]):  # one line, not numpy's
+        with pytest.raises(DomainError, match="^particles must be numbers: [^\n]*$"):
+            ParticleEnsemble(xs=xs, t=0.0, dt=1e-2, rng=chain_rng(0))
 
 
 def test_entropy_rate_bound():
