@@ -90,20 +90,24 @@ STREAM_LAYOUT, _BLOCK, _MIN_BLOCK_STEPS = 2, 2**17, 32
 class Strategy:
     """Base class for step-scale strategies.
 
-    Each rule keeps its three jobs together: ``spec()`` is its lossless text
-    form (``kind`` plus the field values, read back by
-    :func:`strategy_from_label`), ``label()`` its short name in file names
-    and row tags, and ``scale()`` the step constant it prescribes.
+    A rule declares its ``kind``, its one field if it takes an argument, and
+    its ``label_format``; from these this class makes two of its three jobs:
+    ``spec()``, its lossless text form (``kind`` plus the field values, read
+    back by :func:`strategy_from_label`), and ``label()``, its short name in
+    file names and row tags (``label_format`` filled with the field values).
+    The third, ``scale()``, the step constant it prescribes, is the one
+    method each rule writes; the field's own check is its ``__post_init__``.
     """
 
     kind: ClassVar[str] = ""
+    label_format: ClassVar[str] = ""
 
     def spec(self) -> str:
         values = (repr(float(getattr(self, f.name))) for f in fields(self))
         return ":".join([self.kind, *values])
 
     def label(self) -> str:
-        raise NotImplementedError
+        return self.label_format.format(*(getattr(self, f.name) for f in fields(self)))
 
     def scale(self, a, b, m, s) -> float:
         """Step constant ell for the moments a = mean V'^2, b = mean V'',
@@ -122,13 +126,11 @@ def _capped(solve, *args) -> float:
 @dataclass(frozen=True)
 class ConstantEll(Strategy):
     kind: ClassVar[str] = "constant"
+    label_format: ClassVar[str] = "constant-{:g}"
     ell: float = 2.38
 
     def __post_init__(self):
         _check_ell(self.ell)
-
-    def label(self) -> str:
-        return f"constant-{self.ell:g}"
 
     def scale(self, a, b, m, s) -> float:
         return self.ell
@@ -148,9 +150,7 @@ class ConstantAccNumeric(_AcceptanceTarget):
     """Solve the limiting acceptance curve for a target rate each step."""
 
     kind: ClassVar[str] = "alpha"
-
-    def label(self) -> str:
-        return f"acc-{self.alpha:g}-numeric"
+    label_format: ClassVar[str] = "acc-{:g}-numeric"
 
     def scale(self, a, b, m, s) -> float:
         return _capped(_ell_alpha_ab, a, b, self.alpha)
@@ -170,9 +170,7 @@ class ConstantAccAdaptive(_AcceptanceTarget):
     """
 
     kind: ClassVar[str] = "alpha-adaptive"
-
-    def label(self) -> str:
-        return f"acc-{self.alpha:g}-adaptive"
+    label_format: ClassVar[str] = "acc-{:g}-adaptive"
 
     def scale(self, a, b, m, s) -> float:
         raise DomainError("the adaptive strategy needs a chain's current theta; it has no "
@@ -184,9 +182,7 @@ class RateOptimal(Strategy):
     """Maximize the entropy production rate given the current moments."""
 
     kind: ClassVar[str] = "star"
-
-    def label(self) -> str:
-        return "rate-optimal"
+    label_format: ClassVar[str] = "rate-optimal"
 
     def scale(self, a, b, m, s) -> float:
         return _capped(_ell_star_ab, a, b)
@@ -197,9 +193,7 @@ class EntropyOptimalGaussian(Strategy):
     """Minimize the Gaussian entropy derivative (Gaussian targets only)."""
 
     kind: ClassVar[str] = "ent"
-
-    def label(self) -> str:
-        return "entropy-gaussian"
+    label_format: ClassVar[str] = "entropy-gaussian"
 
     def scale(self, a, b, m, s) -> float:
         if s > m * m + _S_FLOOR:
@@ -211,21 +205,22 @@ class EntropyOptimalGaussian(Strategy):
 
 _KINDS = {cls.kind: cls for cls in (ConstantEll, ConstantAccNumeric, ConstantAccAdaptive,
                                     RateOptimal, EntropyOptimalGaussian)}
+# the spec grammar, "constant[:ell] | alpha[:alpha] | ...", for refusals and help
+_SPEC_USAGE = " | ".join(kind + "".join(f"[:{f.name}]" for f in fields(cls))
+                         for kind, cls in _KINDS.items())
 
 
 def strategy_from_label(text: str) -> Strategy:
     """Parse a strategy spec such as 'constant:2.38', 'alpha:0.27' or 'star'.
 
     The inverse of :meth:`Strategy.spec`; an omitted argument takes the
-    field's default.
+    field's default.  An argument that is a number is checked by the class
+    alone.
     """
     kind, _, arg = text.partition(":")
     cls = _KINDS.get(kind)
     if cls is None:
-        raise DomainError(
-            f"unknown strategy {text!r}; expected constant[:ell], alpha[:a], "
-            "alpha-adaptive[:a], star or ent"
-        )
+        raise DomainError(f"unknown strategy {text!r}; expected {_SPEC_USAGE}")
     if not arg:
         return cls()
     if not fields(cls):
@@ -233,9 +228,7 @@ def strategy_from_label(text: str) -> Strategy:
     try:
         value = float(arg)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise DomainError(f"strategy {text!r}: {arg!r} is not a finite number")
+        raise DomainError(f"strategy {text!r}: {arg!r} is not a number") from None
     return cls(value)
 
 

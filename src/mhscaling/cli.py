@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=100, help="dimension / particle count")
     p_sim.add_argument("--steps", type=int, default=10000, help="chain steps")
     p_sim.add_argument("--strategy", default="constant:2.38",
-                       help="constant[:ell] | alpha[:a] | alpha-adaptive[:a] | star | ent")
+                       help=chains._SPEC_USAGE)
     p_sim.add_argument("--ell", type=float, default=1.0,
                        help="fixed step constant (particles, ar1)")
     p_sim.add_argument("--sigma", type=float, default=0.1, help="MALA proposal std")

@@ -89,11 +89,11 @@ def _check_count(what: str, value, least: int = 0, most: float = math.inf) -> in
     return number
 
 
-def _check_ab(a: float, b: float, ell: float) -> None:
+def _check_ab(a: float, b: float) -> None:
+    # a = inf passes: the exact limit of a pure diffusion
     if a < 0.0 or math.isnan(a):
-        raise DomainError(f"moment a must be >= 0 (or inf), got {a!r}")
+        raise DomainError(f"moment a must be >= 0, got {a!r}")
     _check_finite("moment b", b)
-    _check_ell(ell)
 
 
 def _ratio(a: float, b: float) -> float:
@@ -135,14 +135,16 @@ def _accept_terms(a: float, b: float, ell: float) -> tuple[float, float]:
 
 def gamma(a: float, b: float, ell: float) -> float:
     """Limiting diffusion coefficient; lies in (0, ell**2]."""
-    _check_ab(a, b, ell)
+    _check_ab(a, b)
+    _check_ell(ell)
     first, second = _accept_terms(a, b, ell)
     return ell * ell * (first + second)
 
 
 def g_drift(a: float, b: float, ell: float) -> float:
     """Limiting drift coefficient; satisfies 0 <= g_drift <= gamma."""
-    _check_ab(a, b, ell)
+    _check_ab(a, b)
+    _check_ell(ell)
     return ell * ell * _accept_terms(a, b, ell)[1]
 
 
@@ -159,7 +161,8 @@ def f_rate(a: float, b: float, ell: float) -> float:
     b - a is negative unless a == b == 0, whose limit is ell**2, so the
     quotient is taken as written.  Strictly positive on compact moment sets.
     """
-    _check_ab(a, b, ell)
+    _check_ab(a, b)
+    _check_ell(ell)
     if a == math.inf:
         raise DomainError("f_rate requires a finite moment a")
     if b > 0.0:
@@ -184,18 +187,12 @@ def f1(s: float, ell: float) -> float:
     criterion 02 and the quadrature and mpmath references in
     tests/oracles.py.
     """
-    return _f1_and_terms(s, ell)[0]
-
-
-def _f1_and_terms(s: float, ell: float) -> tuple[float, float, float]:
-    # (f1(s, ell), first, second), with (first, second) = _accept_terms(s, 1, ell)
-    _check_finite("moment ratio s", s, 0.0)
-    _check_ell(ell)
-    return _f1_terms(s, ell)
+    return _f1_and_drift(s, ell)[0]
 
 
 def _f1_terms(s: float, ell: float) -> tuple[float, float, float]:
-    # _f1_and_terms unchecked, for a solve that checks s and its seed once
+    # (f1(s, ell), first, second), with (first, second) = _accept_terms(s, 1, ell),
+    # unchecked, for a solve that checks s and its seed once
     first, second = _accept_terms(s, 1.0, ell)
     if abs(s - 1.0) < _SERIES_BAND:
         return _f1_near_one(s, ell, second), first, second
@@ -231,7 +228,9 @@ def _f1_near_one(s: float, ell: float, second: float) -> float:
 
 def _f1_and_drift(s: float, ell: float) -> tuple[float, float]:
     # (f1(s, ell), g_drift(s, 1, ell)) from one evaluation of their terms
-    value, _, second = _f1_and_terms(s, ell)
+    _check_finite("moment ratio s", s, 0.0)
+    _check_ell(ell)
+    value, _, second = _f1_terms(s, ell)
     return value, ell * ell * second
 
 

@@ -163,9 +163,8 @@ def square_bias(samples, ref):
     Replicates lie along the last axis; both are arrays over the leading axes.
     """
     samples = np.asarray(samples, dtype=float)
-    n_rep = samples.shape[-1] if samples.ndim else 1
-    if n_rep < 2:  # one replicate has no spread to give an error from
-        raise DomainError(f"need at least 2 replicates, got {n_rep}")
+    # one replicate has no spread to give an error from
+    n_rep = _check_count("replicates", samples.shape[-1] if samples.ndim else 1, 2)
     bias = samples.mean(axis=-1) - ref
     se = samples.std(axis=-1, ddof=1) / math.sqrt(n_rep)
     return bias * bias, 2.0 * np.abs(bias) * se + se * se

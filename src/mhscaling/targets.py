@@ -358,9 +358,8 @@ def stationary_moments(p: Potential) -> MomentFunctionals:
     a = p.i_fisher
     b = integrate_against_density(p, p.d2)
     m4 = integrate_against_density(p, partial(_mala_combination, p))
-    eps = 1e-12
     for c in p.breakpoints:
-        jump = float(p.d3(c + eps)) - float(p.d3(c - eps))
+        jump = float(p.d3(math.nextafter(c, math.inf))) - float(p.d3(math.nextafter(c, -math.inf)))
         m4 += jump * math.exp(-float(p.eval_v(c)))
     return MomentFunctionals(a=a, b=b, i_fisher=p.i_fisher, mala_m4=m4)
 

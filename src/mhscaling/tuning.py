@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .coefficients import (
-    _SQRT_2PI, _accept_terms, _check_ell, _check_finite, _f1_and_drift, _f1_terms, _ratio,
-    f1, j_curve, phi,
+    _SQRT_2PI, _accept_terms, _check_ab, _check_ell, _check_finite, _f1_and_drift, _f1_terms,
+    _ratio, f1, j_curve, phi,
 )
 # f_rate and g_drift are not called here; they stay importable as
 # tuning.<name>, names the per-layer trace of perfbench/ wraps
@@ -316,9 +316,7 @@ def _in_ab(ell: float, a: float, b: float) -> float:
 def _ab_ratio(a: float, b: float, concave: str) -> float:
     # a/b of an (a, b) form; b <= 0 is the concave region, where the rule
     # has no finite scale, refused with the rule's own message concave
-    if a < 0.0 or math.isnan(a):
-        raise DomainError(f"moment a must be >= 0, got {a!r}")
-    _check_finite("moment b", b)
+    _check_ab(a, b)
     if not b > 0.0:
         raise ConcaveRegionError(concave)
     return _ratio(a, b)

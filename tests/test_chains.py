@@ -72,6 +72,35 @@ def test_strategy_spec_malformed(text):
         strategy_from_label(text)
 
 
+def test_strategy_kinds_are_declared_once():
+    # the refusal of an unknown kind lists every kind with its field, from the
+    # classes themselves, and only Strategy defines label()
+    with pytest.raises(DomainError) as refusal:
+        strategy_from_label("bogus")
+    usage = str(refusal.value).split("expected ", 1)[1]
+    assert usage == "constant[:ell] | alpha[:alpha] | alpha-adaptive[:alpha] | star | ent"
+    assert usage.split(" | ") == [
+        kind + "".join(f"[:{f.name}]" for f in dataclasses.fields(cls))
+        for kind, cls in chains._KINDS.items()
+    ]
+    for cls in chains._KINDS.values():
+        assert [c for c in cls.__mro__ if "label" in vars(c)] == [chains.Strategy]
+
+
+@pytest.mark.parametrize("text, wording", [
+    ("alpha:nan", "must lie in (0, 1), got nan"),
+    ("alpha-adaptive:inf", "must lie in (0, 1), got inf"),
+    ("constant:inf", "must be > 0 with a finite square, got inf"),
+    ("constant:abc", "'abc' is not a number"),
+])
+def test_strategy_argument_is_refused_by_its_class(text, wording):
+    # a number is the class's to check, in its own wording; the spec parser
+    # refuses only text that is no number, by name
+    with pytest.raises(DomainError) as refusal:
+        strategy_from_label(text)
+    assert wording in str(refusal.value) and "\n" not in str(refusal.value)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan])
 @pytest.mark.parametrize("cls", [ConstantAccNumeric, ConstantAccAdaptive])
 def test_acceptance_targets_outside_the_unit_interval_are_refused(cls, alpha):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import mhscaling
-from mhscaling import cli, experiments, tuning
+from mhscaling import chains, cli, experiments, tuning
 from mhscaling.chains import strategy_from_label
 
 
@@ -209,6 +210,14 @@ def test_simulate_bad_strategy_no_partial_files(tmp_path):
     ])
     assert rc == 2
     assert not out.exists()
+
+
+def test_simulate_strategy_help_lists_every_kind():
+    # the help is the spec grammar: kind[:field] for every strategy kind
+    sub = next(a for a in cli.build_parser()._actions if a.choices and "simulate" in a.choices)
+    (text,) = [a.help for a in sub.choices["simulate"]._actions if "--strategy" in a.option_strings]
+    assert text.split(" | ") == [kind + "".join(f"[:{f.name}]" for f in dataclasses.fields(cls))
+                                 for kind, cls in chains._KINDS.items()]
 
 
 def test_experiment_roundtrip_byte_identical(tmp_path):

@@ -67,6 +67,15 @@ def test_one_function_refuses_counts():
     assert sites == {("coefficients.py", "_check_count")}
 
 
+def test_one_function_refuses_the_moment_pair():
+    # the coefficients and the (a, b) tuning forms refuse a moment a < 0 or
+    # nan by one check, in one wording
+    sites = [(path.name, function) for path in PACKAGE.glob("*.py")
+             for function, node in _nodes(path)
+             if isinstance(node, ast.Constant) and "moment a must be" in str(node.value)]
+    assert sites == [("coefficients.py", "_check_ab")]
+
+
 def test_one_place_computes_the_adaptive_scale():
     # the adaptive scale is chain state, kept by the random walk kernel;
     # Strategy.scale takes the four moments only and cannot compute it

@@ -80,7 +80,7 @@ def test_window_mean_refuses_an_empty_or_negative_window(window):
 
 def test_square_bias_refuses_one_replicate():
     # one replicate has no spread, so its stderr was nan
-    with pytest.raises(DomainError, match="2 replicates"):
+    with pytest.raises(DomainError, match="^replicates must be a whole number >= 2"):
         square_bias([[1.25], [0.25]], 1.0)
 
 

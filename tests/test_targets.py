@@ -143,8 +143,8 @@ def test_empirical_mala_m4_at_equilibrium_double_well():
     assert classical == pytest.approx(22.5, abs=0.1)
     assert abs(empirical_moments(p, xs).mala_m4 - classical) < 4.0 * se
     masses = -24.0 * (math.exp(-float(p.eval_v(-1.0))) + math.exp(-float(p.eval_v(1.0))))
-    assert stationary_moments(p).mala_m4 == pytest.approx(classical + masses, abs=1e-8)
-    assert stationary_moments(p).mala_m4 == pytest.approx(0.0, abs=1e-8)
+    assert stationary_moments(p).mala_m4 == pytest.approx(classical + masses, abs=1e-13)
+    assert stationary_moments(p).mala_m4 == pytest.approx(0.0, abs=1e-13)
 
 
 def test_empirical_moments_empty():
