@@ -96,6 +96,14 @@ def _check_ab(a: float, b: float) -> None:
     _check_finite("moment b", b)
 
 
+def _check_spread(m: float, s: float) -> float:
+    # the variance s - m^2 of a Gaussian (m, s) pair; nan and inf fail too
+    variance = s - m * m
+    if not 0.0 < variance < math.inf:
+        raise DomainError(f"entropy needs finite s > m^2, got s={s!r}, m={m!r}")
+    return variance
+
+
 def _ratio(a: float, b: float) -> float:
     # a/b of an (a, b) form at finite b > 0, refused in the caller's terms
     s = a / b

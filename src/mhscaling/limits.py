@@ -13,10 +13,10 @@ the limit is simulated as an interacting particle system (Euler-Maruyama
 with coefficients recomputed from the empirical moments each step).  The
 MALA side collects the step-variance regime classifier, the transient speed
 function ``mala_w``, the stationary-regime speed ``z`` and the
-fixed-variance AR(1) limit chain, stepped as its own recursion.  A horizon,
-start or moment is refused by the finite check of ``coefficients``, a
-cadence or step count by its count check.  States are single-owner;
-coefficient calls are pure.
+fixed-variance AR(1) limit chain, stepped as its own recursion.  One routine,
+``_horizon``, checks every integrator's horizon; a start or moment is refused
+by ``coefficients``' finite check, a cadence or step count by its count check.
+States are single-owner; coefficient calls are pure.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from functools import partial
 import numpy as np
 
 from .chains import _MAX_STEPS, Strategy
-from .coefficients import (_check_count, _check_ell, _check_finite, _f1_and_drift, acc_rate,
-                           f_rate, g_drift, gamma, phi)
+from .coefficients import (_check_count, _check_ell, _check_finite, _check_spread,
+                           _f1_and_drift, acc_rate, f_rate, g_drift, gamma, phi)
 from .errors import DomainError
 from .targets import Potential, _moment_means, integrate_against_density
 # empirical_moments, f1 and the ell_* solvers are not called here (the MALA
@@ -66,17 +66,18 @@ def _check_positive(what: str, value: float) -> None:
         raise DomainError(f"{what} must be finite and > 0, got {value!r}")
 
 
-def _step_count(span: float, dt: float) -> int:
-    if not span / dt <= _MAX_STEPS:  # inf and nan too
+def _horizon(dt: float, t0: float, t_max: float) -> int:
+    _check_positive("dt", dt)
+    _check_finite("t_max", t_max, t0)
+    span = t_max - t0
+    if not span / dt <= _MAX_STEPS:  # inf too
         raise DomainError(f"{span!r} in steps of {dt!r} is more than {_MAX_STEPS:,} steps")
     return int(round(span / dt))
 
 
 def gaussian_entropy(m: float, s: float) -> float:
     """Relative entropy to the standard normal, (s - ln(s - m^2) - 1) / 2."""
-    variance = s - m * m
-    if not 0.0 < variance < math.inf:  # nan too
-        raise DomainError(f"entropy needs finite s > m^2, got s={s!r}, m={m!r}")
+    variance = _check_spread(m, s)
     # log1p keeps full precision near equilibrium, where variance - 1 is
     # exact (Sterbenz, from 1/2 to 2); below 1/2, variance - 1 would round
     # the small variance away (to -1 below 1.1e-16), so log takes it directly
@@ -142,16 +143,12 @@ def integrate_gaussian_ode(m0: float, s0: float, strategy: Strategy,
     scale drifts on the trajectory timescale, so a small refresh interval
     changes nothing measurable while saving the solver calls).
     """
-    _check_positive("dt", dt)
-    _check_finite("t_max", t_max, 0.0)
+    steps = _horizon(dt, 0.0, t_max)
     policy_every = _check_count("policy_every", policy_every, 1)
     if stop_tol is not None:
         _check_positive("stop_tol", stop_tol)
     _check_finite("m0", m0)
-    _check_finite("s0", s0)
-    if not s0 >= m0 * m0:
-        raise DomainError(f"second moment below squared mean: s0={s0!r}, m0={m0!r}")
-    steps = _step_count(t_max, dt)
+    _check_finite("s0", s0, m0 * m0)
     rows = []
 
     def push(m, s, t, ell_used):
@@ -223,10 +220,9 @@ def integrate_particles(pe: ParticleEnsemble, p: Potential, ell: float,
                         t_max: float, record_every: int = 1):
     """Advance an ensemble to t_max; returns (t, mean, second moment) arrays."""
     record_every = _check_count("record_every", record_every, 1)
-    _check_finite("t_max", t_max, pe.t)
+    steps = _horizon(pe.dt, pe.t, t_max)
     _check_ell(ell)  # also where t_max allows no step
     rows = [(pe.t, float(np.mean(pe.xs)), float(np.mean(pe.xs**2)))]
-    steps = _step_count(t_max - pe.t, pe.dt)
     for k in range(1, steps + 1):
         meanfield_particle_step(pe, p, ell)
         if k % record_every == 0:
@@ -287,16 +283,14 @@ def mala_w(moment: float, ell: float) -> float:
 def integrate_mala_second_moment(s0: float, ell: float, dt: float = 1e-3,
                                  t_max: float = 5.0):
     """Second-moment flow ds/dt = mala_w(s - 1, ell) * (1 - s) for the
-    Gaussian target, stepped as the moment system with m = 0; returns (t, s)."""
-    _check_positive("dt", dt)
-    _check_finite("t_max", t_max, 0.0)
+    Gaussian target, stepped as the moment system at m = 0 (so s0 >= 0); returns (t, s)."""
+    steps = _horizon(dt, 0.0, t_max)
     _check_ell(ell)
-    _check_finite("s0", s0)
+    _check_finite("s0", s0, 0.0)
 
     def field(m, s):
         return 0.0, mala_w(s - 1.0, ell) * (1.0 - s)
 
-    steps = _step_count(t_max, dt)
     ss = np.empty(steps + 1)
     ss[0] = s0
     for k in range(1, steps + 1):

@@ -402,8 +402,8 @@ def empirical_moments(p: Potential, xs) -> MomentFunctionals:
 def sample_stationary(p: Potential, size: int, rng: np.random.Generator):
     """Draw from exp(-V).
 
-    Exact for the Gaussian; otherwise inverse-transform on a dense quadrature
-    grid (suitable for initializing chains, not for high-precision work).
+    Exact for the Gaussian; otherwise inverse-transform on a grid over
+    [-12, 12], which must hold all but 1e-9 of the mass (fit for chain starts).
     """
     size = _check_count("sample size", size)
     if p.name == "gaussian":
@@ -412,6 +412,8 @@ def sample_stationary(p: Potential, size: int, rng: np.random.Generator):
     density = np.exp(-np.asarray(p.eval_v(grid), dtype=float))
     cdf = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) / 2.0)))
     cdf *= np.diff(grid)[0]
+    if not cdf[-1] >= 1.0 - 1e-9:  # nan too
+        raise DomainError(f"{p.name}: the grid [-12, 12] holds {float(cdf[-1])!r} of exp(-V)")
     cdf /= cdf[-1]
     u = rng.uniform(size=size)
     return np.interp(u, cdf, grid)

@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .coefficients import (
-    _SQRT_2PI, _accept_terms, _check_ab, _check_ell, _check_finite, _f1_and_drift, _f1_terms,
-    _ratio, f1, j_curve, phi,
+    _SQRT_2PI, _accept_terms, _check_ab, _check_ell, _check_finite, _check_spread, _f1_and_drift,
+    _f1_terms, _ratio, f1, j_curve, phi,
 )
 # f_rate and g_drift are not called here; they stay importable as
 # tuning.<name>, names the per-layer trace of perfbench/ wraps
@@ -413,20 +413,15 @@ def ell_ent_gaussian(m: float, s: float) -> TuningResult:
 
 def _solve_ent(m: float, s: float) -> tuple[float, int, bool]:
     # ell_ent_gaussian's checks and its solve's (root, iterations, converged)
-    _check_finite("mean m", m)
-    _check_finite("second moment s", s)
+    variance = _check_spread(m, s)
     m2 = m * m
-    if not s > m2:
-        raise DomainError(
-            f"second moment must exceed squared mean, got s={s!r}, m={m!r}"
-        )
     if m2 == 0.0 and s == 1.0:  # where the objective is 0.0 at every ell
         return _solve_star(1.0, _seed(_star_series(), 1.0))
 
     # for s = f 2^e >= 1 both weights carry a factor 2^(-2e): the f1 weight
     # overflows once s^2 does, and a power of two changes no rounding
     e = max(math.frexp(s)[1], 0)
-    f1_weight = math.ldexp(1.0 - s, -e) * math.ldexp(s - m2 - 1.0, -e)
+    f1_weight = math.ldexp(1.0 - s, -e) * math.ldexp(variance - 1.0, -e)
     drift_weight = math.ldexp(m2, 1 - 2 * e)
 
     def descent(ell: float) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Scans of the package source.  Its scipy imports: scipy.special at module
 level and nothing else, so ALLOWED, the imports allowed elsewhere, is empty.
 scipy.integrate, scipy.signal, scipy.optimize and the rest take close to a
-second to import in a fresh process.  Its count refusals: one function
-builds them all.  The adaptive rule's scale exp(theta) sqrt(n): one place
-computes it."""
+second to import in a fresh process.  Its count refusals, its horizon
+refusals and its (m, s) refusals: one function builds each.  The adaptive
+rule's scale exp(theta) sqrt(n): one place computes it."""
 
 import ast
 import pathlib
@@ -58,22 +58,37 @@ def test_only_scipy_special_is_imported_and_at_module_level():
     assert seen == ALLOWED
 
 
+def _building(fragment):
+    # (module file, function) for every string constant or f-string part
+    # holding the fragment
+    return [(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+            for function, node in _nodes(path)
+            if isinstance(node, ast.Constant) and fragment in str(node.value)]
+
+
 def test_one_function_refuses_counts():
     # every count (steps, cadences, sizes, config counts, CLI counts) goes
     # through one check, so its domain and wording cannot drift apart
-    sites = {(path.name, function) for path in PACKAGE.glob("*.py")
-             for function, node in _nodes(path)
-             if isinstance(node, ast.Constant) and "must be a whole number" in str(node.value)}
-    assert sites == {("coefficients.py", "_check_count")}
+    assert set(_building("must be a whole number")) == {("coefficients.py", "_check_count")}
 
 
 def test_one_function_refuses_the_moment_pair():
     # the coefficients and the (a, b) tuning forms refuse a moment a < 0 or
     # nan by one check, in one wording
-    sites = [(path.name, function) for path in PACKAGE.glob("*.py")
-             for function, node in _nodes(path)
-             if isinstance(node, ast.Constant) and "moment a must be" in str(node.value)]
-    assert sites == [("coefficients.py", "_check_ab")]
+    assert _building("moment a must be") == [("coefficients.py", "_check_ab")]
+
+
+def test_one_function_refuses_the_horizon():
+    # dt, t_max and the step cap of the ODE, the MALA flow and the particle
+    # system are checked by one routine
+    assert _building("in steps of") == [("limits.py", "_horizon")]
+
+
+def test_one_function_refuses_the_mean_and_second_moment():
+    # gaussian_entropy and the entropy rule refuse an (m, s) pair by one
+    # check; the step guard's own refusal stays with the guard
+    assert _building("needs finite s > m^2") == [("coefficients.py", "_check_spread")]
+    assert _building("while protecting s > m^2") == [("limits.py", "_rk4_with_guard")]
 
 
 def test_one_place_computes_the_adaptive_scale():

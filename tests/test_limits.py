@@ -1,10 +1,12 @@
 import hashlib
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
+from mhscaling import limits
 from mhscaling.chains import (
     ConstantAccNumeric,
     ConstantEll,
@@ -38,6 +40,7 @@ from mhscaling.targets import (
     double_well_potential,
     gaussian_potential,
 )
+from mhscaling.tuning import ell_ent_gaussian
 
 from oracles import lfilter_ar1
 
@@ -599,6 +602,48 @@ def test_gaussian_ode_refuses_a_non_finite_start_by_name(spec, m0, s0, name):
     # the start is refused as the start, not later by the rule or the entropy
     with pytest.raises(DomainError, match=f"^{name} must be finite"):
         integrate_gaussian_ode(m0, s0, strategy_from_label(spec), dt=0.1, t_max=1.0)
+
+
+@pytest.mark.parametrize("call, wording", [
+    (lambda: integrate_gaussian_ode(3.0, 4.0, ConstantEll(1.0), dt=0.1, t_max=1.0),
+     "s0 must be finite and >= 9.0, got 4.0"),
+    (lambda: integrate_mala_second_moment(-1.0, 1.0), "s0 must be finite and >= 0.0, got -1.0"),
+], ids=["ode", "mala"])
+def test_limit_starts_are_refused_before_any_step(monkeypatch, call, wording):
+    # the ODE needs s0 >= m0^2, and the MALA flow, the ODE at m = 0, s0 >= 0;
+    # a start below is refused by name before a step (the step is unset
+    # here), not after 40 halvings of the step guard
+    monkeypatch.setattr(limits, "_rk4_with_guard", None)
+    with pytest.raises(DomainError, match=f"^{re.escape(wording)}$"):
+        call()
+
+
+def test_entropy_and_its_rule_refuse_the_moment_pair_in_one_wording():
+    for refuse in (gaussian_entropy, ell_ent_gaussian):
+        with pytest.raises(DomainError,
+                           match=r"^entropy needs finite s > m\^2, got s=1\.0, m=1\.0$"):
+            refuse(1.0, 1.0)
+
+
+def _integrate(kind, dt, t_max):
+    if kind == "ode":
+        return integrate_gaussian_ode(1.0, 2.0, ConstantEll(1.0), dt=dt, t_max=t_max)
+    if kind == "mala":
+        return integrate_mala_second_moment(4.0, 1.4, dt=dt, t_max=t_max)
+    pe = make_ensemble(np.zeros(10), dt=1e-2, rng=chain_rng(0))
+    pe.dt = dt  # past the ensemble's own check, which has the same wording
+    return integrate_particles(pe, gaussian_potential(), 1.0, t_max=t_max)
+
+
+@pytest.mark.parametrize("dt, t_max, wording", [
+    (0.0, 1.0, "dt must be finite and > 0, got 0.0"),
+    (1e-2, -1.0, "t_max must be finite and >= 0.0, got -1.0"),
+    (1e-7, 2.0, "2.0 in steps of 1e-07 is more than 10,000,000 steps"),
+], ids=["dt", "t_max", "steps"])
+@pytest.mark.parametrize("kind", ["ode", "mala", "particles"])
+def test_limit_integrators_refuse_a_horizon_in_one_wording(kind, dt, t_max, wording):
+    with pytest.raises(DomainError, match=f"^{re.escape(wording)}$"):
+        _integrate(kind, dt, t_max)
 
 
 def test_limit_csv_format(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 
@@ -430,16 +431,21 @@ def test_odd_integrands_on_symmetric_partitions_give_exactly_zero():
         assert integrate_against_density(p, lambda x: x * p.d2(x) ** 3) == 0.0
 
 
+def _scaled_gaussian(mean, sd):
+    # the normal law of this mean and sd as a custom potential of unit mass
+    def v(x):
+        return 0.5 * ((np.asarray(x, float) - mean) / sd) ** 2 + math.log(sd * math.sqrt(2 * math.pi))
+
+    return custom_potential("scaled-gaussian", v, lambda x: (np.asarray(x, float) - mean) / sd**2,
+                            lambda x: np.full(np.shape(x), sd**-2),
+                            lambda x: np.zeros(np.shape(x)), lambda x: np.zeros(np.shape(x)))
+
+
 @pytest.mark.parametrize("mean, sd", [(0.0, 0.005), (0.0, 0.01), (0.0, 1e5), (10.0, 1.0)])
 def test_quadrature_resolves_narrow_wide_and_shifted_gaussians(mean, sd):
     # V' and x^2 - mean^2 vanish at the centre node, so on a narrow density
     # their sums are 0 at the first levels; the mass must settle as well
-    def v(x):
-        return 0.5 * ((np.asarray(x, float) - mean) / sd) ** 2 + math.log(sd * math.sqrt(2 * math.pi))
-
-    p = custom_potential("scaled-gaussian", v, lambda x: (np.asarray(x, float) - mean) / sd**2,
-                         lambda x: np.full(np.shape(x), sd**-2),
-                         lambda x: np.zeros(np.shape(x)), lambda x: np.zeros(np.shape(x)))
+    p = _scaled_gaussian(mean, sd)
     m, s = stationary_coordinate_moments(p)
     assert p.i_fisher == pytest.approx(sd**-2, rel=1e-13)
     assert m == pytest.approx(mean, abs=1e-13 * sd)
@@ -525,3 +531,23 @@ def test_sample_stationary_matches_moments():
         _, second = stationary_coordinate_moments(p)
         assert float(np.mean(xs)) == pytest.approx(0.0, abs=0.02)
         assert float(np.mean(xs**2)) == pytest.approx(second, abs=0.02)
+
+
+@pytest.mark.parametrize("sd", [2.0, 3.0, 6.0])
+def test_sample_stationary_refuses_mass_outside_its_grid(sd):
+    # the inverse transform runs on a grid over [-12, 12], which misses 2.0e-9
+    # of the mass at sd 2, 6.3e-5 at sd 3 and 4.6e-2 at sd 6 (where 10^6
+    # draws read E x^2 = 27.9 against 36); past 1e-9 it refuses to sample
+    with pytest.raises(DomainError,
+                       match=r"^scaled-gaussian: the grid \[-12, 12\] holds 0\.9\d* of exp\(-V\)$"):
+        sample_stationary(_scaled_gaussian(0.0, sd), 10, np.random.default_rng(1))
+
+
+def test_sample_stationary_keeps_the_draws_its_grid_holds():
+    # the grid's trapezoid mass is 1 + 6e-13 at sd 1.5 and 1 + 6e-13 on the
+    # double well, whose draws are pinned
+    xs = sample_stationary(_scaled_gaussian(0.0, 1.5), 100_000, np.random.default_rng(1))
+    assert float(np.mean(xs**2)) == pytest.approx(2.25, rel=0.02)
+    xs = sample_stationary(double_well_potential(), 1000, np.random.default_rng(1))
+    assert hashlib.sha256(xs.tobytes()).hexdigest() == (
+        "a9276f03ca4912ae3853dec581ee27bf4b02b436eeb34b00c37232f02cf1736f")
